@@ -30,7 +30,7 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import _bundle_tables, _zero_result
+from .exact import _bundle_tables, _fitting_bundles, _layer_groups, _support, _zero_result
 
 DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_QPTAS_FIRM_BOUND = 5
@@ -133,10 +133,12 @@ class LevelLadder:
         self.num = self.eps.numerator + self.eps.denominator
         self.den = self.eps.denominator
         self.eta = max(1, (m * v_max)) ** (m + n)
-        q = 0
-        while self.value_at_least(self.eta, q + 1):
-            q += 1
-        self.q = q
+        # num_pows[k] = num**k and den_pows[k] = den**k for k = 0 .. q+1
+        self.num_pows, self.den_pows = [1], [1]
+        while self.eta * self.den_pows[-1] >= self.num_pows[-1]:
+            self.num_pows.append(self.num_pows[-1] * self.num)
+            self.den_pows.append(self.den_pows[-1] * self.den)
+        self.q = len(self.num_pows) - 2
 
     def value_at_least(self, value: int, k: int) -> bool:
         """Exact test: value >= (1+eps)^k."""
@@ -154,17 +156,15 @@ class LevelLadder:
         """Largest k in [0, q+1] with (1+eps)^k <= value; -1 when value < 1."""
         if value < 1:
             return -1
+        num_pows, den_pows = self.num_pows, self.den_pows
         lo, hi = 0, self.q + 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self.value_at_least(value, mid):
+            if value * den_pows[mid] >= num_pows[mid]:
                 lo = mid
             else:
                 hi = mid - 1
         return lo
-
-    def power_float(self, k: int) -> float:
-        return float(self.num / self.den) ** k
 
 
 class ModifiedValuationView:
@@ -419,42 +419,45 @@ def fptas_tables(inst: Instance, eps) -> tuple[list[dict], LevelLadder]:
     return tables, ladder
 
 
-def _level_dp(inst: Instance, ladder: LevelLadder) -> list[list[int]]:
+def _level_dp(inst: Instance, ladder: LevelLadder) -> tuple[list[list[int]], list[dict]]:
     """Per-layer arrays L[j][mask] = best reachable ladder level when firms
-    0..j partition exactly the workers in mask; -1 when impossible.  The
-    literal p-tables are downward closed in the level, so these maxima carry
-    the same information."""
+    0..j partition exactly the workers in mask; -1 when impossible or not
+    needed (see _layer_groups).  The literal p-tables are downward closed in
+    the level, so these maxima carry the same information.  Also returns
+    each firm's {bundle: ladder level} over its positive bundles that fit
+    its capacity, in increasing bundle order."""
     m, n = inst.m, inst.n
     full = (1 << m) - 1
     top = ladder.q + 1
+    popcount = [s.bit_count() for s in range(full + 1)]
     layers = []
-    prev = None
+    levels = []
     for j in range(n):
         values = _bundle_tables(inst, j, full)
-        cj = inst.capacities[j]
-        lvl = [
-            ladder.level_of(values[mask]) if mask.bit_count() <= cj else -1
-            for mask in range(full + 1)
-        ]
+        lvl = {
+            sub: ladder.level_of(values[sub])
+            for sub in _fitting_bundles(_support(inst, j), inst.capacities[j], popcount)
+            if values[sub]
+        }
+        own = [-1] * (full + 1)
+        for sub, level in lvl.items():
+            own[sub] = level
         if j == 0:
-            cur = lvl
+            cur = own
         else:
+            prev = layers[-1]
             cur = [-1] * (full + 1)
-            for mask in range(full + 1):
-                best = -1
-                sub = mask
-                while True:
-                    if lvl[sub] >= 0 and prev[mask ^ sub] >= 0:
-                        cand = min(top, lvl[sub] + prev[mask ^ sub])
-                        if cand > best:
-                            best = cand
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & mask
-                cur[mask] = best
+            for subs, masks in _layer_groups(inst, j, full, popcount):
+                for mask in masks:
+                    best = -1
+                    for sub in subs:
+                        rest = prev[mask ^ sub]
+                        if rest >= 0 and own[sub] >= 0 and own[sub] + rest > best:
+                            best = own[sub] + rest
+                    cur[mask] = min(top, best)
         layers.append(cur)
-        prev = cur
-    return layers
+        levels.append(lvl)
+    return layers, levels
 
 
 def fptas_polymul(
@@ -472,7 +475,7 @@ def fptas_polymul(
         raise BudgetExceededError(f"m={inst.m} exceeds bitmask budget {budget}")
     m, n = inst.m, inst.n
     ladder = LevelLadder(eps, m, n, inst.v_max)
-    layers = _level_dp(inst, ladder)
+    layers, levels = _level_dp(inst, ladder)
     full = (1 << m) - 1
     target = layers[-1][full]
     if target < 0:
@@ -482,22 +485,13 @@ def fptas_polymul(
     assignment: list = [UNMATCHED] * m
     mask = full
     for j in range(n - 1, 0, -1):
-        values = _bundle_tables(inst, j, full)
-        cj = inst.capacities[j]
         prev = layers[j - 1]
         need = layers[j][mask]
-        chosen = None
-        sub = 0
-        while True:
-            if sub.bit_count() <= cj:
-                lv = ladder.level_of(values[sub])
-                if lv >= 0 and prev[mask ^ sub] >= 0 and min(top, lv + prev[mask ^ sub]) == need:
-                    chosen = sub
-                    break
-            if sub == mask:
-                break
-            sub = (sub - mask) & mask  # next subset of mask in increasing order
-        assert chosen is not None
+        # the first bundle of mask, in increasing order, that reaches need
+        chosen = next(
+            sub for sub, level in levels[j].items()
+            if sub & mask == sub and prev[mask ^ sub] >= 0
+            and min(top, level + prev[mask ^ sub]) == need)
         for w in range(m):
             if chosen >> w & 1:
                 assignment[w] = j

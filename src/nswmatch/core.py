@@ -224,6 +224,21 @@ def firm_bundle_value(inst: Instance, f: int, workers: Sequence[int]) -> int:
     return total * prod
 
 
+def zero_fallback(inst: Instance) -> Matching:
+    """Any capacity-feasible matching, returned when the optimum is zero."""
+    slack = list(inst.capacities)
+    assignment = []
+    for _w in range(inst.m):
+        for f in range(inst.n):
+            if slack[f] > 0:
+                slack[f] -= 1
+                assignment.append(f)
+                break
+        else:
+            assignment.append(UNMATCHED)
+    return Matching.of(assignment)
+
+
 def validate(inst: Instance, mu: Matching) -> Optional[Violation]:
     """None when the matching is feasible; otherwise the first violation."""
     if len(mu.assignment) != inst.m:

@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from .core import (
     BudgetExceededError,
@@ -19,11 +18,10 @@ from .core import (
     Matching,
     NashValue,
     UNMATCHED,
-    firm_bundle_value,
     nash_value,
+    zero_fallback,
 )
 from .graphalgs import InfeasibleError, WeightedGraph, max_weight_bipartite_matching
-from .oracle import _zero_fallback
 
 DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
@@ -31,7 +29,7 @@ DEFAULT_BUCKET_GUESS_BUDGET = 5_000_000
 
 
 def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
-    mu = _zero_fallback(inst)
+    mu = zero_fallback(inst)
     return mu, NashValue.zero()
 
 
@@ -64,45 +62,82 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
 
 
 def _bundle_tables(inst: Instance, f: int, full: int) -> list[int]:
-    """W_f(S) for every bitmask S, via low-bit recurrences."""
-    m = inst.m
+    """W_f(S) for every bitmask S, via low-bit recurrences over the submasks
+    of f's support; every other S is worth 0."""
+    support = _support(inst, f)
+    fv = inst.firm_vals[f]
     sums = [0] * (full + 1)
     prods = [1] * (full + 1)
-    fv = inst.firm_vals[f]
-    wv = [inst.worker_vals[w][f] for w in range(m)]
-    for s in range(1, full + 1):
+    values = [0] * (full + 1)
+    s = 0
+    while s := (s - support) & support:
         low = (s & -s).bit_length() - 1
         rest = s & (s - 1)
         sums[s] = sums[rest] + fv[low]
-        prods[s] = prods[rest] * wv[low]
-    return [sums[s] * prods[s] for s in range(full + 1)]
+        prods[s] = prods[rest] * inst.worker_vals[low][f]
+        values[s] = sums[s] * prods[s]
+    return values
 
 
-def _dp_solve(inst: Instance, inner_subsets) -> tuple[Matching, NashValue]:
-    """Shared DP skeleton; inner_subsets(S, c) yields candidate bundles
-    S' of S with |S'| <= c in increasing numeric order."""
+def _support(inst: Instance, f: int) -> int:
+    """Bitmask of the workers who value firm f positively."""
+    return sum(1 << w for w in range(inst.m) if inst.worker_vals[w][f] > 0)
+
+
+def _fitting_bundles(t: int, cap: int, popcount) -> list[int]:
+    """Nonempty submasks of t with at most cap bits, in increasing order."""
+    subs = []
+    sub = 0
+    # below cap, sub - t is sub + 1 counted on the bits of t; at cap, adding
+    # sub's lowest bit skips the submasks in between, which all exceed cap
+    while sub := (sub - t if popcount[sub] < cap else (sub | ~t) + (sub & -sub)) & t:
+        subs.append(sub)
+    return subs
+
+
+def _layer_groups(inst: Instance, f: int, full: int, popcount):
+    """The DP layer of firm f: yields (subs, masks) for each t inside f's
+    support, where subs = _fitting_bundles(t), the only bundles of each mask
+    S in masks (S & support == t) that f can value positively.  Every mask
+    holds all workers whom no later firm values, as no other mask can be
+    completed with a positive product; the last firm keeps only full."""
+    support = _support(inst, f)
+    later = sum(1 << w for w in range(inst.m) if any(inst.worker_vals[w][f + 1:]))
+    fixed = full ^ later
+    # a cap of m bits passes every submask
+    tails = [(fixed & ~support) | r
+             for r in [0] + _fitting_bundles(later & ~support, inst.m, popcount)]
+    for x in [0] + _fitting_bundles(later & support, inst.m, popcount):
+        t = (fixed & support) | x
+        subs = _fitting_bundles(t, inst.capacities[f], popcount)
+        if subs:
+            yield subs, [t | r for r in tails]
+
+
+def _dp_solve(inst: Instance) -> tuple[Matching, NashValue]:
+    """The DP of solve_dp; ties go to the first S' in increasing order."""
     m, n = inst.m, inst.n
     full = (1 << m) - 1
     values = _bundle_tables(inst, 0, full)
-    popcount = [bin(s).count("1") for s in range(full + 1)]
+    popcount = [s.bit_count() for s in range(full + 1)]
     c0 = inst.capacities[0]
     table = [values[s] if popcount[s] <= c0 else 0 for s in range(full + 1)]
     back: list[list[int]] = [[s if popcount[s] <= c0 else 0 for s in range(full + 1)]]
     for i in range(1, n):
         values = _bundle_tables(inst, i, full)
-        ci = inst.capacities[i]
         new = [0] * (full + 1)
         ptr = [0] * (full + 1)
-        for s in range(full + 1):
-            best = 0
-            best_sub = 0
-            for sub in inner_subsets(s, ci, popcount):
-                cand = values[sub] * table[s ^ sub]
-                if cand > best:
-                    best = cand
-                    best_sub = sub
-            new[s] = best
-            ptr[s] = best_sub
+        for subs, masks in _layer_groups(inst, i, full, popcount):
+            for s in masks:
+                best = 0
+                best_sub = 0
+                for sub in subs:
+                    cand = values[sub] * table[s ^ sub]
+                    if cand > best:
+                        best = cand
+                        best_sub = sub
+                new[s] = best
+                ptr[s] = best_sub
         table = new
         back.append(ptr)
     if table[full] == 0:
@@ -119,35 +154,13 @@ def _dp_solve(inst: Instance, inner_subsets) -> tuple[Matching, NashValue]:
     return mu, nash_value(inst, mu)
 
 
-def _all_subsets(s: int, c: int, popcount) -> list[int]:
-    subs = []
-    sub = s
-    while True:
-        if popcount[sub] <= c:
-            subs.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & s
-    subs.reverse()
-    return subs
-
-
 def solve_dp(inst: Instance, budget: int = DEFAULT_DP_BUDGET) -> tuple[Matching, NashValue]:
-    """Subset DP over all bundles: T[i, S] = max over S' of
-    W_{f_i}(S') * T[i-1, S \\ S']."""
+    """Subset DP over worker bitmasks: T[i, S] = max over S' of
+    W_{f_i}(S') * T[i-1, S \\ S'], enumerating only the bundles S' that
+    fit c_i and that every member values positively."""
     if inst.m > budget:
         raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {budget}")
-    return _dp_solve(inst, _all_subsets)
-
-
-def _bounded_subsets(s: int, c: int, popcount) -> list[int]:
-    bits = [w for w in range(s.bit_length()) if s >> w & 1]
-    subs = [0]
-    for size in range(1, min(c, len(bits)) + 1):
-        for combo in combinations(bits, size):
-            subs.append(sum(1 << b for b in combo))
-    subs.sort()
-    return subs
+    return _dp_solve(inst)
 
 
 def solve_dp_bounded_capacity(
@@ -155,14 +168,14 @@ def solve_dp_bounded_capacity(
     capacity_bound: int = DEFAULT_CAPACITY_BOUND,
     budget: int = DEFAULT_DP_BUDGET,
 ) -> tuple[Matching, NashValue]:
-    """Same contract as solve_dp; the inner maximization enumerates only
-    bundles of size at most c_i directly."""
+    """solve_dp restricted to instances whose capacities are at most a
+    constant bound."""
     if max(inst.capacities) > capacity_bound:
         raise DomainError(
             f"capacity {max(inst.capacities)} exceeds constant bound {capacity_bound}")
     if inst.m > budget:
         raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {budget}")
-    return _dp_solve(inst, _bounded_subsets)
+    return _dp_solve(inst)
 
 
 def _worker_types(inst: Instance) -> tuple[list[tuple], dict[tuple, list[int]]]:

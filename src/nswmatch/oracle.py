@@ -18,6 +18,7 @@ from .core import (
     NashValue,
     UNMATCHED,
     nash_value,
+    zero_fallback,
 )
 
 
@@ -26,21 +27,6 @@ class OracleResult:
     best: Matching
     value: NashValue
     num_enumerated: int
-
-
-def _zero_fallback(inst: Instance) -> Matching:
-    """Any capacity-feasible matching; used when the optimum is zero."""
-    slack = list(inst.capacities)
-    assignment = []
-    for _w in range(inst.m):
-        for f in range(inst.n):
-            if slack[f] > 0:
-                slack[f] -= 1
-                assignment.append(f)
-                break
-        else:
-            assignment.append(UNMATCHED)
-    return Matching.of(assignment)
 
 
 def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
@@ -87,7 +73,7 @@ def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
 
     search(0, 1)
     if state["best_product"] <= 0:
-        best = _zero_fallback(inst)
+        best = zero_fallback(inst)
         return OracleResult(best, nash_value(inst, best), state["count"])
     best = Matching.of(state["best"])
     return OracleResult(best, nash_value(inst, best), state["count"])

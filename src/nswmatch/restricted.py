@@ -156,17 +156,6 @@ def _find_path(graph: ExchangeGraph, u: int, v: int):
     return None
 
 
-def _positive_edges(inst: Instance) -> list[list[int]]:
-    """Adjacency (worker -> firms) of the graph where an edge survives iff
-    either side values the other positively."""
-    adj = [[] for _ in range(inst.m)]
-    for w in range(inst.m):
-        for f in range(inst.n):
-            if inst.worker_vals[w][f] > 0 or inst.firm_vals[f][w] > 0:
-                adj[w].append(f)
-    return adj
-
-
 def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     """Nash-optimal matching when every agent has degree at most 2.
 

@@ -1,0 +1,140 @@
+"""Plain reference recurrences for the subset DPs.
+
+These are the straightforward forms of the exact subset DP (`dp`, `dp2`)
+and the ladder-level DP (`fptas`): every layer visits every mask and every
+submask of it, bundle values and ladder levels are recomputed where they are
+needed, and nothing is skipped.  The solvers in `nswmatch.exact` and
+`nswmatch.approx` must return the same assignments, products and levels,
+including which of several tied maximisers they pick: the first in
+increasing submask order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from nswmatch.core import Instance, Matching, UNMATCHED, nash_value, zero_fallback
+
+
+def bundle_values(inst: Instance, f: int) -> list[int]:
+    """W_f(S) = (sum of f's values for S) * (product of S's values for f)
+    for every bitmask S."""
+    values = []
+    for s in range(1 << inst.m):
+        members = [w for w in range(inst.m) if s >> w & 1]
+        total = sum(inst.firm_vals[f][w] for w in members)
+        prod = 1
+        for w in members:
+            prod *= inst.worker_vals[w][f]
+        values.append(total * prod)
+    return values
+
+
+def _submasks_increasing(mask: int) -> list[int]:
+    return [sub for sub in range(mask + 1) if sub & mask == sub]
+
+
+def naive_dp(inst: Instance) -> tuple[Matching, int]:
+    """T[i, S] = max over S' subset of S with |S'| <= c_i of
+    W_i(S') * T[i-1, S minus S']; the first maximiser in increasing S' wins,
+    and a mask whose maximum is 0 points at the empty bundle."""
+    m, n = inst.m, inst.n
+    full = (1 << m) - 1
+    values = bundle_values(inst, 0)
+    c0 = inst.capacities[0]
+    table = [values[s] if s.bit_count() <= c0 else 0 for s in range(full + 1)]
+    back = [[s if s.bit_count() <= c0 else 0 for s in range(full + 1)]]
+    for i in range(1, n):
+        values = bundle_values(inst, i)
+        ci = inst.capacities[i]
+        new = [0] * (full + 1)
+        ptr = [0] * (full + 1)
+        for s in range(full + 1):
+            for sub in _submasks_increasing(s):
+                if sub.bit_count() <= ci and values[sub] * table[s ^ sub] > new[s]:
+                    new[s] = values[sub] * table[s ^ sub]
+                    ptr[s] = sub
+        table = new
+        back.append(ptr)
+    if table[full] == 0:
+        return zero_fallback(inst), 0
+    assignment: list = [UNMATCHED] * m
+    s = full
+    for i in range(n - 1, -1, -1):
+        for w in range(m):
+            if back[i][s] >> w & 1:
+                assignment[w] = i
+        s ^= back[i][s]
+    mu = Matching.of(assignment)
+    return mu, nash_value(inst, mu).product
+
+
+def ladder_top(eps: Fraction, m: int, n: int, v_max: int) -> int:
+    """q + 1, where q is the largest k with (1+eps)^k <= (m*v_max)^(m+n)."""
+    eta = max(1, m * v_max) ** (m + n)
+    num, den = eps.numerator + eps.denominator, eps.denominator
+    q = 0
+    while eta * den ** (q + 1) >= num ** (q + 1):
+        q += 1
+    return q + 1
+
+
+def level(value: int, eps: Fraction, top: int) -> int:
+    """Largest k in [0, top] with (1+eps)^k <= value; -1 when value < 1."""
+    if value < 1:
+        return -1
+    num, den = eps.numerator + eps.denominator, eps.denominator
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if value * den ** mid >= num ** mid:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def naive_fptas(inst: Instance, eps: Fraction) -> tuple[Matching, int, int]:
+    """Level DP L[j][S] = max over S' subset of S of min(top, lvl_j(S') +
+    L[j-1][S minus S']), then the backtrack that takes, firm by firm from
+    the last, the first S' in increasing order that reaches the level
+    recorded.  Returns (matching, product, level)."""
+    m, n = inst.m, inst.n
+    full = (1 << m) - 1
+    top = ladder_top(eps, m, n, inst.v_max)
+    lvls = []
+    for j in range(n):
+        values = bundle_values(inst, j)
+        cj = inst.capacities[j]
+        lvls.append([level(values[s], eps, top) if s.bit_count() <= cj else -1
+                     for s in range(full + 1)])
+    layers = [lvls[0]]
+    for j in range(1, n):
+        prev = layers[-1]
+        cur = [-1] * (full + 1)
+        for mask in range(full + 1):
+            for sub in _submasks_increasing(mask):
+                if lvls[j][sub] >= 0 and prev[mask ^ sub] >= 0:
+                    cur[mask] = max(cur[mask], min(top, lvls[j][sub] + prev[mask ^ sub]))
+        layers.append(cur)
+    target = layers[-1][full]
+    if target < 0:
+        return zero_fallback(inst), 0, -1
+    assignment: list = [UNMATCHED] * m
+    mask = full
+    for j in range(n - 1, 0, -1):
+        prev = layers[j - 1]
+        need = layers[j][mask]
+        chosen = next(
+            sub for sub in _submasks_increasing(mask)
+            if lvls[j][sub] >= 0 and prev[mask ^ sub] >= 0
+            and min(top, lvls[j][sub] + prev[mask ^ sub]) == need)
+        for w in range(m):
+            if chosen >> w & 1:
+                assignment[w] = j
+        mask ^= chosen
+    for w in range(m):
+        if mask >> w & 1:
+            assignment[w] = 0
+    mu = Matching.of(assignment)
+    return mu, nash_value(inst, mu).product, target

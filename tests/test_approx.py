@@ -237,7 +237,7 @@ def test_combined_tables_match_assignment_enumeration():
             [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)],
             [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
         tables, ladder = fptas_tables(inst, "1/1")
-        layers = _level_dp(inst, ladder)
+        layers, _levels = _level_dp(inst, ladder)
         full = (1 << m) - 1
         for level in range(ladder.q + 2):
             poly = tables[-1].get((m, level))
