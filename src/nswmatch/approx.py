@@ -2,14 +2,13 @@
 
 - greedy_submodular: pairwise greedy on the log-modified firm valuations;
   the square-root-of-optimum Nash bound is checked empirically by the suite.
-- qptas_bucketing: guesses how many workers of each geometric value-bucket
-  signature go to each firm, realizes each guess canonically and scores it
-  exactly.
-- fptas_polymul: set-polynomial scheme over a geometric level ladder; the
-  production path stores, per worker subset, the best reachable ladder level
-  (the polynomial tables are monotone in the level, so this loses nothing),
-  while build_single_firm_poly / combine_polys implement the literal
-  polynomial recurrences for cross-checking.
+- qptas_bucketing: groups workers by geometric value-bucket signature and
+  runs the count-split search of exact.solve_exact_bucketing on the groups:
+  it guesses how many workers of each group go to each firm, realizes each
+  guess canonically and scores it exactly.
+- fptas_polymul: set-polynomial scheme over a geometric level ladder; it
+  stores, per worker subset, the best reachable ladder level (the polynomial
+  tables are monotone in the level, so this loses nothing).
 
 All ladder comparisons are exact: eps is a Fraction and "value >= (1+eps)^k"
 is decided on integers.
@@ -17,8 +16,6 @@ is decided on integers.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -30,7 +27,14 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import _bundle_tables, _fitting_bundles, _layer_groups, _support, _zero_result
+from .exact import (
+    _best_group_split,
+    _bundle_tables,
+    _fitting_bundles,
+    _layer_groups,
+    _support,
+    _zero_result,
+)
 
 DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_QPTAS_FIRM_BOUND = 5
@@ -52,77 +56,6 @@ def parse_eps(eps) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class SetPolynomial:
-    """Boolean-coefficient polynomial over monomials y^e, e a bitmask of a
-    worker subset.  Stored as a single big integer: bit e is the coefficient
-    of y^e.  Multiplication adds exponents, so bits can transiently spill
-    past 2^num_vars; the Hamming projection kills every such carry because a
-    carry strictly lowers the popcount below the target weight.
-    """
-
-    num_vars: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 0:
-            raise ValueError("bitset must be nonnegative")
-
-    @classmethod
-    def empty(cls, num_vars: int) -> "SetPolynomial":
-        return cls(num_vars, 0)
-
-    @classmethod
-    def from_monomials(cls, num_vars: int, exponents) -> "SetPolynomial":
-        bits = 0
-        for e in exponents:
-            bits |= 1 << e
-        return cls(num_vars, bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def monomials(self) -> list[int]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
-
-    def multiply(self, other: "SetPolynomial") -> "SetPolynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("operands must share num_vars")
-        result = 0
-        for e in self.monomials():
-            result |= other.bits << e
-        return SetPolynomial(self.num_vars, result)
-
-    def hamming_projection(self, weight: int) -> "SetPolynomial":
-        kept = 0
-        for e in self.monomials():
-            if e.bit_count() == weight:
-                kept |= 1 << e
-        return SetPolynomial(self.num_vars, kept)
-
-    def representative_projection(self) -> "SetPolynomial":
-        # coefficients are already boolean in this encoding
-        return SetPolynomial(self.num_vars, self.bits)
-
-    def union(self, other: "SetPolynomial") -> "SetPolynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("operands must share num_vars")
-        return SetPolynomial(self.num_vars, self.bits | other.bits)
-
-
-def multiply_naive(a: SetPolynomial, b: SetPolynomial) -> SetPolynomial:
-    """Exponent-pair double loop; reference for the shifted-OR multiply."""
-    exps = {e1 + e2 for e1 in a.monomials() for e2 in b.monomials()}
-    return SetPolynomial.from_monomials(a.num_vars, exps)
-
-
 class LevelLadder:
     """Geometric grid {(1+eps)^k}, k = 0 .. q+1, with q the largest exponent
     whose power is at most eta = (m*v_max)^(m+n).  Levels are integer
@@ -141,15 +74,11 @@ class LevelLadder:
         self.q = len(self.num_pows) - 2
 
     def value_at_least(self, value: int, k: int) -> bool:
-        """Exact test: value >= (1+eps)^k."""
-        if k <= 0:
-            return value >= 1
+        """Exact test: value >= (1+eps)^k, for k >= 0."""
         return value * self.den ** k >= self.num ** k
 
     def power_equals(self, value: int, k: int) -> bool:
-        """Exact test: value == (1+eps)^k."""
-        if k <= 0:
-            return value == 1
+        """Exact test: value == (1+eps)^k, for k >= 0."""
         return value * self.den ** k == self.num ** k
 
     def level_of(self, value: int) -> int:
@@ -165,35 +94,6 @@ class LevelLadder:
             else:
                 hi = mid - 1
         return lo
-
-
-class ModifiedValuationView:
-    """Per-firm evaluator of ln(v_f(X) * prod of worker values for f), with
-    the empty bundle mapped to 0.  Monotone and submodular whenever every
-    valuation is positive."""
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-
-    def raw(self, f: int, bundle) -> int:
-        total = 0
-        prod = 1
-        for w in bundle:
-            total += self.inst.firm_vals[f][w]
-            prod *= self.inst.worker_vals[w][f]
-        return total * prod
-
-    def value(self, f: int, bundle) -> float:
-        bundle = list(bundle)
-        if not bundle:
-            return 0.0
-        raw = self.raw(f, bundle)
-        if raw == 0:
-            return float("-inf")
-        return math.log(raw)
-
-    def marginal(self, f: int, bundle, w: int) -> float:
-        return self.value(f, list(bundle) + [w]) - self.value(f, bundle)
 
 
 def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
@@ -289,134 +189,7 @@ def qptas_bucketing(
             for f in range(n)
         )
         groups.setdefault(sig, []).append(w)
-    sigs = sorted(groups)
-    counts = [len(groups[sig]) for sig in sigs]
-    space = 1
-    for c in counts:
-        space *= math.comb(c + n - 1, n - 1)
-        if space > guess_budget:
-            raise BudgetExceededError("bucket guess space exceeds budget")
-
-    caps = inst.capacities
-    best = {"product": 0, "assignment": None}
-    assignment: list = [UNMATCHED] * m
-
-    def place(t: int, loads: list[int], firm_sums: list[int], worker_prod: int):
-        if t == len(sigs):
-            product = worker_prod
-            for s in firm_sums:
-                product *= s
-            if product > best["product"]:
-                best["product"] = product
-                best["assignment"] = list(assignment)
-            return
-        workers = groups[sigs[t]]
-
-        def split(f: int, pos: int, prod: int):
-            if f == n:
-                if pos == len(workers):
-                    place(t + 1, loads, firm_sums, prod)
-                return
-            split(f + 1, pos, prod)
-            free = min(len(workers) - pos, caps[f] - loads[f])
-            taken = []
-            cur = prod
-            for k in range(1, free + 1):
-                w = workers[pos + k - 1]
-                if inst.worker_vals[w][f] == 0:
-                    break
-                cur *= inst.worker_vals[w][f]
-                assignment[w] = f
-                loads[f] += 1
-                firm_sums[f] += inst.firm_vals[f][w]
-                taken.append(w)
-                split(f + 1, pos + k, cur)
-            for w in taken:
-                assignment[w] = UNMATCHED
-                loads[f] -= 1
-                firm_sums[f] -= inst.firm_vals[f][w]
-
-        split(0, 0, worker_prod)
-
-    place(0, [0] * n, [0] * n, 1)
-    if best["assignment"] is None:
-        return _zero_result(inst)
-    mu = Matching.of(best["assignment"])
-    value = nash_value(inst, mu)
-    assert value.product == best["product"]
-    return mu, value
-
-
-def build_single_firm_poly(
-    inst: Instance, j: int, s: int, level: int, ladder: LevelLadder
-) -> SetPolynomial:
-    """Monomial y^chi(X) present iff |X| = s, s <= c_j, and the firm-bundle
-    value of X at firm j reaches ladder level `level`."""
-    if s > inst.capacities[j]:
-        raise ValueError(f"bundle size {s} exceeds capacity {inst.capacities[j]}")
-    m = inst.m
-    full = (1 << m) - 1
-    values = _bundle_tables(inst, j, full)
-    bits = 0
-    # the empty bundle has value 0, below every ladder level, so s = 0
-    # always yields the zero polynomial via the same test
-    for mask in range(full + 1):
-        if mask.bit_count() == s and ladder.value_at_least(values[mask], level):
-            bits |= 1 << mask
-    return SetPolynomial(m, bits)
-
-
-def combine_polys(
-    h_table: dict[tuple[int, int], SetPolynomial],
-    p_prev: dict[tuple[int, int], SetPolynomial],
-    s: int,
-    level: int,
-) -> SetPolynomial:
-    """Literal layer recurrence: union over s = s' + s'' and level = l' + l''
-    of the Hamming-s projection of h[s', l'] * p_prev[s'', l''], clamped to
-    boolean coefficients."""
-    num_vars = None
-    acc = None
-    for (s1, l1), h in h_table.items():
-        s2 = s - s1
-        l2 = level - l1
-        if l2 < 0 or (s2, l2) not in p_prev:
-            continue
-        p = p_prev[(s2, l2)]
-        if num_vars is None:
-            num_vars = h.num_vars
-            acc = SetPolynomial.empty(num_vars)
-        acc = acc.union(h.multiply(p).hamming_projection(s))
-    if acc is None:
-        raise ValueError("no compatible (size, level) split")
-    return acc.representative_projection()
-
-
-def fptas_tables(inst: Instance, eps) -> tuple[list[dict], LevelLadder]:
-    """Full literal polynomial tables p[j][(s, level)], small m only; used to
-    cross-check the production level-DP path."""
-    eps = parse_eps(eps)
-    m, n = inst.m, inst.n
-    ladder = LevelLadder(eps, m, n, inst.v_max)
-    top = ladder.q + 1
-    h_tables = []
-    for j in range(n):
-        h = {}
-        for s in range(min(m, inst.capacities[j]) + 1):
-            for level in range(top + 1):
-                h[(s, level)] = build_single_firm_poly(inst, j, s, level, ladder)
-        h_tables.append(h)
-    tables = [h_tables[0]]
-    for j in range(1, n):
-        layer = {}
-        for s in range(m + 1):
-            for level in range(top + 1):
-                try:
-                    layer[(s, level)] = combine_polys(h_tables[j], tables[-1], s, level)
-                except ValueError:
-                    layer[(s, level)] = SetPolynomial.empty(m)
-        tables.append(layer)
-    return tables, ladder
+    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)], guess_budget)
 
 
 def _level_dp(inst: Instance, ladder: LevelLadder) -> tuple[list[list[int]], list[dict]]:

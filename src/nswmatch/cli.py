@@ -8,8 +8,8 @@ matching violation, 4 enumeration/bitmask budget exceeded.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,7 +20,7 @@ from .core import (
     BudgetExceededError,
     DomainError,
     Instance,
-    Matching,
+    NashValue,
     all_utilities,
     load_instance,
     load_matching,
@@ -43,15 +43,63 @@ from .restricted import (
     solve_symmetric_binary,
 )
 
+# records carry exact decimal products, which can exceed CPython's default
+# int<->str limit of 4300 digits; early 3.10 builds lack the limit and the call
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+STATUS_EXIT = {"infeasible-domain": EXIT_DOMAIN, "budget-exceeded": EXIT_BUDGET}
+
+# what reading a malformed instance, matching or suite file raises; json
+# raises RecursionError on deeply nested arrays
+INPUT_ERRORS = (OSError, KeyError, TypeError, ValueError, RecursionError)
 
 CSV_HEADER = "instance_id,algo,eps,status,time_ms,nash_product,nash_welfare,ratio_vs_oracle"
 
-ALGO_NAMES = ("oracle", "cap1", "dp", "dp2", "buckets", "greedy", "qptas",
-              "fptas", "symbin", "deg2", "deg3cap2", "singlefirm", "feasible")
+
+def _oracle(inst, eps):
+    result = solve_bruteforce(inst)
+    return result.best, result.value, {}
+
+
+def _fptas(inst, eps):
+    mu, value, level = fptas_polymul(inst, _require_eps(eps))
+    return mu, value, {"level": level}
+
+
+def _deg3cap2(inst, eps):
+    result = solve_degree3_capacity2(inst)
+    return (None, NashValue.zero(), {}) if result is None else (*result, {})
+
+
+def _feasible(inst, eps):
+    ok, mu = exists_nonzero_nash(inst)
+    value = NashValue.zero() if mu is None else nash_value(inst, mu)
+    return mu, value, {"feasible": ok}
+
+
+# name -> (inst, eps) -> (matching or None, NashValue, extra record fields).
+# Each entry looks its solver up by name when called, so rebinding a
+# module-level solver (as a tracer does) reaches it.
+SOLVERS = {
+    "oracle": _oracle,
+    "cap1": lambda inst, eps: (*solve_capacity_one(inst), {}),
+    "dp": lambda inst, eps: (*solve_dp(inst), {}),
+    "dp2": lambda inst, eps: (*solve_dp_bounded_capacity(inst), {}),
+    "buckets": lambda inst, eps: (*solve_exact_bucketing(inst), {}),
+    "greedy": lambda inst, eps: (*greedy_submodular(inst), {}),
+    "qptas": lambda inst, eps: (*qptas_bucketing(inst, _require_eps(eps)), {}),
+    "fptas": _fptas,
+    "symbin": lambda inst, eps: (*solve_symmetric_binary(inst), {}),
+    "deg2": lambda inst, eps: (*solve_degree_two(inst), {}),
+    "deg3cap2": _deg3cap2,
+    "singlefirm": lambda inst, eps: (*solve_single_positive_firm(inst), {}),
+    "feasible": _feasible,
+}
 
 
 def run_algo(name: str, inst: Instance, eps: str | None = None) -> dict:
@@ -60,6 +108,8 @@ def run_algo(name: str, inst: Instance, eps: str | None = None) -> dict:
     Domain precondition failures map to status infeasible-domain and budget
     overruns to budget-exceeded; neither raises.
     """
+    if name not in SOLVERS:
+        raise ValueError(f"unknown algorithm {name!r}")
     record = {
         "algo": name,
         "eps": eps or "",
@@ -69,58 +119,15 @@ def run_algo(name: str, inst: Instance, eps: str | None = None) -> dict:
         "nash_welfare": 0.0,
     }
     try:
-        if name == "feasible":
-            ok, mu = exists_nonzero_nash(inst)
-            record["feasible"] = ok
-            if mu is not None:
-                record["matching"] = mu.to_json()["assignment"]
-                value = nash_value(inst, mu)
-                record["nash_product"] = str(value.product)
-                record["nash_welfare"] = _welfare_float(value)
-            if not ok:
-                record["status"] = "zero-optimum"
-            return record
-        if name == "oracle":
-            result = solve_bruteforce(inst)
-            mu, value = result.best, result.value
-        elif name == "cap1":
-            mu, value = solve_capacity_one(inst)
-        elif name == "dp":
-            mu, value = solve_dp(inst)
-        elif name == "dp2":
-            mu, value = solve_dp_bounded_capacity(inst)
-        elif name == "buckets":
-            mu, value = solve_exact_bucketing(inst)
-        elif name == "greedy":
-            mu, value = greedy_submodular(inst)
-        elif name == "qptas":
-            mu, value = qptas_bucketing(inst, _require_eps(eps))
-        elif name == "fptas":
-            mu, value, level = fptas_polymul(inst, _require_eps(eps))
-            record["level"] = level
-        elif name == "symbin":
-            mu, value = solve_symmetric_binary(inst)
-        elif name == "deg2":
-            mu, value = solve_degree_two(inst)
-        elif name == "deg3cap2":
-            result = solve_degree3_capacity2(inst)
-            if result is None:
-                record["status"] = "zero-optimum"
-                return record
-            mu, value = result
-        elif name == "singlefirm":
-            mu, value = solve_single_positive_firm(inst)
-        else:
-            raise ValueError(f"unknown algorithm {name!r}")
-    except DomainError as exc:
-        record["status"] = "infeasible-domain"
+        mu, value, extra = SOLVERS[name](inst, eps)
+    except (DomainError, BudgetExceededError) as exc:
+        record["status"] = ("infeasible-domain" if isinstance(exc, DomainError)
+                            else "budget-exceeded")
         record["error"] = str(exc)
         return record
-    except BudgetExceededError as exc:
-        record["status"] = "budget-exceeded"
-        record["error"] = str(exc)
-        return record
-    record["matching"] = mu.to_json()["assignment"]
+    record.update(extra)
+    if mu is not None:
+        record["matching"] = mu.to_json()["assignment"]
     record["nash_product"] = str(value.product)
     record["nash_welfare"] = _welfare_float(value)
     if value.is_zero:
@@ -129,24 +136,13 @@ def run_algo(name: str, inst: Instance, eps: str | None = None) -> dict:
 
 
 def _welfare_float(value) -> float:
-    import math
-    if value.log_welfare is None:
-        return 0.0
-    return math.exp(value.log_welfare)
+    return 0.0 if value.log_welfare is None else math.exp(value.log_welfare)
 
 
 def _require_eps(eps: str | None) -> str:
     if not eps:
         raise DomainError("this algorithm requires --eps p/q")
     return eps
-
-
-def _status_exit(status: str) -> int:
-    if status == "infeasible-domain":
-        return EXIT_DOMAIN
-    if status == "budget-exceeded":
-        return EXIT_BUDGET
-    return EXIT_OK
 
 
 def _dump_json(obj, path: str | None):
@@ -200,20 +196,34 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _load(loader, path: str):
+    """loader(path); None, after one line on stderr, when the file cannot be
+    read or does not hold a well-formed object."""
+    try:
+        return loader(path)
+    except INPUT_ERRORS as exc:
+        print(f"cannot load {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
+    inst = _load(load_instance, args.instance)
+    if inst is None:
+        return EXIT_USAGE
     start = time.perf_counter()
     record = run_algo(args.algo, inst, args.eps)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     record["instance_id"] = Path(args.instance).stem
     record["time_ms"] = round(elapsed_ms, 3) if args.timing else None
     _dump_json(record, None)
-    return _status_exit(record["status"])
+    return STATUS_EXIT.get(record["status"], EXIT_OK)
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    mu = load_matching(args.matching)
+    inst = _load(load_instance, args.instance)
+    mu = None if inst is None else _load(load_matching, args.matching)
+    if mu is None:
+        return EXIT_USAGE
     violation = validate(inst, mu)
     if violation is not None:
         _dump_json({"ok": False, "violation": {"kind": violation.kind,
@@ -258,35 +268,29 @@ def cmd_bench(args) -> int:
         spec = json.loads(Path(args.suite).read_text())
         instances = _bench_instances(spec)
         algos = [(a["name"], a.get("eps")) for a in spec["algos"]]
-        for name, _eps in algos:
-            if name not in ALGO_NAMES:
+        for name, eps in algos:
+            if name not in SOLVERS:
                 raise KeyError(f"unknown algorithm {name!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+            if eps is not None:
+                parse_eps(eps)
+    except INPUT_ERRORS as exc:
         print(f"malformed suite spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    cells = [(inst_id, inst, algo, eps)
-             for inst_id, inst in instances for algo, eps in algos]
-
-    def run_cell(cell):
-        inst_id, inst, algo, eps = cell
-        start = time.perf_counter()
-        record = run_algo(algo, inst, eps)
-        record["time_ms"] = (time.perf_counter() - start) * 1000.0
-        return inst_id, record
-
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    results = []
+    for inst_id, inst in instances:
+        for algo, eps in algos:
+            start = time.perf_counter()
+            record = run_algo(algo, inst, eps)
+            record["time_ms"] = (time.perf_counter() - start) * 1000.0
+            results.append((inst_id, record))
 
     oracle_products: dict[str, int] = {}
     for inst_id, record in results:
         if record["algo"] == "oracle" and record["status"] in ("ok", "zero-optimum"):
             oracle_products[inst_id] = int(record["nash_product"])
 
-    sizes = {inst_id: inst.m + inst.n for inst_id, inst, _a, _e in cells}
+    sizes = {inst_id: inst.m + inst.n for inst_id, inst in instances}
     lines = [CSV_HEADER]
     for inst_id, record in results:
         ratio = ""
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solver on an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--algo", required=True, choices=ALGO_NAMES)
+    p_solve.add_argument("--algo", required=True, choices=SOLVERS)
     p_solve.add_argument("--eps", help="exact rational, e.g. 1/2")
     p_solve.add_argument("--timing", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
@@ -351,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a suite spec, emit CSV")
     p_bench.add_argument("suite")
     p_bench.add_argument("--out")
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--timing", action="store_true",
                          help="fill the time_ms column (output is then not "
                               "byte-reproducible)")

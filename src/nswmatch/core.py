@@ -29,7 +29,8 @@ class Instance:
     """A two-sided many-to-one matching instance.
 
     worker_vals[w][f] is worker w's value for firm f; firm_vals[f][w] is firm
-    f's value for worker w.  All values are nonnegative integers.
+    f's value for worker w.  All values and capacities are nonnegative
+    ints (bool is rejected).
     """
 
     num_workers: int
@@ -44,15 +45,16 @@ class Instance:
             raise ValueError("need at least one worker and one firm")
         if len(self.capacities) != n:
             raise ValueError("capacities length must equal num_firms")
-        if any(c < 0 for c in self.capacities):
-            raise ValueError("capacities must be nonnegative")
+        # plain ints only: bool is an int subclass, and a float is no count
+        if any(type(c) is not int or c < 0 for c in self.capacities):
+            raise ValueError("capacities must be nonnegative integers")
         if len(self.worker_vals) != m or any(len(r) != n for r in self.worker_vals):
             raise ValueError("worker_vals must be an m x n matrix")
         if len(self.firm_vals) != n or any(len(r) != m for r in self.firm_vals):
             raise ValueError("firm_vals must be an n x m matrix")
         for row in list(self.worker_vals) + list(self.firm_vals):
             for v in row:
-                if not isinstance(v, int) or v < 0:
+                if type(v) is not int or v < 0:
                     raise ValueError("valuations must be nonnegative integers")
 
     @classmethod
@@ -247,7 +249,7 @@ def validate(inst: Instance, mu: Matching) -> Optional[Violation]:
     for w, f in enumerate(mu.assignment):
         if f is UNMATCHED:
             continue
-        if not isinstance(f, int) or not 0 <= f < inst.n:
+        if type(f) is not int or not 0 <= f < inst.n:
             return Violation("range", f"worker {w} assigned to invalid firm {f!r}")
         loads[f] += 1
     for f, load in enumerate(loads):

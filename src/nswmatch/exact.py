@@ -4,7 +4,8 @@
 - solve_dp / solve_dp_bounded_capacity: subset dynamic programming over
   worker bitmasks, with exact big-integer products.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
-  enumerates assignments of worker-type counts to firms.
+  enumerates assignments of worker-type counts to firms with
+  _best_group_split, the count-split search approx.qptas_bucketing shares.
 """
 
 from __future__ import annotations
@@ -178,14 +179,77 @@ def solve_dp_bounded_capacity(
     return _dp_solve(inst)
 
 
-def _worker_types(inst: Instance) -> tuple[list[tuple], dict[tuple, list[int]]]:
-    """Group workers by their full valuation signature; workers with the
-    same signature are interchangeable in any matching."""
-    groups: dict[tuple, list[int]] = {}
-    for w in range(inst.m):
-        sig = tuple((inst.worker_vals[w][f], inst.firm_vals[f][w]) for f in range(inst.n))
-        groups.setdefault(sig, []).append(w)
-    return list(groups.keys()), groups
+def _best_group_split(
+    inst: Instance, groups: list[list[int]], guess_budget: int
+) -> tuple[Matching, NashValue]:
+    """Best matching over all guesses of how many workers of each group go
+    to each firm, with every worker matched.
+
+    Per group, count vectors are tried in increasing lexicographic order,
+    and firm f takes the group's next k workers; a firm stops taking at a
+    worker who values it at 0.  Guesses are scored exactly and the first
+    strict maximiser wins.
+    """
+    n = inst.n
+    # distributions of each group across firms
+    space = 1
+    for workers in groups:
+        space *= math.comb(len(workers) + n - 1, n - 1)
+        if space > guess_budget:
+            raise BudgetExceededError("bucket guess space exceeds budget")
+
+    caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
+    loads = [0] * n
+    firm_sums = [0] * n
+    assignment: list = [UNMATCHED] * inst.m
+    best_product = 0
+    best = None
+
+    def place(t: int, prod: int):
+        nonlocal best_product, best
+        if t == len(groups):
+            for s in firm_sums:
+                prod *= s
+            if prod > best_product:
+                best_product = prod
+                best = list(assignment)
+            return
+        workers = groups[t]
+
+        def split(f: int, pos: int, prod: int):
+            left = len(workers) - pos
+            free = min(left, caps[f] - loads[f])
+            # the last firm takes every worker left, or the guess fails
+            if f == n - 1 and free < left:
+                return
+            k = 0
+            while True:
+                if f < n - 1:
+                    split(f + 1, pos + k, prod)
+                elif k == left:
+                    place(t + 1, prod)
+                if k == free or worker_vals[workers[pos + k]][f] == 0:
+                    break
+                w = workers[pos + k]
+                prod *= worker_vals[w][f]
+                assignment[w] = f
+                loads[f] += 1
+                firm_sums[f] += firm_vals[f][w]
+                k += 1
+            for w in workers[pos:pos + k]:
+                assignment[w] = UNMATCHED
+                loads[f] -= 1
+                firm_sums[f] -= firm_vals[f][w]
+
+        split(0, 0, prod)
+
+    place(0, 1)
+    if best is None:
+        return _zero_result(inst)
+    mu = Matching.of(best)
+    value = nash_value(inst, mu)
+    assert value.product == best_product
+    return mu, value
 
 
 def solve_exact_bucketing(
@@ -196,11 +260,11 @@ def solve_exact_bucketing(
 ) -> tuple[Matching, NashValue]:
     """Nash-optimal matching for constant firms and few distinct values.
 
-    Workers are grouped per firm by their exact (worker-value, firm-value)
-    pair; the algorithm guesses how many workers of each group go to each
-    firm.  Guessing per signature group (a refinement of per-firm value
-    buckets) makes every guess realizable by construction and loses no
-    optima, since same-signature workers are interchangeable.
+    Workers are grouped by their exact (worker-value, firm-value) signature
+    across all firms, and _best_group_split guesses how many workers of each
+    group go to each firm.  Guessing per signature group (a refinement of
+    per-firm value buckets) makes every guess realizable by construction and
+    loses no optima, since same-signature workers are interchangeable.
     """
     if inst.n > max_firms:
         raise DomainError(f"n={inst.n} exceeds firm bound {max_firms}")
@@ -209,81 +273,8 @@ def solve_exact_bucketing(
     if len(distinct) > max_distinct_values:
         raise DomainError(
             f"{len(distinct)} distinct valuation levels exceed bound {max_distinct_values}")
-
-    sigs, groups = _worker_types(inst)
-    counts = [len(groups[sig]) for sig in sigs]
-    # rough guess-space bound: distributions of each group across firms
-    space = 1
-    for c in counts:
-        space *= math.comb(c + inst.n - 1, inst.n - 1)
-        if space > guess_budget:
-            raise BudgetExceededError("bucket guess space exceeds budget")
-
-    n = inst.n
-    caps = inst.capacities
-    best = {"product": 0, "alloc": None}
-
-    def place(t: int, loads: list[int], firm_sums: list[int], worker_prod: int,
-              alloc: list[tuple[int, ...]]):
-        if worker_prod == 0:
-            return
-        if t == len(sigs):
-            product = worker_prod
-            for s in firm_sums:
-                product *= s
-            if product > best["product"]:
-                best["product"] = product
-                best["alloc"] = [row for row in alloc]
-            return
-        sig = sigs[t]
-        total = counts[t]
-
-        def split(f: int, remaining: int, vec: list[int], prod: int):
-            if prod == 0:
-                return
-            if f == n - 1:
-                if loads[f] + remaining > caps[f]:
-                    return
-                wv, fv = sig[f]
-                p = prod * (wv ** remaining)
-                if p == 0 and remaining > 0:
-                    return
-                vec.append(remaining)
-                loads[f] += remaining
-                firm_sums[f] += fv * remaining
-                alloc.append(tuple(vec))
-                place(t + 1, loads, firm_sums, worker_prod * p, alloc)
-                alloc.pop()
-                firm_sums[f] -= fv * remaining
-                loads[f] -= remaining
-                vec.pop()
-                return
-            wv, fv = sig[f]
-            for k in range(min(remaining, caps[f] - loads[f]) + 1):
-                if k > 0 and wv == 0:
-                    break
-                vec.append(k)
-                loads[f] += k
-                firm_sums[f] += fv * k
-                split(f + 1, remaining - k, vec, prod * (wv ** k))
-                firm_sums[f] -= fv * k
-                loads[f] -= k
-                vec.pop()
-
-        split(0, total, [], 1)
-
-    place(0, [0] * n, [0] * n, 1, [])
-    if best["alloc"] is None:
-        return _zero_result(inst)
-    assignment: list = [UNMATCHED] * inst.m
-    for sig, row in zip(sigs, best["alloc"]):
-        workers = groups[sig]
-        pos = 0
-        for f, k in enumerate(row):
-            for _ in range(k):
-                assignment[workers[pos]] = f
-                pos += 1
-    mu = Matching.of(assignment)
-    value = nash_value(inst, mu)
-    assert value.product == best["product"]
-    return mu, value
+    groups: dict[tuple, list[int]] = {}
+    for w in range(inst.m):
+        sig = tuple((inst.worker_vals[w][f], inst.firm_vals[f][w]) for f in range(inst.n))
+        groups.setdefault(sig, []).append(w)
+    return _best_group_split(inst, list(groups.values()), guess_budget)

@@ -32,7 +32,8 @@ from nswmatch.generators import (
     gen_random_3dm,
     has_balanced_partition,
 )
-from nswmatch.oracle import solve_bruteforce, solve_bruteforce_exact_loads
+from nswmatch.oracle import solve_bruteforce
+from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
     solve_degree3_capacity2,
     solve_degree_two,

@@ -9,20 +9,21 @@ from hypothesis import strategies as st
 from nswmatch.core import DomainError, Instance, nash_value, validate
 from nswmatch.approx import (
     LevelLadder,
-    ModifiedValuationView,
-    SetPolynomial,
-    build_single_firm_poly,
-    combine_polys,
     fptas_polymul,
-    fptas_tables,
     greedy_submodular,
-    multiply_naive,
     parse_eps,
     qptas_bucketing,
     _level_dp,
 )
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
+from reference_approx import (
+    ModifiedValuationView,
+    SetPolynomial,
+    build_single_firm_poly,
+    fptas_tables,
+    multiply_naive,
+)
 
 
 def all_positive_instance(rng, m=None, n=None):

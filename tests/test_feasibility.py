@@ -2,7 +2,7 @@ import random
 
 from nswmatch.core import Instance, binarize, nash_value, validate
 from nswmatch.feasibility import exists_nonzero_nash
-from nswmatch.oracle import exists_nonzero_bruteforce
+from reference_oracle import exists_nonzero_bruteforce
 from conftest import crossing_example, random_instance
 
 

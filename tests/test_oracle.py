@@ -11,12 +11,9 @@ from nswmatch.core import (
     nash_value,
     validate,
 )
-from nswmatch.oracle import (
-    exists_nonzero_bruteforce,
-    solve_bruteforce,
-    solve_bruteforce_exact_loads,
-)
+from nswmatch.oracle import solve_bruteforce
 from conftest import crossing_example, random_instance
+from reference_oracle import exists_nonzero_bruteforce, solve_bruteforce_exact_loads
 
 
 def exhaustive_best_product(inst: Instance) -> int:

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nswmatch.core import DomainError, Instance, nash_value, validate
-from nswmatch.oracle import solve_bruteforce, solve_bruteforce_exact_loads
+from nswmatch.oracle import solve_bruteforce
+from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
     ExchangeGraph,
     solve_degree3_capacity2,
