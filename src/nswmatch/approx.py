@@ -7,8 +7,9 @@
   it guesses how many workers of each group go to each firm, realizes each
   guess canonically and scores it exactly.
 - fptas_polymul: set-polynomial scheme over a geometric level ladder; it
-  stores, per worker subset, the best reachable ladder level (the polynomial
-  tables are monotone in the level, so this loses nothing).
+  needs, per worker subset, only the best reachable ladder level (the
+  polynomial tables are monotone in the level, so this loses nothing), and
+  gets it from the subset DP of exact.solve_dp run on weights 2^level.
 
 All ladder comparisons are exact: eps is a Fraction and "value >= (1+eps)^k"
 is decided on integers.
@@ -16,6 +17,7 @@ is decided on integers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import (
@@ -27,14 +29,7 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import (
-    _best_group_split,
-    _bundle_tables,
-    _fitting_bundles,
-    _layer_groups,
-    _support,
-    _zero_result,
-)
+from .exact import _best_group_split, _dp_solve
 
 DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_QPTAS_FIRM_BOUND = 5
@@ -59,19 +54,18 @@ def parse_eps(eps) -> Fraction:
 class LevelLadder:
     """Geometric grid {(1+eps)^k}, k = 0 .. q+1, with q the largest exponent
     whose power is at most eta = (m*v_max)^(m+n).  Levels are integer
-    exponents; value-vs-level tests multiply out exactly."""
+    exponents; value-vs-level tests multiply out exactly, and a float only
+    gives the first guess of a level."""
 
     def __init__(self, eps: Fraction, m: int, n: int, v_max: int):
         self.eps = parse_eps(eps)
         self.num = self.eps.numerator + self.eps.denominator
         self.den = self.eps.denominator
         self.eta = max(1, (m * v_max)) ** (m + n)
-        # num_pows[k] = num**k and den_pows[k] = den**k for k = 0 .. q+1
-        self.num_pows, self.den_pows = [1], [1]
-        while self.eta * self.den_pows[-1] >= self.num_pows[-1]:
-            self.num_pows.append(self.num_pows[-1] * self.num)
-            self.den_pows.append(self.den_pows[-1] * self.den)
-        self.q = len(self.num_pows) - 2
+        # log(1+eps): log1p keeps a tiny eps accurate, int logs take a huge one
+        self.log_ratio = (math.log1p(self.eps) if self.eps < 1
+                          else math.log(self.num) - math.log(self.den))
+        self.q = self._top_level(self.eta, math.inf)
 
     def value_at_least(self, value: int, k: int) -> bool:
         """Exact test: value >= (1+eps)^k, for k >= 0."""
@@ -81,19 +75,21 @@ class LevelLadder:
         """Exact test: value == (1+eps)^k, for k >= 0."""
         return value * self.den ** k == self.num ** k
 
+    def _top_level(self, value: int, hi) -> int:
+        """Largest k in [0, hi] with (1+eps)^k <= value, for value >= 1:
+        exact tests step from the estimate log(value) / log(1+eps)."""
+        k = max(0, min(hi, int(math.log(value) / self.log_ratio))) if value > 1 else 0
+        while k < hi and self.value_at_least(value, k + 1):
+            k += 1
+        while k > 0 and not self.value_at_least(value, k):
+            k -= 1
+        return k
+
     def level_of(self, value: int) -> int:
         """Largest k in [0, q+1] with (1+eps)^k <= value; -1 when value < 1."""
         if value < 1:
             return -1
-        num_pows, den_pows = self.num_pows, self.den_pows
-        lo, hi = 0, self.q + 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if value * den_pows[mid] >= num_pows[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return self._top_level(value, self.q + 1)
 
 
 def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
@@ -192,87 +188,28 @@ def qptas_bucketing(
     return _best_group_split(inst, [groups[sig] for sig in sorted(groups)], guess_budget)
 
 
-def _level_dp(inst: Instance, ladder: LevelLadder) -> tuple[list[list[int]], list[dict]]:
-    """Per-layer arrays L[j][mask] = best reachable ladder level when firms
-    0..j partition exactly the workers in mask; -1 when impossible or not
-    needed (see _layer_groups).  The literal p-tables are downward closed in
-    the level, so these maxima carry the same information.  Also returns
-    each firm's {bundle: ladder level} over its positive bundles that fit
-    its capacity, in increasing bundle order."""
-    m, n = inst.m, inst.n
-    full = (1 << m) - 1
-    top = ladder.q + 1
-    popcount = [s.bit_count() for s in range(full + 1)]
-    layers = []
-    levels = []
-    for j in range(n):
-        values = _bundle_tables(inst, j, full)
-        lvl = {
-            sub: ladder.level_of(values[sub])
-            for sub in _fitting_bundles(_support(inst, j), inst.capacities[j], popcount)
-            if values[sub]
-        }
-        own = [-1] * (full + 1)
-        for sub, level in lvl.items():
-            own[sub] = level
-        if j == 0:
-            cur = own
-        else:
-            prev = layers[-1]
-            cur = [-1] * (full + 1)
-            for subs, masks in _layer_groups(inst, j, full, popcount):
-                for mask in masks:
-                    best = -1
-                    for sub in subs:
-                        rest = prev[mask ^ sub]
-                        if rest >= 0 and own[sub] >= 0 and own[sub] + rest > best:
-                            best = own[sub] + rest
-                    cur[mask] = min(top, best)
-        layers.append(cur)
-        levels.append(lvl)
-    return layers, levels
-
-
-def fptas_polymul(
-    inst: Instance, eps, budget: int = DEFAULT_FPTAS_BUDGET
-) -> tuple[Matching, NashValue, int]:
+def fptas_polymul(inst: Instance, eps) -> tuple[Matching, NashValue, int]:
     """Set-polynomial approximation scheme.
 
+    The set-polynomial tables are downward closed in the ladder level, so
+    the scheme only needs, per worker subset, the best reachable level.
+    That is the subset DP of solve_dp with each positive bundle value that
+    fits its firm replaced by 2^level: a product of such weights is 2 to the
+    sum of the levels, so the DP maximises the level sum and its first
+    strict maximiser is the matching it recovers.  A level sum never
+    exceeds q, since every partition's product is at most eta.
+
     Returns (matching, value, level): the largest ladder level reachable by
-    any full partition of the workers among the firms, plus a matching
-    recovered by backtracking.  The recovered product P satisfies
+    any full partition of the workers among the firms (-1 when none has a
+    positive product) and the matching.  Its product P satisfies
     P <= opt <= P * (1+eps)^(n+1).
     """
     eps = parse_eps(eps)
-    if inst.m > budget:
-        raise BudgetExceededError(f"m={inst.m} exceeds bitmask budget {budget}")
-    m, n = inst.m, inst.n
-    ladder = LevelLadder(eps, m, n, inst.v_max)
-    layers, levels = _level_dp(inst, ladder)
-    full = (1 << m) - 1
-    target = layers[-1][full]
-    if target < 0:
-        mu, value = _zero_result(inst)
-        return mu, value, -1
-    top = ladder.q + 1
-    assignment: list = [UNMATCHED] * m
-    mask = full
-    for j in range(n - 1, 0, -1):
-        prev = layers[j - 1]
-        need = layers[j][mask]
-        # the first bundle of mask, in increasing order, that reaches need
-        chosen = next(
-            sub for sub, level in levels[j].items()
-            if sub & mask == sub and prev[mask ^ sub] >= 0
-            and min(top, level + prev[mask ^ sub]) == need)
-        for w in range(m):
-            if chosen >> w & 1:
-                assignment[w] = j
-        mask ^= chosen
-    for w in range(m):
-        if mask >> w & 1:
-            assignment[w] = 0
-    mu = Matching.of(assignment)
-    value = nash_value(inst, mu)
-    assert ladder.value_at_least(value.product, target)
-    return mu, value, target
+    if inst.m > DEFAULT_FPTAS_BUDGET:
+        raise BudgetExceededError(
+            f"m={inst.m} exceeds bitmask budget {DEFAULT_FPTAS_BUDGET}")
+    ladder = LevelLadder(eps, inst.m, inst.n, inst.v_max)
+    mu, value, weight = _dp_solve(inst, lambda v: 1 << ladder.level_of(v))
+    level = weight.bit_length() - 1
+    assert level < 0 or ladder.value_at_least(value.product, level)
+    return mu, value, level

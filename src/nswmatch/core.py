@@ -100,8 +100,10 @@ class Instance:
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
         inst = cls.create(obj["capacities"], obj["worker_vals"], obj["firm_vals"])
-        if inst.m != obj["m"] or inst.n != obj["n"]:
-            raise ValueError("m/n fields disagree with matrix shapes")
+        m, n = obj["m"], obj["n"]
+        # plain ints only, as for valuations: True == 1 and 1.0 == 1
+        if type(m) is not int or type(n) is not int or (m, n) != (inst.m, inst.n):
+            raise ValueError("m/n fields must be ints that match the matrix shapes")
         return inst
 
 

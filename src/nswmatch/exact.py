@@ -2,7 +2,8 @@
 
 - solve_capacity_one: reduction to max-weight bipartite matching.
 - solve_dp / solve_dp_bounded_capacity: subset dynamic programming over
-  worker bitmasks, with exact big-integer products.
+  worker bitmasks, with exact big-integer products; approx.fptas_polymul
+  runs the same DP on ladder-level weights.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   enumerates assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
@@ -115,17 +116,31 @@ def _layer_groups(inst: Instance, f: int, full: int, popcount):
             yield subs, [t | r for r in tails]
 
 
-def _dp_solve(inst: Instance) -> tuple[Matching, NashValue]:
-    """The DP of solve_dp; ties go to the first S' in increasing order."""
+def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
+    """The DP of solve_dp; ties go to the first S' in increasing order.
+
+    With weight, each positive bundle value that fits its firm's capacity
+    is replaced by weight(value), which must be positive.  Also returns
+    T[n-1, full], the DP's optimum over full partitions (0 when none is
+    positive)."""
     m, n = inst.m, inst.n
     full = (1 << m) - 1
-    values = _bundle_tables(inst, 0, full)
     popcount = [s.bit_count() for s in range(full + 1)]
+
+    def bundle_weights(i: int) -> list[int]:
+        values = _bundle_tables(inst, i, full)
+        if weight is not None:
+            for sub in _fitting_bundles(_support(inst, i), inst.capacities[i], popcount):
+                if values[sub]:
+                    values[sub] = weight(values[sub])
+        return values
+
+    values = bundle_weights(0)
     c0 = inst.capacities[0]
     table = [values[s] if popcount[s] <= c0 else 0 for s in range(full + 1)]
     back: list[list[int]] = [[s if popcount[s] <= c0 else 0 for s in range(full + 1)]]
     for i in range(1, n):
-        values = _bundle_tables(inst, i, full)
+        values = bundle_weights(i)
         new = [0] * (full + 1)
         ptr = [0] * (full + 1)
         for subs, masks in _layer_groups(inst, i, full, popcount):
@@ -142,7 +157,7 @@ def _dp_solve(inst: Instance) -> tuple[Matching, NashValue]:
         table = new
         back.append(ptr)
     if table[full] == 0:
-        return _zero_result(inst)
+        return *_zero_result(inst), 0
     assignment: list = [UNMATCHED] * m
     s = full
     for i in range(n - 1, -1, -1):
@@ -152,31 +167,27 @@ def _dp_solve(inst: Instance) -> tuple[Matching, NashValue]:
                 assignment[w] = i
         s ^= sub
     mu = Matching.of(assignment)
-    return mu, nash_value(inst, mu)
+    return mu, nash_value(inst, mu), table[full]
 
 
-def solve_dp(inst: Instance, budget: int = DEFAULT_DP_BUDGET) -> tuple[Matching, NashValue]:
+def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     """Subset DP over worker bitmasks: T[i, S] = max over S' of
     W_{f_i}(S') * T[i-1, S \\ S'], enumerating only the bundles S' that
     fit c_i and that every member values positively."""
-    if inst.m > budget:
-        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {budget}")
-    return _dp_solve(inst)
+    if inst.m > DEFAULT_DP_BUDGET:
+        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
+    return _dp_solve(inst)[:2]
 
 
-def solve_dp_bounded_capacity(
-    inst: Instance,
-    capacity_bound: int = DEFAULT_CAPACITY_BOUND,
-    budget: int = DEFAULT_DP_BUDGET,
-) -> tuple[Matching, NashValue]:
+def solve_dp_bounded_capacity(inst: Instance) -> tuple[Matching, NashValue]:
     """solve_dp restricted to instances whose capacities are at most a
     constant bound."""
-    if max(inst.capacities) > capacity_bound:
-        raise DomainError(
-            f"capacity {max(inst.capacities)} exceeds constant bound {capacity_bound}")
-    if inst.m > budget:
-        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {budget}")
-    return _dp_solve(inst)
+    if max(inst.capacities) > DEFAULT_CAPACITY_BOUND:
+        raise DomainError(f"capacity {max(inst.capacities)} exceeds constant bound "
+                          f"{DEFAULT_CAPACITY_BOUND}")
+    if inst.m > DEFAULT_DP_BUDGET:
+        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
+    return _dp_solve(inst)[:2]
 
 
 def _best_group_split(

@@ -1,19 +1,19 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nswmatch.core import DomainError, Instance, nash_value, validate
+from nswmatch.core import BudgetExceededError, DomainError, Instance, nash_value, validate
 from nswmatch.approx import (
     LevelLadder,
     fptas_polymul,
     greedy_submodular,
     parse_eps,
     qptas_bucketing,
-    _level_dp,
 )
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
@@ -24,6 +24,7 @@ from reference_approx import (
     fptas_tables,
     multiply_naive,
 )
+import reference_dp
 
 
 def all_positive_instance(rng, m=None, n=None):
@@ -105,6 +106,35 @@ def test_ladder_exact_boundaries():
 def test_ladder_caps_level():
     ladder = LevelLadder(Fraction(1), m=2, n=1, v_max=2)
     assert ladder.level_of(10 ** 9) == ladder.q + 1
+
+
+@pytest.mark.parametrize("eps, m, n, v_max", [
+    ("1/1", 4, 2, 4), ("1/2", 3, 2, 10 ** 20), ("3/1", 5, 3, 7),
+    ("7/3", 1, 1, 1), ("1/100", 2, 1, 2 ** 20),
+])
+def test_ladder_matches_reference(eps, m, n, v_max):
+    ladder = LevelLadder(eps, m, n, v_max)
+    top = reference_dp.ladder_top(Fraction(eps), m, n, v_max)
+    assert ladder.q == top - 1
+    num, den = ladder.num, ladder.den
+    # the smallest integers at or above (1+eps)^k, and their neighbours; for
+    # eps 1/2 and 1/100 the upper ks are powers above 2^53 below the cap
+    ks = {0, 1, 2, top // 3, top // 2, top - 2, top - 1, top, top + 1, 2 * top}
+    ceilings = [-(-num ** k // den ** k) for k in ks if k >= 0]
+    values = {v + d for v in ceilings for d in (-1, 0, 1)} | {0, 2 ** 53 + 1}
+    for v in sorted(values):
+        assert ladder.level_of(v) == reference_dp.level(v, Fraction(eps), top), v
+
+
+def test_ladder_builds_no_power_table():
+    tracemalloc.start()
+    try:
+        ladder = LevelLadder("1/100", m=9, n=5, v_max=10 ** 6)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ladder.q == 22_529
+    assert peak < 2 * 2 ** 20
 
 
 # --- modified valuations ---------------------------------------------------
@@ -238,12 +268,12 @@ def test_combined_tables_match_assignment_enumeration():
             [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)],
             [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
         tables, ladder = fptas_tables(inst, "1/1")
-        layers, _levels = _level_dp(inst, ladder)
+        _mu, _value, best = fptas_polymul(inst, "1/1")
         full = (1 << m) - 1
         for level in range(ladder.q + 2):
             poly = tables[-1].get((m, level))
             present = poly is not None and bool(poly.bits >> full & 1)
-            assert present == (layers[-1][full] >= level)
+            assert present == (best >= level)
 
 
 def test_fptas_bounds_random():
@@ -269,6 +299,6 @@ def test_fptas_single_firm_tight():
 
 
 def test_fptas_budget():
-    inst = random_instance(random.Random(2), m=5, n=2)
-    with pytest.raises(Exception):
-        fptas_polymul(inst, "1/1", budget=4)
+    inst = random_instance(random.Random(2), m=17, n=2)
+    with pytest.raises(BudgetExceededError):
+        fptas_polymul(inst, "1/1")

@@ -201,7 +201,8 @@ def _write(path, obj):
 
 @pytest.mark.parametrize("case", [
     "missing_instance", "invalid_json", "deeply_nested", "missing_keys", "not_an_object",
-    "string_capacity", "float_capacity", "bool_valuation", "matching_without_assignment",
+    "string_capacity", "float_capacity", "bool_valuation", "bool_worker_count",
+    "matching_without_assignment",
     "missing_suite", "missing_suite_file_instance", "bad_suite_eps",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
@@ -216,6 +217,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "string_capacity": {**crossing, "capacities": ["1", "1"]},
         "float_capacity": {**crossing, "capacities": [1.5, 1]},
         "bool_valuation": {**crossing, "worker_vals": [[0, True], [2, 0]]},
+        "bool_worker_count": {"m": True, "n": 1, "capacities": [1],
+                              "worker_vals": [[1]], "firm_vals": [[1]]},
     }
     if case == "missing_instance" or case in bad_instances:
         path = str(tmp_path / "absent.json")

@@ -59,9 +59,9 @@ def test_dp_crossing():
 
 
 def test_dp_budget():
-    inst = random_instance(random.Random(0), m=4, n=2)
+    inst = random_instance(random.Random(0), m=21, n=2)
     with pytest.raises(BudgetExceededError):
-        solve_dp(inst, budget=3)
+        solve_dp(inst)
 
 
 def test_dp_oracle_agreement_suite():
@@ -83,7 +83,7 @@ def test_dp_bounded_capacity_matches_dp():
 def test_dp_bounded_capacity_rejects_large_capacity():
     inst = Instance.create((9,), [[1]], [[1]])
     with pytest.raises(DomainError):
-        solve_dp_bounded_capacity(inst, capacity_bound=4)
+        solve_dp_bounded_capacity(inst)
 
 
 def test_dp_bounded_agrees_with_capacity_one():
