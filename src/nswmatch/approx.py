@@ -32,6 +32,7 @@ from .core import (
 from .exact import _best_group_split, _dp_solve
 
 DEFAULT_FPTAS_BUDGET = 16
+DEFAULT_LADDER_BUDGET = 100_000
 DEFAULT_QPTAS_FIRM_BOUND = 5
 DEFAULT_QPTAS_GUESS_BUDGET = 5_000_000
 
@@ -55,7 +56,9 @@ class LevelLadder:
     """Geometric grid {(1+eps)^k}, k = 0 .. q+1, with q the largest exponent
     whose power is at most eta = (m*v_max)^(m+n).  Levels are integer
     exponents; value-vs-level tests multiply out exactly, and a float only
-    gives the first guess of a level."""
+    gives the first guess of a level.  Each test raises 1+eps to a power up
+    to q, so a ladder whose estimated q exceeds DEFAULT_LADDER_BUDGET is
+    rejected before any power is computed."""
 
     def __init__(self, eps: Fraction, m: int, n: int, v_max: int):
         self.eps = parse_eps(eps)
@@ -65,6 +68,9 @@ class LevelLadder:
         # log(1+eps): log1p keeps a tiny eps accurate, int logs take a huge one
         self.log_ratio = (math.log1p(self.eps) if self.eps < 1
                           else math.log(self.num) - math.log(self.den))
+        # a tiny eps can round log(1+eps) to 0: that ladder has no usable size
+        if self.log_ratio == 0 or math.log(self.eta) / self.log_ratio > DEFAULT_LADDER_BUDGET:
+            raise BudgetExceededError(f"ladder exceeds budget of {DEFAULT_LADDER_BUDGET} levels")
         self.q = self._top_level(self.eta, math.inf)
 
     def value_at_least(self, value: int, k: int) -> bool:

@@ -117,9 +117,6 @@ class Matching:
     def of(cls, assignment: Sequence[Optional[int]]) -> "Matching":
         return cls(tuple(assignment))
 
-    def firm_bundle(self, f: int) -> list[int]:
-        return [w for w, g in enumerate(self.assignment) if g == f]
-
     def to_json(self) -> dict:
         return {"assignment": [a for a in self.assignment]}
 
@@ -132,7 +129,7 @@ class Matching:
 class NashValue:
     """Exact Nash product paired with a reporting-only log welfare.
 
-    Ordering is by the exact integer product; log_welfare is
+    Solutions are compared by the exact integer product; log_welfare is
     (1/(n+m)) * sum(ln u_i) and is None when the product is zero.
     """
 
@@ -158,12 +155,6 @@ class NashValue:
     def zero(cls) -> "NashValue":
         return cls(0, None)
 
-    def __lt__(self, other: "NashValue") -> bool:
-        return self.product < other.product
-
-    def __le__(self, other: "NashValue") -> bool:
-        return self.product <= other.product
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -179,23 +170,6 @@ class DegreeProfile:
 class Violation:
     kind: str
     detail: str
-
-
-def utility_of_worker(inst: Instance, mu: Matching, w: int) -> int:
-    """Value the worker has for its matched firm; 0 if unmatched."""
-    if not 0 <= w < inst.m:
-        raise IndexError(f"worker index {w} out of range")
-    f = mu.assignment[w]
-    if f is UNMATCHED:
-        return 0
-    return inst.worker_vals[w][f]
-
-
-def utility_of_firm(inst: Instance, mu: Matching, f: int) -> int:
-    """Sum of the firm's values for its matched workers."""
-    if not 0 <= f < inst.n:
-        raise IndexError(f"firm index {f} out of range")
-    return sum(inst.firm_vals[f][w] for w, g in enumerate(mu.assignment) if g == f)
 
 
 def all_utilities(inst: Instance, mu: Matching) -> list[int]:
@@ -272,15 +246,6 @@ def degree_profile(inst: Instance) -> DegreeProfile:
                 wdeg[w] += 1
                 fdeg[f] += 1
     return DegreeProfile(tuple(wdeg), tuple(fdeg))
-
-
-def binarize(inst: Instance) -> Instance:
-    """Replace every positive valuation by 1."""
-    return Instance.create(
-        inst.capacities,
-        [[1 if v > 0 else 0 for v in row] for row in inst.worker_vals],
-        [[1 if v > 0 else 0 for v in row] for row in inst.firm_vals],
-    )
 
 
 def load_instance(path: str) -> Instance:

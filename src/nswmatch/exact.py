@@ -1,6 +1,6 @@
 """Exact Nash-optimal solvers.
 
-- solve_capacity_one: reduction to max-weight bipartite matching.
+- solve_capacity_one: reduction to a max-product perfect matching.
 - solve_dp / solve_dp_bounded_capacity: subset dynamic programming over
   worker bitmasks, with exact big-integer products; approx.fptas_polymul
   runs the same DP on ladder-level weights.
@@ -23,7 +23,7 @@ from .core import (
     nash_value,
     zero_fallback,
 )
-from .graphalgs import InfeasibleError, WeightedGraph, max_weight_bipartite_matching
+from .graphalgs import max_weight_perfect_matching_general
 
 DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
@@ -38,9 +38,10 @@ def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
 def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     """Nash-optimal matching when every firm has capacity 1.
 
-    Max-weight bipartite matching on edges with positive mutual product,
-    weight ln(v_wf * v_fw), saturating all workers.  If no saturating
-    matching exists on positive edges, the optimum is zero.
+    Max-product perfect matching of workers and firms on the edges with
+    positive mutual product v_wf * v_fw.  With every capacity 1, a matching
+    that is not perfect leaves some worker or firm at utility 0, so when
+    none exists (m != n included) the optimum is zero.
     """
     if any(c != 1 for c in inst.capacities):
         raise DomainError("solve_capacity_one requires every capacity to be 1")
@@ -50,11 +51,9 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
         for f in range(n):
             prod = inst.worker_vals[w][f] * inst.firm_vals[f][w]
             if prod > 0:
-                edges.append((w, m + f, math.log(prod)))
-    g = WeightedGraph.of(m + n, edges)
-    try:
-        pairs, _total = max_weight_bipartite_matching(g, m, n, require_left_saturated=True)
-    except InfeasibleError:
+                edges.append((w, m + f, prod))
+    pairs = max_weight_perfect_matching_general(m + n, edges)
+    if pairs is None:
         return _zero_result(inst)
     assignment: list = [UNMATCHED] * m
     for u, v in pairs:

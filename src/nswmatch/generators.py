@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .core import Instance
@@ -79,22 +79,6 @@ class RainbowGraph:
         dx, dy = self.degrees()
         return (all(d == 3 for d in dx + dy)
                 and all(c == 3 for c in self.color_counts()))
-
-
-def find_rainbow_pm(g: RainbowGraph) -> Optional[tuple[int, ...]]:
-    """Exhaustive search for a rainbow perfect matching: one edge per color,
-    jointly a perfect matching of X against Y.  Returns edge indices."""
-    by_color: list[list[int]] = [[] for _ in range(g.r)]
-    for k, (_x, _y, c) in enumerate(g.edges):
-        by_color[c].append(k)
-    if any(not lst for lst in by_color):
-        return None
-    for choice in product(*by_color):
-        xs = {g.edges[k][0] for k in choice}
-        ys = {g.edges[k][1] for k in choice}
-        if len(xs) == g.r and len(ys) == g.r:
-            return tuple(choice)
-    return None
 
 
 def gen_random(m: int, n: int, capacities, v_max: int, density: float,

@@ -2,101 +2,37 @@
 
 Matching is delegated to networkx's blossom implementation; flow with lower
 bounds uses the standard excess/deficit transformation on top of a small
-Dinic max-flow.  Weights arriving here are logs of integer products; callers
-that need exact tie resolution re-verify candidates on integer products.
+Dinic max-flow.  Matching weights arrive as positive integers and blossom
+maximises the sum of their float logs, so a near-tie between two matchings
+can be decided by rounding; max_weight_perfect_matching_general is the one
+place where floats meet the matching reductions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
 
 import networkx as nx
 
 
-class InfeasibleError(ValueError):
-    """Requested matching or flow does not exist."""
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    num_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError("edge endpoint out of range")
-            if w != w or w in (float("inf"), float("-inf")):
-                raise ValueError("weights must be finite")
-
-    @classmethod
-    def of(cls, num_vertices, edges) -> "WeightedGraph":
-        return cls(num_vertices, tuple((u, v, float(w)) for u, v, w in edges))
-
-
-def max_weight_bipartite_matching(
-    g: WeightedGraph,
-    left_size: int,
-    right_size: int,
-    require_left_saturated: bool = False,
-) -> tuple[list[tuple[int, int]], float]:
-    """Maximum-weight matching in a bipartite graph.
-
-    Left vertices are 0..left_size-1, right vertices follow.  With
-    require_left_saturated, the matching must cover every left vertex
-    (InfeasibleError if none does); any matching of size left_size covers
-    all left vertices, so maximum-cardinality search suffices.
-    """
-    if left_size + right_size != g.num_vertices:
-        raise ValueError("left_size + right_size must equal vertex count")
-    for u, v, _w in g.edges:
-        if (u < left_size) == (v < left_size):
-            raise ValueError("edge does not cross the bipartition")
-    weights: dict[tuple[int, int], float] = {}
-    for u, v, w in g.edges:
-        key = (min(u, v), max(u, v))
-        weights[key] = max(w, weights.get(key, float("-inf")))
-    graph = nx.Graph()
-    graph.add_nodes_from(range(g.num_vertices))
-    for (u, v), w in weights.items():
-        graph.add_edge(u, v, weight=w)
-    mate = nx.max_weight_matching(graph, maxcardinality=require_left_saturated)
-    pairs = sorted((min(u, v), max(u, v)) for u, v in mate)
-    if require_left_saturated:
-        covered = {u for p in pairs for u in p if u < left_size}
-        if len(covered) < left_size:
-            raise InfeasibleError("no matching saturates the left side")
-    total = sum(weights[p] for p in pairs)
-    return pairs, total
-
-
 def max_weight_perfect_matching_general(
-    g: WeightedGraph,
-) -> tuple[list[tuple[int, int]], float]:
-    """Maximum-weight perfect matching on a general graph, via blossom.
+    num_vertices: int, edges
+) -> list[tuple[int, int]] | None:
+    """Perfect matching of vertices 0..num_vertices-1 that maximises the
+    product of its edge weights, via blossom on their logs.
 
-    Raises InfeasibleError when no perfect matching exists.  Weights are
-    assumed nonnegative (logs of integer products >= 1).
+    edges are (u, v, weight) with positive integer weights, no pair given
+    twice.  Returns the matched pairs as sorted (min, max) tuples, or None
+    when no perfect matching exists.
     """
-    if g.num_vertices % 2 != 0:
-        raise InfeasibleError("odd vertex count admits no perfect matching")
     graph = nx.Graph()
-    graph.add_nodes_from(range(g.num_vertices))
-    weights = {}
-    for u, v, w in g.edges:
-        key = (min(u, v), max(u, v))
-        if key not in weights or w > weights[key]:
-            weights[key] = w
-            graph.add_edge(u, v, weight=w)
+    graph.add_nodes_from(range(num_vertices))
+    graph.add_weighted_edges_from((u, v, math.log(w)) for u, v, w in edges)
     mate = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(mate) != g.num_vertices:
-        raise InfeasibleError("no perfect matching exists")
-    pairs = sorted((min(u, v), max(u, v)) for u, v in mate)
-    total = sum(weights[p] for p in pairs)
-    return pairs, total
+    if 2 * len(mate) != num_vertices:
+        return None
+    return sorted((min(u, v), max(u, v)) for u, v in mate)
 
 
 class FlowNetwork:

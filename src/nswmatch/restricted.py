@@ -4,7 +4,7 @@
   valuations.
 - solve_degree_two: path/cycle casework when every agent has degree <= 2.
 - solve_degree3_capacity2: firms of degree <= 3 that must each receive
-  exactly two workers; reduces to a max-weight perfect matching on workers.
+  exactly two workers; reduces to a max-product perfect matching on workers.
 - solve_single_positive_firm: workers valuing exactly one firm.
 """
 
@@ -27,7 +27,7 @@ from .core import (
 )
 from .exact import _zero_result
 from .feasibility import exists_nonzero_nash
-from .graphalgs import InfeasibleError, WeightedGraph, max_weight_perfect_matching_general
+from .graphalgs import max_weight_perfect_matching_general
 
 
 @dataclass(frozen=True)
@@ -311,9 +311,8 @@ def solve_degree3_capacity2(
     four involved workers are forced onto those two firms, so the 6-agent
     gadget is solved by enumeration and the rest independently.  In the
     residue any two firms share at most one worker, so pairs of workers
-    determine their common firm uniquely and a max-weight perfect matching
-    on the worker graph (weight ln of the firm-bundle value) finds the
-    optimum.
+    determine their common firm uniquely and a max-product perfect matching
+    on the worker graph (weight the firm-bundle value) finds the optimum.
     """
     prof = degree_profile(inst)
     if max(prof.firm_degrees) > 3:
@@ -387,11 +386,9 @@ def solve_degree3_capacity2(
                     # firm of a worker pair is unique
                     assert key not in edge_firm
                     edge_firm[key] = f
-                    edges.append((key[0], key[1], math.log(val)))
-        g = WeightedGraph.of(len(workers), edges)
-        try:
-            pairs, _total = max_weight_perfect_matching_general(g)
-        except InfeasibleError:
+                    edges.append((key[0], key[1], val))
+        pairs = max_weight_perfect_matching_general(len(workers), edges)
+        if pairs is None:
             return None
         for a, b in pairs:
             f = edge_firm[(a, b)]

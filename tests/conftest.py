@@ -19,6 +19,15 @@ def crossing_example() -> Instance:
     )
 
 
+def binarize(inst: Instance) -> Instance:
+    """Replace every positive valuation by 1."""
+    return Instance.create(
+        inst.capacities,
+        [[1 if v > 0 else 0 for v in row] for row in inst.worker_vals],
+        [[1 if v > 0 else 0 for v in row] for row in inst.firm_vals],
+    )
+
+
 def random_instance(rng: random.Random, m=None, n=None, v_max=5, density=1.0,
                     cap_hi=3) -> Instance:
     m = m if m is not None else rng.randint(1, 8)

@@ -1,13 +1,19 @@
-"""Brute-force references for the fixed-demand and feasibility solvers.
+"""Brute-force references for the fixed-demand and feasibility solvers and
+for the rainbow generator.
 
 Like the oracle, these enumerate assignments worker by worker; they answer
 narrower questions than the oracle does (fixed per-firm loads, existence of a
 positive product) and are only used to check solvers in the test suite.
+find_rainbow_pm enumerates one edge per color of a rainbow graph.
 """
 
 from __future__ import annotations
 
+from itertools import product
+from typing import Optional
+
 from nswmatch.core import Instance, Matching, NashValue, UNMATCHED, nash_value
+from nswmatch.generators import RainbowGraph
 
 
 def solve_bruteforce_exact_loads(
@@ -75,3 +81,19 @@ def exists_nonzero_bruteforce(inst: Instance) -> tuple[bool, Matching | None]:
     if search(0):
         return True, Matching.of(assignment)
     return False, None
+
+
+def find_rainbow_pm(g: RainbowGraph) -> Optional[tuple[int, ...]]:
+    """Exhaustive search for a rainbow perfect matching: one edge per color,
+    jointly a perfect matching of X against Y.  Returns edge indices."""
+    by_color: list[list[int]] = [[] for _ in range(g.r)]
+    for k, (_x, _y, c) in enumerate(g.edges):
+        by_color[c].append(k)
+    if any(not lst for lst in by_color):
+        return None
+    for choice in product(*by_color):
+        xs = {g.edges[k][0] for k in choice}
+        ys = {g.edges[k][1] for k in choice}
+        if len(xs) == g.r and len(ys) == g.r:
+            return tuple(choice)
+    return None

@@ -25,7 +25,6 @@ from nswmatch.exact import (
 )
 from nswmatch.feasibility import exists_nonzero_nash
 from nswmatch.generators import (
-    find_rainbow_pm,
     gen_from_partition,
     gen_from_rainbow,
     gen_rainbow_from_3dm,
@@ -33,7 +32,7 @@ from nswmatch.generators import (
     has_balanced_partition,
 )
 from nswmatch.oracle import solve_bruteforce
-from reference_oracle import solve_bruteforce_exact_loads
+from reference_oracle import find_rainbow_pm, solve_bruteforce_exact_loads
 from nswmatch.restricted import (
     solve_degree3_capacity2,
     solve_degree_two,

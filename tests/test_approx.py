@@ -302,3 +302,11 @@ def test_fptas_budget():
     inst = random_instance(random.Random(2), m=17, n=2)
     with pytest.raises(BudgetExceededError):
         fptas_polymul(inst, "1/1")
+
+
+def test_ladder_budget():
+    # q = ln(4^3) / ln(1 + 1/100000) is about 416 000 levels
+    inst = Instance.create((2,), [[2], [2]], [[2, 2]])
+    for solve in (fptas_polymul, qptas_bucketing):
+        with pytest.raises(BudgetExceededError):
+            solve(inst, "1/100000")

@@ -71,6 +71,10 @@ def test_solve_domain_and_budget_exit_codes(tmp_path, capsys):
     assert main(["solve", str(bigpath), "--algo", "dp"]) == 4
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "budget-exceeded"
+    # log1p rounds this eps to 0, so the ladder has no usable size
+    assert main(["solve", path, "--algo", "fptas", "--eps", f"1/{10 ** 400}"]) == 4
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "budget-exceeded"
 
 
 def test_solve_bad_eps(tmp_path):

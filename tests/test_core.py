@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 from nswmatch.core import (
     Instance,
     Matching,
-    NashValue,
     UNMATCHED,
     all_utilities,
-    binarize,
     degree_profile,
     firm_bundle_value,
     nash_value,
     utilitarian_welfare,
-    utility_of_firm,
-    utility_of_worker,
     validate,
 )
-from conftest import crossing_example, random_instance
+from conftest import binarize, crossing_example, random_instance
 
 CROSS = Matching.of([1, 0])      # w1 -> f2, w2 -> f1 (the optimum)
 STRAIGHT = Matching.of([0, 1])   # w1 -> f1, w2 -> f2
@@ -40,19 +36,17 @@ def test_instance_validation():
 
 def test_worker_utility_crossing():
     inst = crossing_example()
-    assert utility_of_worker(inst, CROSS, 0) == 2
-    assert utility_of_worker(inst, Matching.of([UNMATCHED, 0]), 0) == 0
-    assert utility_of_worker(inst, STRAIGHT, 0) == 0
-    with pytest.raises(IndexError):
-        utility_of_worker(inst, CROSS, 5)
+    assert all_utilities(inst, CROSS)[:2] == [2, 2]
+    assert all_utilities(inst, Matching.of([UNMATCHED, 0]))[:2] == [0, 2]
+    assert all_utilities(inst, STRAIGHT)[:2] == [0, 0]
 
 
 def test_firm_utility():
     inst = crossing_example()
-    assert utility_of_firm(inst, CROSS, 0) == 2
-    assert utility_of_firm(inst, Matching.of([UNMATCHED, UNMATCHED]), 0) == 0
+    assert all_utilities(inst, CROSS)[2:] == [2, 2]
+    assert all_utilities(inst, Matching.of([UNMATCHED, UNMATCHED]))[2:] == [0, 0]
     two = Instance.create((2,), [[1], [1]], [[3, 5]])
-    assert utility_of_firm(two, Matching.of([0, 0]), 0) == 8
+    assert all_utilities(two, Matching.of([0, 0])) == [1, 1, 8]
 
 
 def test_nash_value_crossing():
@@ -64,12 +58,6 @@ def test_nash_value_crossing():
     tiny = Instance.create((1,), [[1]], [[1]])
     tv = nash_value(tiny, Matching.of([0]))
     assert tv.product == 1 and tv.log_welfare == 0.0
-
-
-def test_nash_value_ordering():
-    assert NashValue.zero() < NashValue.from_utilities([1, 1])
-    assert NashValue.from_utilities([2, 3]) <= NashValue.from_utilities([3, 2])
-    assert not NashValue.from_utilities([5]) < NashValue.from_utilities([4])
 
 
 def test_utilitarian_welfare():

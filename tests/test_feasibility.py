@@ -1,9 +1,9 @@
 import random
 
-from nswmatch.core import Instance, binarize, nash_value, validate
+from nswmatch.core import Instance, nash_value, validate
 from nswmatch.feasibility import exists_nonzero_nash
 from reference_oracle import exists_nonzero_bruteforce
-from conftest import crossing_example, random_instance
+from conftest import binarize, crossing_example, random_instance
 
 
 def test_crossing_feasible():

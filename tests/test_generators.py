@@ -8,7 +8,6 @@ from nswmatch.core import degree_profile, utilitarian_welfare
 from nswmatch.generators import (
     GeneratedInstance,
     RainbowGraph,
-    find_rainbow_pm,
     gen_from_partition,
     gen_from_rainbow,
     gen_random,
@@ -17,6 +16,7 @@ from nswmatch.generators import (
     has_balanced_partition,
 )
 from nswmatch.oracle import solve_bruteforce
+from reference_oracle import find_rainbow_pm
 
 # a restricted-family rainbow graph with no rainbow perfect matching,
 # found by random search over degree-3 triple systems and verified by
@@ -93,7 +93,8 @@ def test_partition_strict_preserves_optimal_split():
     # firms full, equal base sums
     g = gen_from_partition((1, 2, 3, 4), strict=True)
     result = solve_bruteforce(g.instance)
-    bundles = [result.best.firm_bundle(f) for f in range(2)]
+    bundles = [[w for w, g in enumerate(result.best.assignment) if g == f]
+               for f in range(2)]
     a = (1, 2, 3, 4)
     assert sorted(map(len, bundles)) == [2, 2]
     assert sum(a[w] for w in bundles[0]) == sum(a[w] for w in bundles[1])

@@ -6,85 +6,70 @@ import pytest
 
 from nswmatch.graphalgs import (
     FlowNetwork,
-    InfeasibleError,
-    WeightedGraph,
     feasible_flow_with_lower_bounds,
-    max_weight_bipartite_matching,
     max_weight_perfect_matching_general,
 )
 
 
-def test_weighted_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedGraph.of(2, [(0, 0, 1.0)])
-    with pytest.raises(ValueError):
-        WeightedGraph.of(2, [(0, 3, 1.0)])
-    with pytest.raises(ValueError):
-        WeightedGraph.of(2, [(0, 1, float("inf"))])
+def _product(weights, pairs):
+    return math.prod(weights[p] for p in pairs)
 
 
 def test_bipartite_crossing_weights():
-    # positive-product edges of the motivating example, weight ln(v*v)
-    g = WeightedGraph.of(4, [(0, 3, math.log(4)), (1, 2, math.log(4))])
-    pairs, total = max_weight_bipartite_matching(g, 2, 2, require_left_saturated=True)
+    # positive-product edges of the motivating example, weight v*v
+    pairs = max_weight_perfect_matching_general(4, [(0, 3, 4), (1, 2, 4)])
     assert pairs == [(0, 3), (1, 2)]
-    assert math.isclose(total, math.log(16))
 
 
 def test_bipartite_single_edge():
-    g = WeightedGraph.of(2, [(0, 1, 5.0)])
-    pairs, total = max_weight_bipartite_matching(g, 1, 1)
-    assert pairs == [(0, 1)] and total == 5.0
+    assert max_weight_perfect_matching_general(2, [(0, 1, 5)]) == [(0, 1)]
 
 
 def test_bipartite_matches_permutation_enumeration():
     rng = random.Random(4)
     for _ in range(100):
         k = 3
-        weights = [[rng.uniform(0.1, 5) for _ in range(k)] for _ in range(k)]
-        g = WeightedGraph.of(2 * k, [(i, k + j, weights[i][j])
-                                     for i in range(k) for j in range(k)])
-        _pairs, total = max_weight_bipartite_matching(g, k, k,
-                                                      require_left_saturated=True)
-        best = max(sum(weights[i][p[i]] for i in range(k))
+        weights = {(i, k + j): rng.randint(1, 50) for i in range(k) for j in range(k)}
+        pairs = max_weight_perfect_matching_general(
+            2 * k, [(u, v, x) for (u, v), x in weights.items()])
+        best = max(math.prod(weights[(i, k + p[i])] for i in range(k))
                    for p in itertools.permutations(range(k)))
-        assert math.isclose(total, best)
+        assert _product(weights, pairs) == best
 
 
 def test_bipartite_saturation_infeasible():
-    g = WeightedGraph.of(3, [(0, 2, 1.0), (1, 2, 1.0)])
-    with pytest.raises(InfeasibleError):
-        max_weight_bipartite_matching(g, 2, 1, require_left_saturated=True)
+    # a star on an even vertex count: 0, 1 and 3 all need vertex 2
+    edges = [(0, 2, 1), (1, 2, 1), (2, 3, 1)]
+    assert max_weight_perfect_matching_general(4, edges) is None
 
 
 def test_perfect_matching_four_cycle():
-    g = WeightedGraph.of(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 2.0)])
-    pairs, total = max_weight_perfect_matching_general(g)
-    assert total == 4.0
+    weights = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
+    pairs = max_weight_perfect_matching_general(
+        4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
     assert pairs == [(0, 3), (1, 2)]
+    assert _product(weights, pairs) == 4
 
 
 def test_perfect_matching_odd_infeasible():
-    g = WeightedGraph.of(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    with pytest.raises(InfeasibleError):
-        max_weight_perfect_matching_general(g)
+    edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+    assert max_weight_perfect_matching_general(3, edges) is None
 
 
 def test_perfect_matching_k4_enumeration():
     rng = random.Random(8)
     for _ in range(100):
-        w = {(i, j): rng.uniform(0.1, 5) for i in range(4) for j in range(i + 1, 4)}
-        g = WeightedGraph.of(4, [(i, j, x) for (i, j), x in w.items()])
-        _pairs, total = max_weight_perfect_matching_general(g)
-        best = max(w[(0, 1)] + w[(2, 3)], w[(0, 2)] + w[(1, 3)],
-                   w[(0, 3)] + w[(1, 2)])
-        assert math.isclose(total, best)
+        w = {(i, j): rng.randint(1, 50) for i in range(4) for j in range(i + 1, 4)}
+        pairs = max_weight_perfect_matching_general(
+            4, [(i, j, x) for (i, j), x in w.items()])
+        best = max(w[(0, 1)] * w[(2, 3)], w[(0, 2)] * w[(1, 3)],
+                   w[(0, 3)] * w[(1, 2)])
+        assert _product(w, pairs) == best
 
 
 def test_perfect_matching_cardinality():
     # unweighted path of 6 vertices has exactly one perfect matching
-    g = WeightedGraph.of(6, [(i, i + 1, 1.0) for i in range(5)])
-    pairs, _ = max_weight_perfect_matching_general(g)
+    pairs = max_weight_perfect_matching_general(6, [(i, i + 1, 1) for i in range(5)])
     assert pairs == [(0, 1), (2, 3), (4, 5)]
 
 
