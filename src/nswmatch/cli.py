@@ -157,40 +157,39 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def cmd_generate(args) -> int:
+def _generate(args) -> generators.GeneratedInstance:
+    """The instance `generate` asks for; ValueError for malformed arguments."""
     if args.kind == "random":
-        if args.m is None or args.n is None:
-            print("random kind needs --m and --n", file=sys.stderr)
-            return EXIT_USAGE
+        if args.m is None or args.n is None or args.n < 1:
+            raise ValueError("random kind needs --m and --n, with n >= 1")
         caps = (_parse_int_list(args.capacities) if args.capacities
                 else [max(1, -(-args.m // args.n))] * args.n)
         if len(caps) != args.n:
-            print("capacities length must equal n", file=sys.stderr)
-            return EXIT_USAGE
-        gen = generators.gen_random(args.m, args.n, caps, args.v_max,
-                                    args.density, args.seed)
-    elif args.kind == "partition":
+            raise ValueError("capacities length must equal n")
+        return generators.gen_random(args.m, args.n, caps, args.v_max,
+                                     args.density, args.seed)
+    if args.kind == "partition":
         if not args.a:
-            print("partition kind needs --a", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            gen = generators.gen_from_partition(_parse_int_list(args.a), args.strict)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
-    elif args.kind == "rainbow":
+            raise ValueError("partition kind needs --a")
+        return generators.gen_from_partition(_parse_int_list(args.a), args.strict)
+    if args.kind == "rainbow":
         if args.r is None:
-            print("rainbow kind needs --r", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("rainbow kind needs --r")
         triples, planted = generators.gen_random_3dm(args.r, args.seed)
         g = generators.gen_rainbow_from_3dm(triples, args.r, planted)
         idx = {t: k for k, t in enumerate(triples)}
         cert = tuple(idx[t] for t in planted)
         gen = generators.gen_from_rainbow(g, certificate=cert)
-        gen = generators.GeneratedInstance(gen.instance, gen.kind, gen.theta,
-                                           args.seed, gen.certificate)
-    else:
-        print(f"unknown kind {args.kind!r}", file=sys.stderr)
+        return generators.GeneratedInstance(gen.instance, gen.kind, gen.theta,
+                                            args.seed, gen.certificate)
+    raise ValueError(f"unknown kind {args.kind!r}")
+
+
+def cmd_generate(args) -> int:
+    try:
+        gen = _generate(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     _dump_json(gen.to_json(), args.out)
     return EXIT_OK

@@ -3,7 +3,8 @@
 - solve_capacity_one: reduction to a max-product perfect matching.
 - solve_dp / solve_dp_bounded_capacity: subset dynamic programming over
   worker bitmasks, with exact big-integer products; approx.fptas_polymul
-  runs the same DP on ladder-level weights.
+  runs the same DP on ladder-level weights.  Each layer visits only the
+  mask and bundle sizes that a full partition can pass through.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   enumerates assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
@@ -85,59 +86,82 @@ def _support(inst: Instance, f: int) -> int:
     return sum(1 << w for w in range(inst.m) if inst.worker_vals[w][f] > 0)
 
 
-def _fitting_bundles(t: int, cap: int, popcount) -> list[int]:
-    """Nonempty submasks of t with at most cap bits, in increasing order."""
-    subs = []
+def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
+    """Submasks of t with lo..hi bits, in increasing order."""
+    if hi < lo or hi < 0 or lo > popcount[t]:
+        return []
     sub = 0
-    # below cap, sub - t is sub + 1 counted on the bits of t; at cap, adding
-    # sub's lowest bit skips the submasks in between, which all exceed cap
-    while sub := (sub - t if popcount[sub] < cap else (sub | ~t) + (sub & -sub)) & t:
+    # below lo, the least submask above sub with lo bits adds t's lowest free bits
+    while popcount[sub] < lo:
+        sub |= (free := t & ~sub) & -free
+    subs = [sub]
+    # below hi, sub - t is sub + 1 counted on the bits of t; at hi, adding sub's
+    # lowest bit skips submasks that all exceed hi.  With lo <= 1 none needs filling.
+    if lo <= 1:
+        while sub := (sub - t if popcount[sub] < hi else (sub | ~t) + (sub & -sub)) & t:
+            subs.append(sub)
+        return subs
+    while sub := (sub - t if popcount[sub] < hi else (sub | ~t) + (sub & -sub)) & t:
+        while popcount[sub] < lo:
+            sub |= (free := t & ~sub) & -free
         subs.append(sub)
     return subs
 
 
 def _layer_groups(inst: Instance, f: int, full: int, popcount):
     """The DP layer of firm f: yields (subs, masks) for each t inside f's
-    support, where subs = _fitting_bundles(t), the only bundles of each mask
-    S in masks (S & support == t) that f can value positively.  Every mask
-    holds all workers whom no later firm values, as no other mask can be
-    completed with a positive product; the last firm keeps only full."""
+    support and size k in the capacity window: the masks S of k bits with
+    S & support == t, and the bundles of t that f can value and that leave
+    the earlier firms at most their capacity.  Every mask holds all workers
+    whom no later firm values, as no other can complete a positive product."""
+    before, cap = sum(inst.capacities[:f]), inst.capacities[f]
+    lo, hi = inst.m - sum(inst.capacities[f + 1:]), before + cap
     support = _support(inst, f)
     later = sum(1 << w for w in range(inst.m) if any(inst.worker_vals[w][f + 1:]))
     fixed = full ^ later
-    # a cap of m bits passes every submask
-    tails = [(fixed & ~support) | r
-             for r in [0] + _fitting_bundles(later & ~support, inst.m, popcount)]
-    for x in [0] + _fitting_bundles(later & support, inst.m, popcount):
+    rest = later & ~support
+    # tails[j]: the masks outside the support with j bits of rest
+    tails = [[] for _ in range(popcount[rest] + 1)]
+    for r in _sized_submasks(rest, 0, inst.m, popcount):
+        tails[popcount[r]].append((fixed & ~support) | r)
+    for x in _sized_submasks(later & support, lo - popcount[fixed | rest],
+                             hi - popcount[fixed], popcount):
         t = (fixed & support) | x
-        subs = _fitting_bundles(t, inst.capacities[f], popcount)
-        if subs:
-            yield subs, [t | r for r in tails]
+        k0 = popcount[fixed | x]
+        for k in range(max(lo, k0), min(hi, k0 + popcount[rest]) + 1):
+            subs = _sized_submasks(t, max(1, k - before), cap, popcount)
+            if subs:
+                yield subs, [t | r for r in tails[k - k0]]
 
 
 def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
     """The DP of solve_dp; ties go to the first S' in increasing order.
 
-    With weight, each positive bundle value that fits its firm's capacity
-    is replaced by weight(value), which must be positive.  Also returns
-    T[n-1, full], the DP's optimum over full partitions (0 when none is
-    positive)."""
+    Layer i fills only masks of m - (c_{i+1} + ... + c_{n-1}) to c_0 + ...
+    + c_i workers, the sizes a full partition passes through; a bundle it
+    skips leads to a zero predecessor, so values and pointers are the same.
+    With weight, each positive bundle value whose size fits the window of
+    its firm is replaced by weight(value), which must be positive.  Also
+    returns T[n-1, full], the DP's optimum over full partitions (0 when
+    none is positive)."""
     m, n = inst.m, inst.n
     full = (1 << m) - 1
     popcount = [s.bit_count() for s in range(full + 1)]
+    caps, slack = inst.capacities, sum(inst.capacities) - m
 
     def bundle_weights(i: int) -> list[int]:
         values = _bundle_tables(inst, i, full)
         if weight is not None:
-            for sub in _fitting_bundles(_support(inst, i), inst.capacities[i], popcount):
+            # a full partition gives firm i at least c_i - slack workers
+            for sub in _sized_submasks(_support(inst, i), caps[i] - slack, caps[i], popcount):
                 if values[sub]:
                     values[sub] = weight(values[sub])
         return values
 
     values = bundle_weights(0)
-    c0 = inst.capacities[0]
-    table = [values[s] if popcount[s] <= c0 else 0 for s in range(full + 1)]
-    back: list[list[int]] = [[s if popcount[s] <= c0 else 0 for s in range(full + 1)]]
+    lo0, c0 = caps[0] - slack, caps[0]
+    table = [values[s] if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]
+    back: list[list[int]] = [[s if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]]
     for i in range(1, n):
         values = bundle_weights(i)
         new = [0] * (full + 1)
@@ -171,8 +195,8 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
 
 def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     """Subset DP over worker bitmasks: T[i, S] = max over S' of
-    W_{f_i}(S') * T[i-1, S \\ S'], enumerating only the bundles S' that
-    fit c_i and that every member values positively."""
+    W_{f_i}(S') * T[i-1, S \\ S'], over the bundles S' that every member
+    values positively, at the sizes of S and S' a full partition can take."""
     if inst.m > DEFAULT_DP_BUDGET:
         raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
     return _dp_solve(inst)[:2]

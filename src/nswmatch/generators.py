@@ -190,6 +190,8 @@ def gen_random_3dm(r: int, seed: int) -> tuple[list[tuple[int, int, int]], tuple
     """Random yes-instance: three pairwise edge-disjoint permutation
     matchings; every vertex lies in exactly three triples.  Returns the
     triples plus the first matching as a planted certificate."""
+    if r < 2:  # one vertex per class cannot lie in three distinct triples
+        raise ValueError("need r >= 2 for three disjoint matchings")
     rng = random.Random(seed)
     while True:
         triples: list[tuple[int, int, int]] = []

@@ -34,6 +34,24 @@ def test_generate_bad_kind(tmp_path):
     assert main(["generate", "--kind", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "random", "--m", "3", "--n", "0"],
+    ["--kind", "random", "--m", "3", "--n", "2", "--capacities", "a,b"],
+    ["--kind", "random", "--m", "-1", "--n", "2"],
+    ["--kind", "random", "--m", "3", "--n", "2", "--v-max", "0"],
+    ["--kind", "random", "--m", "3", "--n", "2", "--density", "2"],
+    ["--kind", "rainbow", "--r", "0"],
+    ["--kind", "rainbow", "--r", "-1"],
+    ["--kind", "rainbow", "--r", "1"],
+])
+def test_generate_malformed_arguments_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "inst.json"
+    assert main(["generate", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+
+
 def test_solve_dp_crossing(tmp_path, capsys):
     path = write_crossing(tmp_path)
     assert main(["solve", path, "--algo", "dp"]) == 0
