@@ -143,11 +143,14 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
     With weight, each positive bundle value whose size fits the window of
     its firm is replaced by weight(value), which must be positive.  Also
     returns T[n-1, full], the DP's optimum over full partitions (0 when
-    none is positive)."""
+    none is positive).  With total capacity below m no full partition
+    exists, and it returns the zero result before building any table."""
     m, n = inst.m, inst.n
+    caps, slack = inst.capacities, sum(inst.capacities) - m
+    if slack < 0:
+        return *_zero_result(inst), 0
     full = (1 << m) - 1
     popcount = [s.bit_count() for s in range(full + 1)]
-    caps, slack = inst.capacities, sum(inst.capacities) - m
 
     def bundle_weights(i: int) -> list[int]:
         values = _bundle_tables(inst, i, full)

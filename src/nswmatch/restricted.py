@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import insort
 from fractions import Fraction
 from typing import Optional
 
@@ -30,28 +30,60 @@ from .feasibility import exists_nonzero_nash
 from .graphalgs import max_weight_perfect_matching_general
 
 
-@dataclass(frozen=True)
 class ExchangeGraph:
     """Directed firm multigraph for the symmetric-binary local search.
 
-    arcs[f][f'] lists witness workers currently at f that firm f' values;
-    moving any of them from f to f' keeps every interior utility unchanged.
+    arcs[f][f'] lists, in increasing order, the witness workers currently
+    at f that firm f' values; moving any of them from f to f' keeps every
+    interior utility unchanged.  likes[w] lists the firms that value w.
     """
 
-    num_firms: int
-    arcs: tuple[tuple[tuple[int, ...], ...], ...]
+    def __init__(self, arcs: list[list[list[int]]], likes: list[tuple[int, ...]]):
+        self.num_firms = len(arcs)
+        self.arcs = arcs
+        self.likes = likes
 
     @classmethod
     def build(cls, inst: Instance, mu: Matching) -> "ExchangeGraph":
         n = inst.n
+        likes = [tuple(g for g in range(n) if inst.firm_vals[g][w] > 0)
+                 for w in range(inst.m)]
         arcs = [[[] for _ in range(n)] for _ in range(n)]
         for w, f in enumerate(mu.assignment):
             if f is UNMATCHED:
                 continue
-            for g in range(n):
-                if g != f and inst.firm_vals[g][w] > 0:
+            for g in likes[w]:
+                if g != f:
                     arcs[f][g].append(w)
-        return cls(n, tuple(tuple(tuple(row) for row in out) for out in arcs))
+        return cls(arcs, likes)
+
+    def move(self, w: int, f: int, g: int) -> None:
+        """Update the arcs for worker w moving from firm f to firm g: only
+        the firms that value w see a change."""
+        for h in self.likes[w]:
+            if h != f:
+                self.arcs[f][h].remove(w)
+            if h != g:
+                insort(self.arcs[g][h], w)
+
+    def bfs_tree(self, u: int) -> list:
+        """BFS parents from u: parent[g] = (f, witness) for each reached
+        g != u, with firms scanned in increasing order and each arc's
+        smallest witness; None where g is unreached.  Running the search to
+        the end sets the same parents as one that stops at any target."""
+        n = self.num_firms
+        parent: list = [None] * n
+        parent[u] = (-1, -1)
+        queue = [u]
+        while queue:
+            nxt = []
+            for f in queue:
+                for g, witnesses in enumerate(self.arcs[f]):
+                    if witnesses and parent[g] is None:
+                        parent[g] = (f, witnesses[0])
+                        nxt.append(g)
+            queue = nxt
+        return parent
 
 
 def _check_symmetric_binary(inst: Instance) -> None:
@@ -78,7 +110,9 @@ def solve_symmetric_binary(
     raising the end firm's by 1.  Such a path improves the Nash product iff
     u_start >= u_end + 2 and the end firm has slack; the gain depends only
     on the endpoints, so the best path is found by scanning endpoint pairs
-    in decreasing gain order and testing reachability.
+    in decreasing gain order, ties by (start, end), and testing
+    reachability in one BFS tree per start firm.  The exchange graph is
+    built once and updated for each worker a path moves.
     """
     _check_symmetric_binary(inst)
     m, n = inst.m, inst.n
@@ -90,38 +124,26 @@ def solve_symmetric_binary(
     if not ok:
         return _zero_result(inst)
     assignment = list(mu.assignment)
+    graph = ExchangeGraph.build(inst, mu)
+    loads = [0] * n
+    for f in assignment:
+        loads[f] += 1
     iterations = 0
     while True:
-        loads = [0] * n
-        for f in assignment:
-            loads[f] += 1
-        graph = ExchangeGraph.build(inst, Matching.of(assignment))
-        pairs = []
-        for u in range(n):
-            for v in range(n):
-                if u == v or loads[u] < loads[v] + 2 or loads[v] >= inst.capacities[v]:
-                    continue
-                gain = Fraction((loads[u] - 1) * (loads[v] + 1), loads[u] * loads[v])
-                pairs.append((gain, u, v))
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        applied = False
-        for _gain, u, v in pairs:
-            path = _find_path(graph, u, v)
-            if path is None:
-                continue
-            before = math.prod(loads)
-            # apply tail-first so intermediate loads never exceed capacity
-            for f, g, w in reversed(path):
-                assert assignment[w] == f and inst.firm_vals[g][w] > 0
-                assignment[w] = g
-            loads[u] -= 1
-            loads[v] += 1
-            after = math.prod(loads)
-            assert after > before, "good path failed to increase the product"
-            applied = True
+        path = _best_good_path(graph, loads, inst.capacities)
+        if path is None:
             break
-        if not applied:
-            break
+        u, v = path[0][0], path[-1][1]
+        before = math.prod(loads)
+        # apply tail-first so intermediate loads never exceed capacity
+        for f, g, w in reversed(path):
+            assert assignment[w] == f and inst.firm_vals[g][w] > 0
+            assignment[w] = g
+            graph.move(w, f, g)
+        loads[u] -= 1
+        loads[v] += 1
+        after = math.prod(loads)
+        assert after > before, "good path failed to increase the product"
         iterations += 1
         if stats is not None:
             stats["iterations"] = iterations
@@ -131,28 +153,38 @@ def solve_symmetric_binary(
     return mu, nash_value(inst, mu)
 
 
-def _find_path(graph: ExchangeGraph, u: int, v: int):
-    """BFS from u to v; returns [(f, g, witness_worker), ...] or None."""
-    parent: dict[int, tuple[int, int]] = {u: (-1, -1)}
-    queue = [u]
-    while queue:
-        nxt = []
-        for f in queue:
-            for g in range(graph.num_firms):
-                if g in parent or not graph.arcs[f][g]:
-                    continue
-                parent[g] = (f, graph.arcs[f][g][0])
-                if g == v:
-                    path = []
-                    node = v
-                    while node != u:
-                        pf, w = parent[node]
-                        path.append((pf, node, w))
-                        node = pf
-                    path.reverse()
-                    return path
-                nxt.append(g)
-        queue = nxt
+def _best_good_path(graph: ExchangeGraph, loads, caps):
+    """The path of the first reachable endpoint pair (u, v) in (-gain, u, v)
+    order, as [(f, g, witness_worker), ...], or None.  The exact gain is
+    computed once per distinct (load_u, load_v) pair."""
+    by_load: dict[int, list[int]] = {}
+    for f, load in enumerate(loads):
+        by_load.setdefault(load, []).append(f)
+    # pairs of loads, grouped by gain; u and v lists are increasing
+    groups: dict[Fraction, list[tuple[int, int]]] = {}
+    for a in by_load:
+        for b in by_load:
+            if a >= b + 2:
+                gain = Fraction((a - 1) * (b + 1), a * b)
+                groups.setdefault(gain, []).append((a, b))
+    trees: dict[int, list] = {}
+    for gain in sorted(groups, reverse=True):
+        pairs = sorted((u, v) for a, b in groups[gain] for u in by_load[a]
+                       for v in by_load[b] if loads[v] < caps[v])
+        for u, v in pairs:
+            if u not in trees:
+                trees[u] = graph.bfs_tree(u)
+            parent = trees[u]
+            if parent[v] is None:
+                continue
+            path = []
+            node = v
+            while node != u:
+                pf, w = parent[node]
+                path.append((pf, node, w))
+                node = pf
+            path.reverse()
+            return path
     return None
 
 

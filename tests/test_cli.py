@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nswmatch
 from nswmatch.cli import CSV_HEADER, SOLVERS, build_parser, main, run_algo
 from nswmatch.core import Instance
 from conftest import crossing_example
@@ -11,6 +16,16 @@ def write_crossing(tmp_path):
     path = tmp_path / "crossing.json"
     path.write_text(json.dumps(crossing_example().to_json()))
     return str(path)
+
+
+def test_cli_import_loads_no_networkx():
+    """networkx is only the test reference for the blossom: importing the
+    CLI, and with it every solver module, must not load it."""
+    src = str(Path(nswmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import nswmatch.cli, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_generate_partition(tmp_path, capsys):

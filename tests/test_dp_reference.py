@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from nswmatch import generators
+from nswmatch import exact, generators
 from nswmatch.approx import fptas_polymul
-from nswmatch.core import Instance, validate, zero_fallback
+from nswmatch.core import BudgetExceededError, DomainError, Instance, validate, zero_fallback
 from nswmatch.exact import _sized_submasks, solve_dp, solve_dp_bounded_capacity
 from reference_dp import naive_dp, naive_fptas
 
@@ -112,6 +112,33 @@ def test_short_capacity_at_m16_returns_zero():
     for mu, value, *level in results:
         assert value.product == 0 and level in ([], [-1])
         assert validate(inst, mu) is None and mu == zero_fallback(inst)
+
+
+def test_short_capacity_builds_no_tables(monkeypatch):
+    """Total capacity below m: dp, dp2 and fptas return the zero fallback
+    without building a bundle table, after their budget checks."""
+    def no_tables(*args):
+        raise AssertionError("bundle table built for a capacity-short instance")
+
+    monkeypatch.setattr(exact, "_bundle_tables", no_tables)
+    short16 = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
+    short18 = generators.gen_random(18, 5, [3] * 5, 5, 1.0, 7).instance
+    results = [solve_dp(short16), solve_dp_bounded_capacity(short16),
+               fptas_polymul(short16, "1/2"), solve_dp(short18),
+               solve_dp_bounded_capacity(short18)]
+    for inst, (mu, value, *level) in zip([short16] * 3 + [short18] * 2, results):
+        assert value.product == 0 and level in ([], [-1])
+        assert mu == zero_fallback(inst)
+    # m = 18 is past the fptas budget of 16, which is still checked first
+    with pytest.raises(BudgetExceededError):
+        fptas_polymul(short18, "1/2")
+    # the dp budget of 20 and dp2's capacity bound as well
+    over = generators.gen_random(21, 5, [3] * 5, 5, 1.0, 7).instance
+    with pytest.raises(BudgetExceededError):
+        solve_dp(over)
+    wide = generators.gen_random(18, 3, [5] * 3, 5, 1.0, 7).instance
+    with pytest.raises(DomainError):
+        solve_dp_bounded_capacity(wide)
 
 
 def test_sized_submasks_match_brute_force():

@@ -7,6 +7,7 @@ import pytest
 from nswmatch.graphalgs import (
     FlowNetwork,
     feasible_flow_with_lower_bounds,
+    max_weight_matching,
     max_weight_perfect_matching_general,
 )
 
@@ -71,6 +72,48 @@ def test_perfect_matching_cardinality():
     # unweighted path of 6 vertices has exactly one perfect matching
     pairs = max_weight_perfect_matching_general(6, [(i, i + 1, 1) for i in range(5)])
     assert pairs == [(0, 1), (2, 3), (4, 5)]
+
+
+# Edge weights for the differential test against networkx: float logs of
+# small and of big integers (log(10**18) == log(10**18 + 1) as floats, so
+# ties are common), and ints, which run the exact path with its final
+# optimality check.
+BLOSSOM_WEIGHTS = {
+    "log_small": lambda rng: math.log(rng.randint(1, 5)),
+    "log_big": lambda rng: math.log(rng.choice([1, 7, 10**18, 10**18 + 1])),
+    "int_small": lambda rng: rng.randint(1, 5),
+    "int_big": lambda rng: rng.choice([1, 2, 10**18, 10**18 + 1]),
+}
+
+
+def _random_graph(rng):
+    """1-24 vertices, density 0.1-1, some vertices isolated; many have no
+    perfect matching (odd counts, isolated or sparse parts)."""
+    nv = rng.randint(1, 24)
+    density = rng.uniform(0.1, 1.0)
+    isolated = set(rng.sample(range(nv), rng.randint(0, nv // 4)))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)
+             if u not in isolated and v not in isolated and rng.random() < density]
+    rng.shuffle(pairs)
+    return nv, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+
+
+@pytest.mark.parametrize("kind", sorted(BLOSSOM_WEIGHTS))
+def test_blossom_matches_networkx(kind):
+    import networkx as nx  # the test extra's reference implementation
+
+    assert max_weight_matching(0, []) == []
+    rng = random.Random(f"blossom-{kind}")
+    for _ in range(600):
+        nv, pairs = _random_graph(rng)
+        edges = [(u, v, BLOSSOM_WEIGHTS[kind](rng)) for u, v in pairs]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(nv))
+        graph.add_weighted_edges_from(edges)
+        expect = {frozenset(e) for e in nx.max_weight_matching(graph, maxcardinality=True)}
+        mate = max_weight_matching(nv, edges)
+        assert all(mate[w] == v for v, w in enumerate(mate) if w != -1)
+        assert {frozenset((v, w)) for v, w in enumerate(mate) if v < w} == expect, edges
 
 
 def test_flow_single_arc():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nswmatch.core import DomainError, Instance, nash_value, validate
+import reference_symbin
+from nswmatch.core import DomainError, Instance, Matching, nash_value, validate
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
@@ -70,8 +72,53 @@ def test_exchange_graph_arcs():
     from nswmatch.core import Matching
     mu = Matching.of([0, 0])
     g = ExchangeGraph.build(inst, mu)
-    assert g.arcs[0][1] == (0,)   # only w0 is valued by f1
-    assert g.arcs[1][0] == ()
+    assert g.arcs[0][1] == [0]   # only w0 is valued by f1
+    assert g.arcs[1][0] == []
+
+
+def test_exchange_graph_moves_match_fresh_build():
+    rng = random.Random(79)
+    for _ in range(100):
+        inst = random_symmetric_binary(rng, m=rng.randint(1, 12), n=rng.randint(1, 5))
+        assignment = [rng.randrange(inst.n) for _ in range(inst.m)]
+        graph = ExchangeGraph.build(inst, Matching.of(assignment))
+        for _ in range(20):
+            w, g = rng.randrange(inst.m), rng.randrange(inst.n)
+            if g == assignment[w]:
+                continue
+            graph.move(w, assignment[w], g)
+            assignment[w] = g
+            fresh = ExchangeGraph.build(inst, Matching.of(assignment))
+            assert graph.arcs == fresh.arcs
+            assert graph.arcs == reference_symbin.build_arcs(inst, assignment)
+
+
+@st.composite
+def symbin_instances(draw):
+    """Symmetric 0/1 instances up to m = 40, n = 8.  Firm f values worker f
+    and every worker values some firm, so most optima are positive, and
+    generous capacities leave the flow's first matching unbalanced, so the
+    search has work to do."""
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, min(8, m)))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
+    for w, row in enumerate(rows):
+        row[w % n] = 1
+    caps = [rng.randint(1, m) for _ in range(n)]
+    return sym(caps, rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(symbin_instances())
+def test_symbin_matches_rebuild_reference(inst):
+    stats, ref_stats = {}, {}
+    mu, value = solve_symmetric_binary(inst, stats=stats)
+    mu_ref, value_ref = reference_symbin.solve_symmetric_binary(inst, ref_stats)
+    assert mu == mu_ref
+    assert value.product == value_ref.product
+    assert stats["iterations"] == ref_stats["iterations"]
 
 
 # --- degree two ------------------------------------------------------------
