@@ -520,14 +520,7 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
         singles = [v for v in singles if mate[v] == -1]
         for v in singles:
             if label[inblossom[v]] == 0:
-                if inblossom[v] == v:
-                    # assign_label(v, 1, -1) on a trivial blossom
-                    label[v] = 1
-                    is_labeled[v] = True
-                    labeled_vertices.append(v)
-                    queue.append(v)
-                else:
-                    assign_label(v, 1, -1)
+                assign_label(v, 1, -1)
 
         augmented = False
         while True:
