@@ -101,15 +101,17 @@ class LevelLadder:
 def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
     """Greedy one-pair-at-a-time maximization of the summed modified firm
     valuations.  Requires strictly positive valuations and enough total
-    capacity to place every worker.  Gains are compared as exact rationals:
-    adding w to a nonempty bundle at f multiplies the running product by
-    v_wf * (sigma_f + v_fw) / sigma_f, and by v_wf * v_fw on an empty one.
+    capacity to place every worker.  Gains are compared as exact integer
+    ratios: adding w to a nonempty bundle at f multiplies the running
+    product by v_wf * (sigma_f + v_fw) / sigma_f, and by v_wf * v_fw on an
+    empty one; the first strict maximiser in (worker, firm) order wins.
     """
     m, n = inst.m, inst.n
-    for row in list(inst.worker_vals) + list(inst.firm_vals):
-        if any(v <= 0 for v in row):
-            raise DomainError("greedy_submodular requires strictly positive valuations")
-    if sum(inst.capacities) < m:
+    caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
+    # values are nonnegative, so strictly positive means no 0 anywhere
+    if any(0 in row for row in worker_vals) or any(0 in row for row in firm_vals):
+        raise DomainError("greedy_submodular requires strictly positive valuations")
+    if sum(caps) < m:
         raise DomainError("total capacity below worker count")
     loads = [0] * n
     sums = [0] * n
@@ -117,25 +119,24 @@ def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
     unplaced = set(range(m))
     while unplaced:
         # never strand a firm with an empty bundle: once the unplaced
-        # workers are only as many as the empty firms, steps must fill one
-        empty = [f for f in range(n) if loads[f] == 0]
+        # workers are only as many as the empty firms that can take one,
+        # steps must fill one
+        empty = [f for f in range(n) if loads[f] == 0 < caps[f]]
         must_fill = m >= n and 0 < len(empty) >= len(unplaced)
-        best_gain = None
+        open_firms = empty if must_fill else [f for f in range(n) if loads[f] < caps[f]]
+        best_num, best_den = -1, 1
         best_pair = None
         for w in sorted(unplaced):
-            for f in range(n):
-                if loads[f] >= inst.capacities[f]:
-                    continue
-                if must_fill and loads[f] > 0:
-                    continue
-                wv = inst.worker_vals[w][f]
-                fv = inst.firm_vals[f][w]
-                if sums[f] == 0:
-                    gain = Fraction(wv * fv)
+            row = worker_vals[w]
+            for f in open_firms:
+                fv = firm_vals[f][w]
+                den = sums[f]
+                if den == 0:
+                    num, den = row[f] * fv, 1
                 else:
-                    gain = Fraction(wv * (sums[f] + fv), sums[f])
-                if best_gain is None or gain > best_gain:
-                    best_gain = gain
+                    num = row[f] * (den + fv)
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
                     best_pair = (w, f)
         w, f = best_pair
         assignment[w] = f

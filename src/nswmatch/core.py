@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import Optional, Sequence
 
 UNMATCHED = None
@@ -235,14 +236,35 @@ def validate(inst: Instance, mu: Matching) -> Optional[Violation]:
     return None
 
 
-def degree_profile(inst: Instance) -> DegreeProfile:
+def positive_entries(rows) -> list[tuple[int, ...]]:
+    """For each row, the increasing indices of its positive entries.
+
+    Values are nonnegative, so positive means truthy and compress finds
+    them in one C-level scan per row, without indexing the row.  The
+    indices come from a tuple, which compress walks without making an int
+    per entry as a range would."""
+    return list(map(tuple, map(compress, repeat(tuple(range(len(rows[0])))), rows)))
+
+
+def degree_profile(inst: Instance, worker_pos=None, firm_pos=None) -> DegreeProfile:
     """Degrees in the graph with 0--0 pairs removed: an edge (w, f) survives
-    iff either side values the other positively."""
-    wdeg = [0] * inst.m
+    iff either side values the other positively.
+
+    The edges come from the positive entries of both value matrices
+    (positive_entries of worker_vals and firm_vals, which a caller that has
+    them already may pass in): each worker keeps the firms it values, and
+    one pass over the firm-side positives adds the pairs whose worker gives
+    0.  The work is O(nnz) after the row scans."""
+    worker_pos = positive_entries(inst.worker_vals) if worker_pos is None else worker_pos
+    firm_pos = positive_entries(inst.firm_vals) if firm_pos is None else firm_pos
+    worker_vals = inst.worker_vals
+    wdeg = list(map(len, worker_pos))
     fdeg = [0] * inst.n
-    for w in range(inst.m):
-        for f in range(inst.n):
-            if inst.worker_vals[w][f] > 0 or inst.firm_vals[f][w] > 0:
+    for f in chain.from_iterable(worker_pos):
+        fdeg[f] += 1
+    for f, ws in enumerate(firm_pos):
+        for w in ws:
+            if not worker_vals[w][f]:
                 wdeg[w] += 1
                 fdeg[f] += 1
     return DegreeProfile(tuple(wdeg), tuple(fdeg))

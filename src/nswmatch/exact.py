@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from .core import (
     BudgetExceededError,
@@ -48,9 +49,11 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
         raise DomainError("solve_capacity_one requires every capacity to be 1")
     m, n = inst.m, inst.n
     edges = []
-    for w in range(m):
-        for f in range(n):
-            prod = inst.worker_vals[w][f] * inst.firm_vals[f][w]
+    firms = tuple(range(n))
+    for w, row in enumerate(inst.worker_vals):
+        # the firms w values: one C-level scan of the row
+        for f in compress(firms, row):
+            prod = row[f] * inst.firm_vals[f][w]
             if prod > 0:
                 edges.append((w, m + f, prod))
     pairs = max_weight_perfect_matching_general(m + n, edges)
@@ -113,7 +116,9 @@ def _layer_groups(inst: Instance, f: int, full: int, popcount):
     support and size k in the capacity window: the masks S of k bits with
     S & support == t, and the bundles of t that f can value and that leave
     the earlier firms at most their capacity.  Every mask holds all workers
-    whom no later firm values, as no other can complete a positive product."""
+    whom no later firm values, as no other can complete a positive product.
+    The sizes k <= before + 1 all take bundles of 1..cap bits, so their
+    masks form one group."""
     before, cap = sum(inst.capacities[:f]), inst.capacities[f]
     lo, hi = inst.m - sum(inst.capacities[f + 1:]), before + cap
     support = _support(inst, f)
@@ -128,8 +133,15 @@ def _layer_groups(inst: Instance, f: int, full: int, popcount):
                              hi - popcount[fixed], popcount):
         t = (fixed & support) | x
         k0 = popcount[fixed | x]
-        for k in range(max(lo, k0), min(hi, k0 + popcount[rest]) + 1):
-            subs = _sized_submasks(t, max(1, k - before), cap, popcount)
+        k_lo, k_hi = max(lo, k0), min(hi, k0 + popcount[rest])
+        if k_lo <= before:
+            top = min(k_hi, before + 1)
+            subs = _sized_submasks(t, 1, cap, popcount)
+            if subs:
+                yield subs, [t | r for k in range(k_lo, top + 1) for r in tails[k - k0]]
+            k_lo = top + 1
+        for k in range(k_lo, k_hi + 1):
+            subs = _sized_submasks(t, k - before, cap, popcount)
             if subs:
                 yield subs, [t | r for r in tails[k - k0]]
 

@@ -15,6 +15,8 @@ untouched and keep the workers' utilities positive).
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .core import Instance, Matching, UNMATCHED
 from .graphalgs import FlowNetwork, feasible_flow_with_lower_bounds
 
@@ -38,12 +40,13 @@ def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
         net.add_arc(f_cap(f), f_val(f), 1, max(1, c))
         net.add_arc(f_cap(f), f_unval(f), 0, c)
     pair_arcs: dict[int, tuple[int, int]] = {}
-    for w in range(m):
-        for f in range(n):
-            if inst.worker_vals[w][f] > 0:
-                src = f_val(f) if inst.firm_vals[f][w] > 0 else f_unval(f)
-                idx = net.add_arc(src, w_node(w), 0, 1)
-                pair_arcs[idx] = (w, f)
+    firms = tuple(range(n))
+    for w, row in enumerate(inst.worker_vals):
+        # the firms w values: one C-level scan of the row
+        for f in compress(firms, row):
+            src = f_val(f) if inst.firm_vals[f][w] > 0 else f_unval(f)
+            idx = net.add_arc(src, w_node(w), 0, 1)
+            pair_arcs[idx] = (w, f)
     for w in range(m):
         net.add_arc(w_node(w), sink, 1, 1)
 

@@ -6,6 +6,13 @@
 - solve_degree3_capacity2: firms of degree <= 3 that must each receive
   exactly two workers; reduces to a max-product perfect matching on workers.
 - solve_single_positive_firm: workers valuing exactly one firm.
+
+The solvers find the pairs they need with one C-level scan of each value
+row for its positive entries (itertools.compress; core.positive_entries
+lists them when they are used more than once) and then index the values
+only at those entries, so past the row scans the work is linear in the
+positive entries, not in m * n.  The symmetric-binary check compares the
+transposed worker matrix with the firm matrix, also at C level.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .core import (
@@ -24,6 +32,7 @@ from .core import (
     degree_profile,
     firm_bundle_value,
     nash_value,
+    positive_entries,
 )
 from .exact import _zero_result
 from .feasibility import exists_nonzero_nash
@@ -35,19 +44,25 @@ class ExchangeGraph:
 
     arcs[f][f'] lists, in increasing order, the witness workers currently
     at f that firm f' values; moving any of them from f to f' keeps every
-    interior utility unchanged.  likes[w] lists the firms that value w.
+    interior utility unchanged.  likes[w] lists, in increasing order, the
+    firms that value w.
     """
 
-    def __init__(self, arcs: list[list[list[int]]], likes: list[tuple[int, ...]]):
+    def __init__(self, arcs: list[list[list[int]]], likes: list):
         self.num_firms = len(arcs)
         self.arcs = arcs
         self.likes = likes
 
     @classmethod
-    def build(cls, inst: Instance, mu: Matching) -> "ExchangeGraph":
+    def build(cls, inst: Instance, mu: Matching, likes=None) -> "ExchangeGraph":
+        """The graph of assignment mu; likes, when given, must be the lists
+        the firm-side values imply."""
         n = inst.n
-        likes = [tuple(g for g in range(n) if inst.firm_vals[g][w] > 0)
-                 for w in range(inst.m)]
+        if likes is None:
+            likes = [[] for _ in range(inst.m)]
+            for g, workers in enumerate(positive_entries(inst.firm_vals)):
+                for w in workers:
+                    likes[w].append(g)
         arcs = [[[] for _ in range(n)] for _ in range(n)]
         for w, f in enumerate(mu.assignment):
             if f is UNMATCHED:
@@ -86,13 +101,19 @@ class ExchangeGraph:
         return parent
 
 
-def _check_symmetric_binary(inst: Instance) -> None:
-    for w in range(inst.m):
-        for f in range(inst.n):
-            a = inst.worker_vals[w][f]
-            b = inst.firm_vals[f][w]
-            if a != b or a not in (0, 1):
-                raise DomainError("valuations must be symmetric and binary")
+def _check_symmetric_binary(inst: Instance) -> list[tuple[int, ...]]:
+    """Raises DomainError unless worker_vals[w][f] == firm_vals[f][w] in
+    {0, 1} for every pair; returns each worker's positive firms, which are
+    then also the firms that value it.  Symmetry compares the transposed
+    worker matrix with the firm matrix at C level; a symmetric row is then
+    0/1 iff it sums to its count of positive entries."""
+    error = "valuations must be symmetric and binary"
+    if list(zip(*inst.worker_vals)) != list(map(tuple, inst.firm_vals)):
+        raise DomainError(error)
+    worker_pos = positive_entries(inst.worker_vals)
+    if list(map(sum, inst.worker_vals)) != list(map(len, worker_pos)):
+        raise DomainError(error)
+    return worker_pos
 
 
 def symmetric_binary_iteration_cap(m: int, n: int) -> int:
@@ -114,7 +135,7 @@ def solve_symmetric_binary(
     reachability in one BFS tree per start firm.  The exchange graph is
     built once and updated for each worker a path moves.
     """
-    _check_symmetric_binary(inst)
+    likes = _check_symmetric_binary(inst)
     m, n = inst.m, inst.n
     cap = symmetric_binary_iteration_cap(m, n)
     if stats is not None:
@@ -124,7 +145,7 @@ def solve_symmetric_binary(
     if not ok:
         return _zero_result(inst)
     assignment = list(mu.assignment)
-    graph = ExchangeGraph.build(inst, mu)
+    graph = ExchangeGraph.build(inst, mu, likes)
     loads = [0] * n
     for f in assignment:
         loads[f] += 1
@@ -199,17 +220,26 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     cannot give every member positive utility force a zero optimum.
     Candidates are scored exactly and per-component optima multiply.
     """
-    prof = degree_profile(inst)
-    if prof.max_degree > 2:
-        raise DomainError("an agent has degree above 2")
+    error = "an agent has degree above 2"
+    # firm rows first: there are only n of them, and on a dense instance
+    # they already break the bound
+    firm_pos = _positive_rows(inst.firm_vals, 2, error)
+    worker_pos = _positive_rows(inst.worker_vals, 2, error)
+    if degree_profile(inst, worker_pos, firm_pos).max_degree > 2:
+        raise DomainError(error)
     m, n = inst.m, inst.n
-    # vertices: workers 0..m-1, firms m..m+n-1
+    # vertices: workers 0..m-1, firms m..m+n-1; each list is increasing
     adj = [[] for _ in range(m + n)]
-    for w in range(m):
-        for f in range(n):
-            if inst.worker_vals[w][f] > 0 or inst.firm_vals[f][w] > 0:
-                adj[w].append(m + f)
-                adj[m + f].append(w)
+    for w, firms in enumerate(worker_pos):
+        for f in firms:
+            adj[w].append(m + f)
+            adj[m + f].append(w)
+    worker_vals = inst.worker_vals
+    for f, workers in enumerate(firm_pos):
+        for w in workers:
+            if not worker_vals[w][f]:
+                insort(adj[w], m + f)
+                insort(adj[m + f], w)
     seen = [False] * (m + n)
     assignment: list = [UNMATCHED] * m
     for start in range(m + n):
@@ -223,6 +253,16 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
             assignment[w] = f
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
+
+
+def _positive_rows(rows, bound: int, error: str) -> list[tuple[int, ...]]:
+    """positive_entries(rows); raises DomainError(error) when a row has more
+    than bound positive entries, as its agent's degree is at least that
+    many."""
+    pos = positive_entries(rows)
+    if max(map(len, pos)) > bound:
+        raise DomainError(error)
+    return pos
 
 
 def _collect_component(adj, seen, start) -> list[int]:
@@ -346,15 +386,21 @@ def solve_degree3_capacity2(
     determine their common firm uniquely and a max-product perfect matching
     on the worker graph (weight the firm-bundle value) finds the optimum.
     """
-    prof = degree_profile(inst)
-    if max(prof.firm_degrees) > 3:
-        raise DomainError("a firm has degree above 3")
+    error = "a firm has degree above 3"
+    firm_pos = _positive_rows(inst.firm_vals, 3, error)
+    worker_pos = positive_entries(inst.worker_vals)
+    if max(degree_profile(inst, worker_pos, firm_pos).firm_degrees) > 3:
+        raise DomainError(error)
     m, n = inst.m, inst.n
     if m != 2 * n or any(c < 2 for c in inst.capacities):
         return None
     # workers usable by a firm: the worker must value the firm, or its own
     # utility would be zero
-    nbrs = [frozenset(w for w in range(m) if inst.worker_vals[w][f] > 0) for f in range(n)]
+    columns = [[] for _ in range(n)]
+    for w, firms in enumerate(worker_pos):
+        for f in firms:
+            columns[f].append(w)
+    nbrs = [frozenset(workers) for workers in columns]
     live_firms = set(range(n))
     live_workers = set(range(m))
     assignment: list = [UNMATCHED] * m
@@ -443,9 +489,10 @@ def solve_single_positive_firm(inst: Instance) -> tuple[Matching, NashValue]:
     for a nonzero product is the forced assignment.  If it breaks a
     capacity the optimum is zero; if it is feasible its (possibly zero)
     value is optimal."""
+    firms = tuple(range(inst.n))
     targets = []
-    for w in range(inst.m):
-        positive = [f for f in range(inst.n) if inst.worker_vals[w][f] > 0]
+    for w, row in enumerate(inst.worker_vals):
+        positive = tuple(compress(firms, row))
         if len(positive) != 1:
             raise DomainError(f"worker {w} does not value exactly one firm")
         targets.append(positive[0])

@@ -4,7 +4,8 @@ Every iteration rebuilds the exchange graph from the current assignment,
 scores every endpoint pair with its own Fraction gain, sorts all pairs by
 (-gain, u, v) and runs a fresh early-exit BFS for each pair in turn.
 `nswmatch.restricted.solve_symmetric_binary` must return the same
-assignment, product and iteration count.
+assignment, product and iteration count.  The domain check and the
+feasibility flow are the dense-scan forms of reference_support.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from fractions import Fraction
 
 from nswmatch.core import Instance, Matching, NashValue, UNMATCHED, nash_value
 from nswmatch.exact import _zero_result
-from nswmatch.feasibility import exists_nonzero_nash
-from nswmatch.restricted import _check_symmetric_binary
+from reference_support import check_symmetric_binary, exists_nonzero_nash
 
 
 def build_arcs(inst: Instance, assignment) -> list[list[list[int]]]:
@@ -32,7 +32,7 @@ def build_arcs(inst: Instance, assignment) -> list[list[list[int]]]:
 
 
 def solve_symmetric_binary(inst: Instance, stats: dict) -> tuple[Matching, NashValue]:
-    _check_symmetric_binary(inst)
+    check_symmetric_binary(inst)
     n = inst.n
     stats["iterations"] = 0
     ok, mu = exists_nonzero_nash(inst)

@@ -286,3 +286,16 @@ def test_verify_rejects_bool_firm(tmp_path, capsys):
     assert main(["verify", path, mu]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["violation"]["kind"] == "range"
+
+
+def test_solve_greedy_with_zero_capacity_firm(tmp_path, capsys):
+    """A capacity-0 firm never counts as an empty firm greedy must fill;
+    it keeps the optimum at 0, so any feasible matching is correct."""
+    path = tmp_path / "zero_cap.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "capacities": [2, 0],
+                                "worker_vals": [[5, 4], [5, 4]],
+                                "firm_vals": [[3, 4], [5, 2]]}))
+    assert main(["solve", str(path), "--algo", "greedy"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "zero-optimum"
+    assert record["matching"] == [0, 0]
