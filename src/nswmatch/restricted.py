@@ -54,15 +54,10 @@ class ExchangeGraph:
         self.likes = likes
 
     @classmethod
-    def build(cls, inst: Instance, mu: Matching, likes=None) -> "ExchangeGraph":
-        """The graph of assignment mu; likes, when given, must be the lists
-        the firm-side values imply."""
+    def build(cls, inst: Instance, mu: Matching, likes: list) -> "ExchangeGraph":
+        """The graph of assignment mu, given likes as above (under
+        symmetric binary values, each worker's positive firms)."""
         n = inst.n
-        if likes is None:
-            likes = [[] for _ in range(inst.m)]
-            for g, workers in enumerate(positive_entries(inst.firm_vals)):
-                for w in workers:
-                    likes[w].append(g)
         arcs = [[[] for _ in range(n)] for _ in range(n)]
         for w, f in enumerate(mu.assignment):
             if f is UNMATCHED:

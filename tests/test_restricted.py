@@ -9,6 +9,7 @@ from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
     ExchangeGraph,
+    _check_symmetric_binary,
     solve_degree3_capacity2,
     solve_degree_two,
     solve_single_positive_firm,
@@ -71,7 +72,7 @@ def test_exchange_graph_arcs():
     inst = sym((2, 1), [[1, 1], [1, 0]])
     from nswmatch.core import Matching
     mu = Matching.of([0, 0])
-    g = ExchangeGraph.build(inst, mu)
+    g = ExchangeGraph.build(inst, mu, _check_symmetric_binary(inst))
     assert g.arcs[0][1] == [0]   # only w0 is valued by f1
     assert g.arcs[1][0] == []
 
@@ -81,14 +82,15 @@ def test_exchange_graph_moves_match_fresh_build():
     for _ in range(100):
         inst = random_symmetric_binary(rng, m=rng.randint(1, 12), n=rng.randint(1, 5))
         assignment = [rng.randrange(inst.n) for _ in range(inst.m)]
-        graph = ExchangeGraph.build(inst, Matching.of(assignment))
+        likes = _check_symmetric_binary(inst)
+        graph = ExchangeGraph.build(inst, Matching.of(assignment), likes)
         for _ in range(20):
             w, g = rng.randrange(inst.m), rng.randrange(inst.n)
             if g == assignment[w]:
                 continue
             graph.move(w, assignment[w], g)
             assignment[w] = g
-            fresh = ExchangeGraph.build(inst, Matching.of(assignment))
+            fresh = ExchangeGraph.build(inst, Matching.of(assignment), likes)
             assert graph.arcs == fresh.arcs
             assert graph.arcs == reference_symbin.build_arcs(inst, assignment)
 
