@@ -13,12 +13,7 @@ from .core import (
 )
 from .oracle import OracleResult, solve_bruteforce
 from .feasibility import exists_nonzero_nash
-from .exact import (
-    solve_capacity_one,
-    solve_dp,
-    solve_dp_bounded_capacity,
-    solve_exact_bucketing,
-)
+from .exact import solve_capacity_one, solve_dp, solve_exact_bucketing
 from .approx import fptas_polymul, greedy_submodular, qptas_bucketing
 from .restricted import (
     solve_degree3_capacity2,
@@ -41,7 +36,6 @@ __all__ = [
     "exists_nonzero_nash",
     "solve_capacity_one",
     "solve_dp",
-    "solve_dp_bounded_capacity",
     "solve_exact_bucketing",
     "greedy_submodular",
     "qptas_bucketing",

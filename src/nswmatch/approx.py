@@ -39,14 +39,12 @@ DEFAULT_QPTAS_GUESS_BUDGET = 5_000_000
 
 def parse_eps(eps) -> Fraction:
     """Accept a Fraction, an int, or an exact rational string "p/q"."""
-    if isinstance(eps, Fraction):
-        value = eps
-    elif isinstance(eps, int):
-        value = Fraction(eps)
-    elif isinstance(eps, str):
-        value = Fraction(eps)
-    else:
+    if not isinstance(eps, (Fraction, int, str)):
         raise ValueError(f"eps must be rational, got {eps!r}")
+    try:
+        value = Fraction(eps)
+    except ZeroDivisionError:
+        raise ValueError(f"eps {eps!r} has a zero denominator") from None
     if value <= 0:
         raise ValueError("eps must be positive")
     return value
@@ -156,12 +154,7 @@ def _bucket_index(ladder: LevelLadder, tau: int, value: int) -> int:
     return min(tau, ladder.level_of(value) + 1)
 
 
-def qptas_bucketing(
-    inst: Instance,
-    eps,
-    max_firms: int = DEFAULT_QPTAS_FIRM_BOUND,
-    guess_budget: int = DEFAULT_QPTAS_GUESS_BUDGET,
-) -> tuple[Matching, NashValue]:
+def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     """Bucketed guessing scheme; Nash welfare at least opt / (1 + eps).
 
     Workers are grouped by their per-firm bucket signature (worker-side and
@@ -174,8 +167,8 @@ def qptas_bucketing(
     gives the welfare guarantee.
     """
     eps = parse_eps(eps)
-    if inst.n > max_firms:
-        raise DomainError(f"n={inst.n} exceeds firm bound {max_firms}")
+    if inst.n > DEFAULT_QPTAS_FIRM_BOUND:
+        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_QPTAS_FIRM_BOUND}")
     m, n = inst.m, inst.n
     ladder = LevelLadder(eps, m, n, inst.v_max)
     # tau = ceil(log_{1+eps} v_max), at least 1
@@ -192,7 +185,8 @@ def qptas_bucketing(
             for f in range(n)
         )
         groups.setdefault(sig, []).append(w)
-    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)], guess_budget)
+    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)],
+                             DEFAULT_QPTAS_GUESS_BUDGET)
 
 
 def fptas_polymul(inst: Instance, eps) -> tuple[Matching, NashValue, int]:

@@ -29,9 +29,9 @@ from .core import (
     validate,
 )
 from .exact import (
+    DEFAULT_CAPACITY_BOUND,
     solve_capacity_one,
     solve_dp,
-    solve_dp_bounded_capacity,
     solve_exact_bucketing,
 )
 from .feasibility import exists_nonzero_nash
@@ -66,6 +66,14 @@ def _oracle(inst, eps):
     return result.best, result.value, {}
 
 
+def _dp2(inst, eps):
+    """dp on the constant-capacity domain of the paper's second DP."""
+    if max(inst.capacities) > DEFAULT_CAPACITY_BOUND:
+        raise DomainError(f"capacity {max(inst.capacities)} exceeds constant bound "
+                          f"{DEFAULT_CAPACITY_BOUND}")
+    return (*solve_dp(inst), {})
+
+
 def _fptas(inst, eps):
     mu, value, level = fptas_polymul(inst, _require_eps(eps))
     return mu, value, {"level": level}
@@ -89,7 +97,7 @@ SOLVERS = {
     "oracle": _oracle,
     "cap1": lambda inst, eps: (*solve_capacity_one(inst), {}),
     "dp": lambda inst, eps: (*solve_dp(inst), {}),
-    "dp2": lambda inst, eps: (*solve_dp_bounded_capacity(inst), {}),
+    "dp2": _dp2,
     "buckets": lambda inst, eps: (*solve_exact_bucketing(inst), {}),
     "greedy": lambda inst, eps: (*greedy_submodular(inst), {}),
     "qptas": lambda inst, eps: (*qptas_bucketing(inst, _require_eps(eps)), {}),
@@ -157,39 +165,43 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _generate(args) -> generators.GeneratedInstance:
-    """The instance `generate` asks for; ValueError for malformed arguments."""
-    if args.kind == "random":
-        if args.m is None or args.n is None or args.n < 1:
-            raise ValueError("random kind needs --m and --n, with n >= 1")
-        caps = (_parse_int_list(args.capacities) if args.capacities
-                else [max(1, -(-args.m // args.n))] * args.n)
-        if len(caps) != args.n:
+def generate_instance(spec: dict) -> generators.GeneratedInstance:
+    """The instance a generator spec names: "kind" and that kind's
+    parameters, keyed as `generate`'s options are.  random needs m, n,
+    capacities and seed; rainbow needs r and seed.  KeyError, TypeError or
+    ValueError when the spec is malformed."""
+    kind = spec["kind"]
+    if kind == "random":
+        m, n, caps = spec["m"], spec["n"], spec["capacities"]
+        if len(caps) != n:
             raise ValueError("capacities length must equal n")
-        return generators.gen_random(args.m, args.n, caps, args.v_max,
-                                     args.density, args.seed)
-    if args.kind == "partition":
-        if not args.a:
-            raise ValueError("partition kind needs --a")
-        return generators.gen_from_partition(_parse_int_list(args.a), args.strict)
-    if args.kind == "rainbow":
-        if args.r is None:
-            raise ValueError("rainbow kind needs --r")
-        triples, planted = generators.gen_random_3dm(args.r, args.seed)
-        g = generators.gen_rainbow_from_3dm(triples, args.r, planted)
+        return generators.gen_random(m, n, caps, spec.get("v_max", 5),
+                                     spec.get("density", 1.0), spec["seed"])
+    if kind == "partition":
+        return generators.gen_from_partition(spec["a"], spec.get("strict", False))
+    if kind == "rainbow":
+        r, seed = spec["r"], spec["seed"]
+        triples, planted = generators.gen_random_3dm(r, seed)
+        g = generators.gen_rainbow_from_3dm(triples, r, planted)
         idx = {t: k for k, t in enumerate(triples)}
-        cert = tuple(idx[t] for t in planted)
-        gen = generators.gen_from_rainbow(g, certificate=cert)
+        gen = generators.gen_from_rainbow(g, certificate=tuple(idx[t] for t in planted))
         return generators.GeneratedInstance(gen.instance, gen.kind, gen.theta,
-                                            args.seed, gen.certificate)
-    raise ValueError(f"unknown kind {args.kind!r}")
+                                            seed, gen.certificate)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def cmd_generate(args) -> int:
+    spec = {key: value for key, value in vars(args).items() if value is not None}
     try:
-        gen = _generate(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        for key in ("a", "capacities"):
+            if key in spec:
+                spec[key] = _parse_int_list(spec[key])
+        if "capacities" not in spec and "m" in spec and "n" in spec:
+            # ceil(m / n) workers a firm, at least 1
+            spec["capacities"] = [max(1, -(-args.m // args.n))] * args.n if args.n > 0 else []
+        gen = generate_instance(spec)
+    except INPUT_ERRORS as exc:
+        print(f"cannot generate {args.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _dump_json(gen.to_json(), args.out)
     return EXIT_OK
@@ -239,45 +251,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _bench_instances(spec: dict) -> list[tuple[str, Instance]]:
-    out = []
-    for entry in spec["instances"]:
-        kind = entry["kind"]
-        if kind == "random":
-            gen = generators.gen_random(
-                entry["m"], entry["n"], entry["capacities"],
-                entry.get("v_max", 5), entry.get("density", 1.0), entry["seed"])
-        elif kind == "partition":
-            gen = generators.gen_from_partition(entry["a"], entry.get("strict", False))
-        elif kind == "rainbow":
-            triples, planted = generators.gen_random_3dm(entry["r"], entry["seed"])
-            g = generators.gen_rainbow_from_3dm(triples, entry["r"], planted)
-            gen = generators.gen_from_rainbow(g)
-        elif kind == "file":
-            out.append((entry["id"], load_instance(entry["path"])))
-            continue
-        else:
-            raise KeyError(f"unknown instance kind {kind!r}")
-        out.append((entry["id"], gen.instance))
-    return out
-
-
 def cmd_bench(args) -> int:
     try:
         spec = json.loads(Path(args.suite).read_text())
-        instances = _bench_instances(spec)
+        instances: dict[str, Instance] = {}
+        for entry in spec["instances"]:
+            inst_id = entry["id"]
+            if type(inst_id) is not str or inst_id in instances:
+                raise ValueError(f"instance id {inst_id!r} is not a string or repeats")
+            instances[inst_id] = (load_instance(entry["path"]) if entry["kind"] == "file"
+                                  else generate_instance(entry).instance)
         algos = [(a["name"], a.get("eps")) for a in spec["algos"]]
         for name, eps in algos:
             if name not in SOLVERS:
                 raise KeyError(f"unknown algorithm {name!r}")
             if eps is not None:
+                if type(eps) is not str:
+                    raise TypeError(f"eps {eps!r} is not a string p/q")
                 parse_eps(eps)
     except INPUT_ERRORS as exc:
         print(f"malformed suite spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     results = []
-    for inst_id, inst in instances:
+    for inst_id, inst in instances.items():
         for algo, eps in algos:
             start = time.perf_counter()
             record = run_algo(algo, inst, eps)
@@ -289,7 +286,7 @@ def cmd_bench(args) -> int:
         if record["algo"] == "oracle" and record["status"] in ("ok", "zero-optimum"):
             oracle_products[inst_id] = int(record["nash_product"])
 
-    sizes = {inst_id: inst.m + inst.n for inst_id, inst in instances}
+    sizes = {inst_id: inst.m + inst.n for inst_id, inst in instances.items()}
     lines = [CSV_HEADER]
     for inst_id, record in results:
         ratio = ""

@@ -1,13 +1,17 @@
 """Exact Nash-optimal solvers.
 
 - solve_capacity_one: reduction to a max-product perfect matching.
-- solve_dp / solve_dp_bounded_capacity: subset dynamic programming over
-  worker bitmasks, with exact big-integer products; approx.fptas_polymul
-  runs the same DP on ladder-level weights.  Each layer visits only the
-  mask and bundle sizes that a full partition can pass through.
+- solve_dp: subset dynamic programming over worker bitmasks, with exact
+  big-integer products; approx.fptas_polymul runs the same DP on
+  ladder-level weights.  Each layer visits only the mask and bundle sizes
+  that a full partition can pass through.  The constant-capacity variant
+  (dp2 in cli.SOLVERS) is solve_dp behind a check of
+  DEFAULT_CAPACITY_BOUND.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   enumerates assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
+  Its firm, value and guess bounds are the DEFAULT_BUCKET_* constants,
+  read at call time.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .graphalgs import max_weight_perfect_matching_general
 
 DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
+DEFAULT_BUCKET_FIRM_BOUND = 5
+DEFAULT_BUCKET_VALUE_BOUND = 8
 DEFAULT_BUCKET_GUESS_BUDGET = 5_000_000
 
 
@@ -217,17 +223,6 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     return _dp_solve(inst)[:2]
 
 
-def solve_dp_bounded_capacity(inst: Instance) -> tuple[Matching, NashValue]:
-    """solve_dp restricted to instances whose capacities are at most a
-    constant bound."""
-    if max(inst.capacities) > DEFAULT_CAPACITY_BOUND:
-        raise DomainError(f"capacity {max(inst.capacities)} exceeds constant bound "
-                          f"{DEFAULT_CAPACITY_BOUND}")
-    if inst.m > DEFAULT_DP_BUDGET:
-        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
-    return _dp_solve(inst)[:2]
-
-
 def _best_group_split(
     inst: Instance, groups: list[list[int]], guess_budget: int
 ) -> tuple[Matching, NashValue]:
@@ -301,12 +296,7 @@ def _best_group_split(
     return mu, value
 
 
-def solve_exact_bucketing(
-    inst: Instance,
-    max_firms: int = 5,
-    max_distinct_values: int = 8,
-    guess_budget: int = DEFAULT_BUCKET_GUESS_BUDGET,
-) -> tuple[Matching, NashValue]:
+def solve_exact_bucketing(inst: Instance) -> tuple[Matching, NashValue]:
     """Nash-optimal matching for constant firms and few distinct values.
 
     Workers are grouped by their exact (worker-value, firm-value) signature
@@ -315,15 +305,15 @@ def solve_exact_bucketing(
     per-firm value buckets) makes every guess realizable by construction and
     loses no optima, since same-signature workers are interchangeable.
     """
-    if inst.n > max_firms:
-        raise DomainError(f"n={inst.n} exceeds firm bound {max_firms}")
+    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
+        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
     distinct = {v for row in inst.worker_vals for v in row}
     distinct |= {v for row in inst.firm_vals for v in row}
-    if len(distinct) > max_distinct_values:
-        raise DomainError(
-            f"{len(distinct)} distinct valuation levels exceed bound {max_distinct_values}")
+    if len(distinct) > DEFAULT_BUCKET_VALUE_BOUND:
+        raise DomainError(f"{len(distinct)} distinct valuation levels exceed bound "
+                          f"{DEFAULT_BUCKET_VALUE_BOUND}")
     groups: dict[tuple, list[int]] = {}
     for w in range(inst.m):
         sig = tuple((inst.worker_vals[w][f], inst.firm_vals[f][w]) for f in range(inst.n))
         groups.setdefault(sig, []).append(w)
-    return _best_group_split(inst, list(groups.values()), guess_budget)
+    return _best_group_split(inst, list(groups.values()), DEFAULT_BUCKET_GUESS_BUDGET)

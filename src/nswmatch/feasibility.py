@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import compress
 
 from .core import Instance, Matching, UNMATCHED
-from .graphalgs import FlowNetwork, feasible_flow_with_lower_bounds
+from .graphalgs import feasible_flow_with_lower_bounds
 
 
 def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
@@ -33,24 +33,24 @@ def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
     def f_unval(f): return 2 + 3 * f + 2
     def w_node(w): return 2 + 3 * n + w
 
-    net = FlowNetwork(2 + 3 * n + m, source, sink)
+    arcs = []
     for f in range(n):
         c = inst.capacities[f]
-        net.add_arc(source, f_cap(f), 0, c)
-        net.add_arc(f_cap(f), f_val(f), 1, max(1, c))
-        net.add_arc(f_cap(f), f_unval(f), 0, c)
+        arcs.append((source, f_cap(f), 0, c))
+        arcs.append((f_cap(f), f_val(f), 1, max(1, c)))
+        arcs.append((f_cap(f), f_unval(f), 0, c))
     pair_arcs: dict[int, tuple[int, int]] = {}
     firms = tuple(range(n))
     for w, row in enumerate(inst.worker_vals):
         # the firms w values: one C-level scan of the row
         for f in compress(firms, row):
             src = f_val(f) if inst.firm_vals[f][w] > 0 else f_unval(f)
-            idx = net.add_arc(src, w_node(w), 0, 1)
-            pair_arcs[idx] = (w, f)
+            pair_arcs[len(arcs)] = (w, f)
+            arcs.append((src, w_node(w), 0, 1))
     for w in range(m):
-        net.add_arc(w_node(w), sink, 1, 1)
+        arcs.append((w_node(w), sink, 1, 1))
 
-    flows = feasible_flow_with_lower_bounds(net)
+    flows = feasible_flow_with_lower_bounds(2 + 3 * n + m, source, sink, arcs)
     if flows is None:
         return False, None
     assignment: list = [UNMATCHED] * m

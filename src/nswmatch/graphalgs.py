@@ -1,12 +1,13 @@
 """Supporting graph algorithms.
 
 Matching is Edmonds' weighted blossom algorithm (max_weight_matching), run
-in-tree on integer vertices; flow with lower bounds uses the standard
-excess/deficit transformation on top of a small Dinic max-flow.  Matching
-weights arrive as positive integers and max_weight_perfect_matching_general
-maximises the sum of their float logs, so a near-tie between two matchings
-can be decided by rounding; it is the one place where floats meet the
-matching reductions.  The blossom itself is exact on int weights.
+in-tree on integer vertices; feasible_flow_with_lower_bounds takes a list
+of (u, v, lower, upper) arcs and uses the standard excess/deficit
+transformation on top of a small Dinic max-flow.  Matching weights arrive
+as positive integers and max_weight_perfect_matching_general maximises the
+sum of their float logs, so a near-tie between two matchings can be
+decided by rounding; it is the one place where floats meet the matching
+reductions.  The blossom itself is exact on int weights.
 
 max_weight_matching is ported from networkx 3.6
 (networkx/algorithms/matching.py), which carries this notice:
@@ -690,22 +691,6 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
     return mate
 
 
-class FlowNetwork:
-    """Directed network with integral lower/upper bounds per arc."""
-
-    def __init__(self, num_nodes: int, source: int, sink: int):
-        self.num_nodes = num_nodes
-        self.source = source
-        self.sink = sink
-        self.arcs: list[tuple[int, int, int, int]] = []
-
-    def add_arc(self, u: int, v: int, lower: int, upper: int) -> int:
-        if lower < 0 or lower > upper:
-            raise ValueError(f"invalid bounds [{lower}, {upper}] on arc ({u}, {v})")
-        self.arcs.append((u, v, lower, upper))
-        return len(self.arcs) - 1
-
-
 class _Dinic:
     def __init__(self, n: int):
         self.n = n
@@ -762,35 +747,35 @@ class _Dinic:
                 flow += pushed
 
 
-def feasible_flow_with_lower_bounds(net: FlowNetwork) -> list[int] | None:
-    """Integral flow meeting every arc's [lower, upper] bounds, or None.
+def feasible_flow_with_lower_bounds(
+    num_nodes: int, source: int, sink: int, arcs
+) -> list[int] | None:
+    """Integral flow on nodes 0..num_nodes-1 meeting the [lower, upper]
+    bounds of every arc (u, v, lower, upper), as a list of arc flows in
+    the order of arcs, or None when there is none.
 
     Standard reduction: send each arc's lower bound unconditionally, route
     the resulting node imbalances through a super source/sink, and allow
     sink -> source circulation.
     """
-    n = net.num_nodes
-    super_s, super_t = n, n + 1
-    dinic = _Dinic(n + 2)
+    super_s, super_t = num_nodes, num_nodes + 1
+    dinic = _Dinic(num_nodes + 2)
+    excess = [0] * num_nodes
     arc_idx = []
-    for u, v, lower, upper in net.arcs:
+    for u, v, lower, upper in arcs:
+        if lower < 0 or lower > upper:
+            raise ValueError(f"invalid bounds [{lower}, {upper}] on arc ({u}, {v})")
         arc_idx.append(dinic.add_edge(u, v, upper - lower))
-    excess = [0] * n
-    for u, v, lower, _upper in net.arcs:
         excess[u] -= lower
         excess[v] += lower
     need = 0
-    for node in range(n):
+    for node in range(num_nodes):
         if excess[node] > 0:
             dinic.add_edge(super_s, node, excess[node])
             need += excess[node]
         elif excess[node] < 0:
             dinic.add_edge(node, super_t, -excess[node])
-    dinic.add_edge(net.sink, net.source, 1 << 60)
+    dinic.add_edge(sink, source, 1 << 60)
     if dinic.max_flow(super_s, super_t) < need:
         return None
-    flows = []
-    for (u, v, lower, upper), idx in zip(net.arcs, arc_idx):
-        used = (upper - lower) - dinic.cap[idx]
-        flows.append(lower + used)
-    return flows
+    return [upper - dinic.cap[idx] for (_u, _v, _lower, upper), idx in zip(arcs, arc_idx)]

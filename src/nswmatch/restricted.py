@@ -399,49 +399,51 @@ def solve_degree3_capacity2(
     live_firms = set(range(n))
     live_workers = set(range(m))
     assignment: list = [UNMATCHED] * m
+    # the firm pairs that share two workers, in (f, g) order: peeling only
+    # removes workers, so a pair ineligible once stays so, and one pass in
+    # this order peels what restarting the scan after every peel would
+    sharing: dict[tuple[int, int], list[int]] = {}
+    for f in range(n):
+        for pair in _pairs_within(nbrs[f]):
+            sharing.setdefault(pair, []).append(f)
+    candidates = sorted({(f, g) for firms in sharing.values()
+                         for i, f in enumerate(firms) for g in firms[i + 1:]})
 
-    changed = True
-    while changed:
-        changed = False
-        for f in sorted(live_firms):
-            if len(nbrs[f] & live_workers) < 2:
-                return None
-        firms = sorted(live_firms)
-        for i, f in enumerate(firms):
-            nf = nbrs[f] & live_workers
-            for g in firms[i + 1:]:
-                ng = nbrs[g] & live_workers
-                shared = nf & ng
-                if len(shared) < 2:
-                    continue
-                if len(nf | ng) < 4:
-                    return None
-                # both firms draw 2 from a 4-worker pool: every split is a
-                # 6-agent gadget independent of the rest
-                pool = nf | ng
-                best_prod = 0
-                best_split = None
-                for bundle_f in _pairs_within(nf):
-                    rest = pool - set(bundle_f)
-                    if not rest <= ng or len(rest) != 2:
-                        continue
-                    prod = firm_bundle_value(inst, f, bundle_f) * \
-                        firm_bundle_value(inst, g, sorted(rest))
-                    if prod > best_prod:
-                        best_prod = prod
-                        best_split = (bundle_f, sorted(rest))
-                if best_prod == 0:
-                    return None
-                for w in best_split[0]:
-                    assignment[w] = f
-                for w in best_split[1]:
-                    assignment[w] = g
-                live_firms -= {f, g}
-                live_workers -= pool
-                changed = True
-                break
-            if changed:
-                break
+    if any(len(nbrs[f]) < 2 for f in live_firms):
+        return None
+    for f, g in candidates:
+        if f not in live_firms or g not in live_firms:
+            continue
+        nf = nbrs[f] & live_workers
+        ng = nbrs[g] & live_workers
+        if len(nf & ng) < 2:
+            continue
+        if len(nf | ng) < 4:
+            return None
+        # both firms draw 2 from a 4-worker pool: every split is a
+        # 6-agent gadget independent of the rest
+        pool = nf | ng
+        best_prod = 0
+        best_split = None
+        for bundle_f in _pairs_within(nf):
+            rest = pool - set(bundle_f)
+            if not rest <= ng or len(rest) != 2:
+                continue
+            prod = firm_bundle_value(inst, f, bundle_f) * \
+                firm_bundle_value(inst, g, sorted(rest))
+            if prod > best_prod:
+                best_prod = prod
+                best_split = (bundle_f, sorted(rest))
+        if best_prod == 0:
+            return None
+        for w in best_split[0]:
+            assignment[w] = f
+        for w in best_split[1]:
+            assignment[w] = g
+        live_firms -= {f, g}
+        live_workers -= pool
+    if any(len(nbrs[f] & live_workers) < 2 for f in live_firms):
+        return None
 
     firms = sorted(live_firms)
     workers = sorted(live_workers)

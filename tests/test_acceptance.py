@@ -16,13 +16,8 @@ import pytest
 
 from nswmatch.core import Instance, validate
 from nswmatch.approx import fptas_polymul, greedy_submodular, qptas_bucketing
-from nswmatch.cli import main as cli_main
-from nswmatch.exact import (
-    solve_capacity_one,
-    solve_dp,
-    solve_dp_bounded_capacity,
-    solve_exact_bucketing,
-)
+from nswmatch.cli import main as cli_main, run_algo
+from nswmatch.exact import solve_capacity_one, solve_dp, solve_exact_bucketing
 from nswmatch.feasibility import exists_nonzero_nash
 from nswmatch.generators import (
     gen_from_partition,
@@ -193,7 +188,7 @@ def test_criterion_1_oracle_equivalence(suite, oracle_products):
         assert solve_dp(inst)[1].product == opt
         assert solve_exact_bucketing(inst)[1].product == opt
         if max(inst.capacities) <= 3:
-            assert solve_dp_bounded_capacity(inst)[1].product == opt
+            assert int(run_algo("dp2", inst)["nash_product"]) == opt
         if tag == "cap1":
             assert solve_capacity_one(inst)[1].product == opt
         elif tag == "symbin":

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nswmatch
-from nswmatch.cli import CSV_HEADER, SOLVERS, build_parser, main, run_algo
+from nswmatch.cli import CSV_HEADER, SOLVERS, build_parser, generate_instance, main, run_algo
 from nswmatch.core import Instance
 from conftest import crossing_example
 
@@ -110,9 +110,12 @@ def test_solve_domain_and_budget_exit_codes(tmp_path, capsys):
     assert record["status"] == "budget-exceeded"
 
 
-def test_solve_bad_eps(tmp_path):
+def test_solve_bad_eps(tmp_path, capsys):
     path = write_crossing(tmp_path)
-    assert main(["solve", path, "--algo", "qptas", "--eps", "0/1"]) == 2
+    for eps in ("0/1", "1/0"):
+        assert main(["solve", path, "--algo", "qptas", "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -175,6 +178,42 @@ def test_bench_without_oracle_has_empty_ratio(tmp_path):
     assert main(["bench", str(spec), "--out", str(out)]) == 0
     for line in out.read_text().strip().split("\n")[1:]:
         assert line.split(",")[7] == ""
+
+
+@pytest.mark.parametrize("change", [
+    {"algos": [{"name": "fptas", "eps": "1/0"}]},
+    {"algos": [{"name": "fptas", "eps": 1}]},
+    {"algos": [{"name": "fptas", "eps": True}]},
+    {"instances": [{**SUITE["instances"][0], "id": 7}]},
+    # two instances under one id would share one oracle row
+    {"instances": [{**entry, "id": "p"} for entry in SUITE["instances"][:2]]},
+])
+def test_bench_suite_field_errors_exit_2(tmp_path, capsys, change):
+    suite = {"instances": SUITE["instances"][:2], "algos": [{"name": "oracle"}], **change}
+    assert main(["bench", _write(tmp_path / "suite.json", suite)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
+def test_bench_entry_and_generate_give_one_instance(tmp_path):
+    """A random suite entry and `generate` with the same parameters build
+    the same instance: the generated file benches row for row alike."""
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--kind", "random", "--m", "6", "--n", "3",
+                 "--capacities", "2,3,2", "--v-max", "7", "--density", "0.6",
+                 "--seed", "5", "--out", str(out)]) == 0
+    entry = {"id": "entry", "kind": "random", "m": 6, "n": 3, "capacities": [2, 3, 2],
+             "v_max": 7, "density": 0.6, "seed": 5}
+    generated = json.loads(out.read_text())
+    del generated["meta"]
+    assert generate_instance(entry).instance.to_json() == generated
+    suite = {"instances": [entry, {"id": "file", "kind": "file", "path": str(out)}],
+             "algos": [{"name": "oracle"}, {"name": "dp"}]}
+    csv = tmp_path / "out.csv"
+    assert main(["bench", _write(tmp_path / "suite.json", suite), "--out", str(csv)]) == 0
+    rows = [line.split(",", 1) for line in csv.read_text().splitlines()[1:]]
+    assert [rest for inst_id, rest in rows if inst_id == "entry"] == \
+        [rest for inst_id, rest in rows if inst_id == "file"]
 
 
 def test_bench_malformed_suite(tmp_path):

@@ -13,8 +13,9 @@ import pytest
 
 from nswmatch import exact, generators
 from nswmatch.approx import fptas_polymul
-from nswmatch.core import BudgetExceededError, DomainError, Instance, validate, zero_fallback
-from nswmatch.exact import _sized_submasks, solve_dp, solve_dp_bounded_capacity
+from nswmatch.cli import run_algo
+from nswmatch.core import BudgetExceededError, Instance, Matching, validate, zero_fallback
+from nswmatch.exact import _sized_submasks, solve_dp
 from reference_dp import naive_dp, naive_fptas
 
 BIG = 2 ** 53
@@ -86,11 +87,13 @@ def test_dp_matches_reference(shape):
         mu_ref, product_ref = naive_dp(inst)
         if shape == "short_capacity":
             assert product_ref == 0 and mu_ref == zero_fallback(inst)
+        mu, value = solve_dp(inst)
+        assert mu == mu_ref, inst
+        assert value.product == product_ref
         # every capacity drawn is within dp2's default bound of 4
-        for solver in (solve_dp, solve_dp_bounded_capacity):
-            mu, value = solver(inst)
-            assert mu == mu_ref, (solver.__name__, inst)
-            assert value.product == product_ref
+        record = run_algo("dp2", inst)
+        assert Matching.of(record["matching"]) == mu_ref, inst
+        assert record["nash_product"] == str(product_ref)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -104,14 +107,21 @@ def test_fptas_matches_reference(shape):
         assert (mu, value.product, level) == (mu_ref, product_ref, level_ref), inst
 
 
+def assert_dp2_zero_fallback(inst):
+    record = run_algo("dp2", inst)
+    assert record["status"] == "zero-optimum" and record["nash_product"] == "0"
+    assert Matching.of(record["matching"]) == zero_fallback(inst)
+
+
 def test_short_capacity_at_m16_returns_zero():
     """Total capacity 15 < m = 16: the window is empty at every layer, so the
     solvers return the zero fallback without a subset DP pass."""
     inst = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
-    results = [solve_dp(inst), solve_dp_bounded_capacity(inst), fptas_polymul(inst, "1/2")]
+    results = [solve_dp(inst), fptas_polymul(inst, "1/2")]
     for mu, value, *level in results:
         assert value.product == 0 and level in ([], [-1])
         assert validate(inst, mu) is None and mu == zero_fallback(inst)
+    assert_dp2_zero_fallback(inst)
 
 
 def test_short_capacity_builds_no_tables(monkeypatch):
@@ -123,12 +133,12 @@ def test_short_capacity_builds_no_tables(monkeypatch):
     monkeypatch.setattr(exact, "_bundle_tables", no_tables)
     short16 = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
     short18 = generators.gen_random(18, 5, [3] * 5, 5, 1.0, 7).instance
-    results = [solve_dp(short16), solve_dp_bounded_capacity(short16),
-               fptas_polymul(short16, "1/2"), solve_dp(short18),
-               solve_dp_bounded_capacity(short18)]
-    for inst, (mu, value, *level) in zip([short16] * 3 + [short18] * 2, results):
+    results = [solve_dp(short16), fptas_polymul(short16, "1/2"), solve_dp(short18)]
+    for inst, (mu, value, *level) in zip([short16] * 2 + [short18], results):
         assert value.product == 0 and level in ([], [-1])
         assert mu == zero_fallback(inst)
+    assert_dp2_zero_fallback(short16)
+    assert_dp2_zero_fallback(short18)
     # m = 18 is past the fptas budget of 16, which is still checked first
     with pytest.raises(BudgetExceededError):
         fptas_polymul(short18, "1/2")
@@ -136,9 +146,9 @@ def test_short_capacity_builds_no_tables(monkeypatch):
     over = generators.gen_random(21, 5, [3] * 5, 5, 1.0, 7).instance
     with pytest.raises(BudgetExceededError):
         solve_dp(over)
+    assert run_algo("dp2", over)["status"] == "budget-exceeded"
     wide = generators.gen_random(18, 3, [5] * 3, 5, 1.0, 7).instance
-    with pytest.raises(DomainError):
-        solve_dp_bounded_capacity(wide)
+    assert run_algo("dp2", wide)["status"] == "infeasible-domain"
 
 
 def test_sized_submasks_match_brute_force():

@@ -6,15 +6,13 @@ from nswmatch.core import (
     BudgetExceededError,
     DomainError,
     Instance,
+    Matching,
     nash_value,
     validate,
 )
-from nswmatch.exact import (
-    solve_capacity_one,
-    solve_dp,
-    solve_dp_bounded_capacity,
-    solve_exact_bucketing,
-)
+from nswmatch import exact
+from nswmatch.cli import run_algo
+from nswmatch.exact import solve_capacity_one, solve_dp, solve_exact_bucketing
 from nswmatch.oracle import solve_bruteforce
 from conftest import crossing_example, random_instance
 
@@ -71,19 +69,24 @@ def test_dp_oracle_agreement_suite():
         check_optimal(inst, solve_dp)
 
 
+def dp2_product(inst) -> int:
+    record = run_algo("dp2", inst)
+    assert record["status"] in ("ok", "zero-optimum"), record
+    return int(record["nash_product"])
+
+
 def test_dp_bounded_capacity_matches_dp():
     rng = random.Random(41)
     for _ in range(120):
         inst = random_instance(rng, cap_hi=3, density=0.7)
-        a = solve_dp(inst)
-        b = solve_dp_bounded_capacity(inst)
-        assert a[1].product == b[1].product
+        assert dp2_product(inst) == solve_dp(inst)[1].product
 
 
 def test_dp_bounded_capacity_rejects_large_capacity():
     inst = Instance.create((9,), [[1]], [[1]])
-    with pytest.raises(DomainError):
-        solve_dp_bounded_capacity(inst)
+    record = run_algo("dp2", inst)
+    assert record["status"] == "infeasible-domain"
+    assert record["error"] == "capacity 9 exceeds constant bound 4"
 
 
 def test_dp_bounded_agrees_with_capacity_one():
@@ -91,9 +94,7 @@ def test_dp_bounded_agrees_with_capacity_one():
     for _ in range(40):
         inst = random_instance(rng, m=rng.randint(1, 5), n=rng.randint(1, 4),
                                cap_hi=1, density=0.8)
-        a = solve_dp_bounded_capacity(inst)
-        b = solve_capacity_one(inst)
-        assert a[1].product == b[1].product
+        assert dp2_product(inst) == solve_capacity_one(inst)[1].product
 
 
 def test_exact_bucketing_single_firm_equals_dp():
@@ -113,19 +114,25 @@ def test_exact_bucketing_oracle_agreement():
 
 def test_exact_bucketing_domain_checks():
     rng = random.Random(59)
-    wide = random_instance(rng, m=3, n=4)
-    with pytest.raises(DomainError):
-        solve_exact_bucketing(wide, max_firms=3)
-    many_values = Instance.create(
-        (3,), [[1], [2], [3]], [[4, 5, 6]])
-    with pytest.raises(DomainError):
-        solve_exact_bucketing(many_values, max_distinct_values=3)
+    assert exact.DEFAULT_BUCKET_FIRM_BOUND == 5 and exact.DEFAULT_BUCKET_VALUE_BOUND == 8
+    check_optimal(random_instance(rng, m=3, n=5), solve_exact_bucketing)
+    wide = random_instance(rng, m=3, n=6)
+    with pytest.raises(DomainError, match="n=6 exceeds firm bound 5"):
+        solve_exact_bucketing(wide)
+    # eight distinct values pass, nine do not
+    eight = Instance.create((4,), [[1], [2], [3], [4]], [[5, 6, 7, 8]])
+    check_optimal(eight, solve_exact_bucketing)
+    nine = Instance.create((5,), [[1], [2], [3], [4], [5]], [[6, 7, 8, 9, 1]])
+    with pytest.raises(DomainError, match="9 distinct valuation levels exceed bound 8"):
+        solve_exact_bucketing(nine)
 
 
 def test_solvers_zero_optimum_return_feasible_matching():
     inst = Instance.create((1, 1), [[0, 0]], [[1], [1]])
-    for solver in (solve_dp, solve_dp_bounded_capacity, solve_exact_bucketing,
-                   solve_capacity_one):
+    for solver in (solve_dp, solve_exact_bucketing, solve_capacity_one):
         mu, value = solver(inst)
         assert value.is_zero
         assert validate(inst, mu) is None
+    record = run_algo("dp2", inst)
+    assert record["status"] == "zero-optimum"
+    assert validate(inst, Matching.of(record["matching"])) is None

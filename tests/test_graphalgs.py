@@ -5,7 +5,6 @@ import random
 import pytest
 
 from nswmatch.graphalgs import (
-    FlowNetwork,
     feasible_flow_with_lower_bounds,
     max_weight_matching,
     max_weight_perfect_matching_general,
@@ -117,29 +116,26 @@ def test_blossom_matches_networkx(kind):
 
 
 def test_flow_single_arc():
-    net = FlowNetwork(2, 0, 1)
-    net.add_arc(0, 1, 1, 1)
-    assert feasible_flow_with_lower_bounds(net) == [1]
+    assert feasible_flow_with_lower_bounds(2, 0, 1, [(0, 1, 1, 1)]) == [1]
 
 
 def test_flow_bad_bounds_rejected():
-    net = FlowNetwork(2, 0, 1)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 1, 2, 1)
+    for bad in ((0, 1, 2, 1), (0, 1, -1, 1)):
+        with pytest.raises(ValueError):
+            feasible_flow_with_lower_bounds(2, 0, 1, [(0, 1, 0, 1), bad])
 
 
-def _enumerate_flows(net):
+def _enumerate_flows(nodes, source, sink, arcs):
     """All integral arc-flow vectors meeting bounds and conservation at
     internal nodes, allowing net source->sink throughput."""
-    ranges = [range(lo, hi + 1) for _u, _v, lo, hi in net.arcs]
+    ranges = [range(lo, hi + 1) for _u, _v, lo, hi in arcs]
     for combo in itertools.product(*ranges):
-        balance = [0] * net.num_nodes
-        for (u, v, _lo, _hi), x in zip(net.arcs, combo):
+        balance = [0] * nodes
+        for (u, v, _lo, _hi), x in zip(arcs, combo):
             balance[u] -= x
             balance[v] += x
-        ok = all(balance[i] == 0 for i in range(net.num_nodes)
-                 if i not in (net.source, net.sink))
-        if ok and balance[net.sink] >= 0 and balance[net.sink] == -balance[net.source]:
+        ok = all(balance[i] == 0 for i in range(nodes) if i not in (source, sink))
+        if ok and balance[sink] >= 0 and balance[sink] == -balance[source]:
             return list(combo)
     return None
 
@@ -148,21 +144,21 @@ def test_flow_agrees_with_exhaustive_search():
     rng = random.Random(12)
     for _ in range(120):
         nodes = rng.randint(3, 5)
-        net = FlowNetwork(nodes, 0, nodes - 1)
+        arcs = []
         for _ in range(rng.randint(2, 6)):
             u, v = rng.sample(range(nodes), 2)
             lo = rng.randint(0, 2)
             hi = lo + rng.randint(0, 2)
-            net.add_arc(u, v, lo, hi)
-        got = feasible_flow_with_lower_bounds(net)
-        expect = _enumerate_flows(net)
+            arcs.append((u, v, lo, hi))
+        got = feasible_flow_with_lower_bounds(nodes, 0, nodes - 1, arcs)
+        expect = _enumerate_flows(nodes, 0, nodes - 1, arcs)
         assert (got is None) == (expect is None)
         if got is not None:
             balance = [0] * nodes
-            for (u, v, lo, hi), x in zip(net.arcs, got):
+            for (u, v, lo, hi), x in zip(arcs, got):
                 assert lo <= x <= hi
                 balance[u] -= x
                 balance[v] += x
             for i in range(nodes):
-                if i not in (net.source, net.sink):
+                if i not in (0, nodes - 1):
                     assert balance[i] == 0

@@ -264,3 +264,28 @@ def test_sparse_solves_read_values_in_linear_work(algo, build, size):
     record = run_algo(algo, inst)
     assert record["status"] == "ok"
     assert 0 < CountingRow.reads <= 8 * (nnz + inst.m + inst.n)
+
+
+def _gadgets_after_plain_firms(rng, n):
+    """Firms 0 .. n/2 - 1 each own two workers; the other firms come in
+    pairs that share two workers and own one more each, so every gadget
+    pair comes after n/2 plain firms in the peel's (f, g) order."""
+    m = 2 * n
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
+    owners = [(f,) for f in range(n // 2) for _ in range(2)]
+    for f in range(n // 2, n, 2):
+        owners += [(f, f + 1), (f, f + 1), (f,), (f + 1,)]
+    for w, firms in enumerate(owners):
+        for f in firms:
+            worker_vals[w][f] = rng.randint(1, 5)
+            firm_vals[f][w] = rng.randint(1, 5)
+    return [2] * n, worker_vals, firm_vals
+
+
+def test_deg3cap2_gadgets_after_plain_firms_match_reference():
+    inst = Instance.create(*_gadgets_after_plain_firms(random.Random(3), 200))
+    record = run_algo("deg3cap2", inst)
+    assert record["status"] == "ok"
+    with mock.patch.multiple(cli, **REFERENCE_SOLVERS):
+        assert run_algo("deg3cap2", inst) == record
