@@ -34,7 +34,6 @@ from .exact import _best_group_split, _dp_solve
 DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_LADDER_BUDGET = 100_000
 DEFAULT_QPTAS_FIRM_BOUND = 5
-DEFAULT_QPTAS_GUESS_BUDGET = 5_000_000
 
 
 def parse_eps(eps) -> Fraction:
@@ -185,8 +184,7 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
             for f in range(n)
         )
         groups.setdefault(sig, []).append(w)
-    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)],
-                             DEFAULT_QPTAS_GUESS_BUDGET)
+    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])
 
 
 def fptas_polymul(inst: Instance, eps) -> tuple[Matching, NashValue, int]:

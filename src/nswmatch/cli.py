@@ -165,22 +165,34 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _field(spec: dict, key: str, types: tuple, default=None):
+    """spec[key] (or a non-None default when absent), whose type must be
+    exactly one of types: a bool is no int and an int no bool."""
+    value = spec[key] if default is None or key in spec else default
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {'/'.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 def generate_instance(spec: dict) -> generators.GeneratedInstance:
     """The instance a generator spec names: "kind" and that kind's
     parameters, keyed as `generate`'s options are.  random needs m, n,
-    capacities and seed; rainbow needs r and seed.  KeyError, TypeError or
-    ValueError when the spec is malformed."""
+    capacities and seed; rainbow needs r and seed.  m, n, r, seed and v_max
+    are plain ints, density an int or float and strict a bool.  KeyError,
+    TypeError or ValueError when the spec is malformed; BudgetExceededError
+    when a partition's balanced-split search is too large."""
     kind = spec["kind"]
     if kind == "random":
-        m, n, caps = spec["m"], spec["n"], spec["capacities"]
+        m, n, seed = (_field(spec, key, (int,)) for key in ("m", "n", "seed"))
+        caps = spec["capacities"]
         if len(caps) != n:
             raise ValueError("capacities length must equal n")
-        return generators.gen_random(m, n, caps, spec.get("v_max", 5),
-                                     spec.get("density", 1.0), spec["seed"])
+        return generators.gen_random(m, n, caps, _field(spec, "v_max", (int,), 5),
+                                     _field(spec, "density", (int, float), 1.0), seed)
     if kind == "partition":
-        return generators.gen_from_partition(spec["a"], spec.get("strict", False))
+        return generators.gen_from_partition(spec["a"], _field(spec, "strict", (bool,), False))
     if kind == "rainbow":
-        r, seed = spec["r"], spec["seed"]
+        r, seed = _field(spec, "r", (int,)), _field(spec, "seed", (int,))
         triples, planted = generators.gen_random_3dm(r, seed)
         g = generators.gen_rainbow_from_3dm(triples, r, planted)
         idx = {t: k for k, t in enumerate(triples)}
@@ -200,9 +212,9 @@ def cmd_generate(args) -> int:
             # ceil(m / n) workers a firm, at least 1
             spec["capacities"] = [max(1, -(-args.m // args.n))] * args.n if args.n > 0 else []
         gen = generate_instance(spec)
-    except INPUT_ERRORS as exc:
+    except (*INPUT_ERRORS, BudgetExceededError) as exc:
         print(f"cannot generate {args.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
     _dump_json(gen.to_json(), args.out)
     return EXIT_OK
 
@@ -272,6 +284,9 @@ def cmd_bench(args) -> int:
     except INPUT_ERRORS as exc:
         print(f"malformed suite spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BudgetExceededError as exc:
+        print(f"cannot generate a suite instance: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
     results = []
     for inst_id, inst in instances.items():

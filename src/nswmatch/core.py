@@ -3,15 +3,17 @@
 Workers and firms carry nonnegative integer valuations for each other.  A
 matching assigns each worker to at most one firm, subject to firm capacities.
 All welfare comparisons are done on the exact integer Nash product; the
-log-domain welfare is reporting-only.
+log-domain welfare is reporting-only.  positive_entries lists each value
+row's positive indices, from which the polynomial solvers build their
+graphs and check their own degree bounds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Optional, Sequence
 
 UNMATCHED = None
@@ -158,16 +160,6 @@ class NashValue:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    worker_degrees: tuple[int, ...]
-    firm_degrees: tuple[int, ...]
-
-    @property
-    def max_degree(self) -> int:
-        return max(max(self.worker_degrees), max(self.firm_degrees))
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str
     detail: str
@@ -244,30 +236,6 @@ def positive_entries(rows) -> list[tuple[int, ...]]:
     indices come from a tuple, which compress walks without making an int
     per entry as a range would."""
     return list(map(tuple, map(compress, repeat(tuple(range(len(rows[0])))), rows)))
-
-
-def degree_profile(inst: Instance, worker_pos=None, firm_pos=None) -> DegreeProfile:
-    """Degrees in the graph with 0--0 pairs removed: an edge (w, f) survives
-    iff either side values the other positively.
-
-    The edges come from the positive entries of both value matrices
-    (positive_entries of worker_vals and firm_vals, which a caller that has
-    them already may pass in): each worker keeps the firms it values, and
-    one pass over the firm-side positives adds the pairs whose worker gives
-    0.  The work is O(nnz) after the row scans."""
-    worker_pos = positive_entries(inst.worker_vals) if worker_pos is None else worker_pos
-    firm_pos = positive_entries(inst.firm_vals) if firm_pos is None else firm_pos
-    worker_vals = inst.worker_vals
-    wdeg = list(map(len, worker_pos))
-    fdeg = [0] * inst.n
-    for f in chain.from_iterable(worker_pos):
-        fdeg[f] += 1
-    for f, ws in enumerate(firm_pos):
-        for w in ws:
-            if not worker_vals[w][f]:
-                wdeg[w] += 1
-                fdeg[f] += 1
-    return DegreeProfile(tuple(wdeg), tuple(fdeg))
 
 
 def load_instance(path: str) -> Instance:

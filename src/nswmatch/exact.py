@@ -4,13 +4,13 @@
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products; approx.fptas_polymul runs the same DP on
   ladder-level weights.  Each layer visits only the mask and bundle sizes
-  that a full partition can pass through.  The constant-capacity variant
-  (dp2 in cli.SOLVERS) is solve_dp behind a check of
-  DEFAULT_CAPACITY_BOUND.
+  that a full partition can pass through, and the firms' supports come
+  from one scan of each worker row.  The constant-capacity variant (dp2
+  in cli.SOLVERS) is solve_dp behind a check of DEFAULT_CAPACITY_BOUND.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   enumerates assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
-  Its firm, value and guess bounds are the DEFAULT_BUCKET_* constants,
+  Its bounds are DEFAULT_BUCKET_* and the search's DEFAULT_GUESS_BUDGET,
   read at call time.
 """
 
@@ -27,6 +27,7 @@ from .core import (
     NashValue,
     UNMATCHED,
     nash_value,
+    positive_entries,
     zero_fallback,
 )
 from .graphalgs import max_weight_perfect_matching_general
@@ -35,7 +36,7 @@ DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
-DEFAULT_BUCKET_GUESS_BUDGET = 5_000_000
+DEFAULT_GUESS_BUDGET = 5_000_000
 
 
 def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
@@ -72,10 +73,9 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     return mu, nash_value(inst, mu)
 
 
-def _bundle_tables(inst: Instance, f: int, full: int) -> list[int]:
+def _bundle_tables(inst: Instance, f: int, full: int, support: int) -> list[int]:
     """W_f(S) for every bitmask S, via low-bit recurrences over the submasks
-    of f's support; every other S is worth 0."""
-    support = _support(inst, f)
+    of support, the workers who value f; every other S is worth 0."""
     fv = inst.firm_vals[f]
     sums = [0] * (full + 1)
     prods = [1] * (full + 1)
@@ -88,11 +88,6 @@ def _bundle_tables(inst: Instance, f: int, full: int) -> list[int]:
         prods[s] = prods[rest] * inst.worker_vals[low][f]
         values[s] = sums[s] * prods[s]
     return values
-
-
-def _support(inst: Instance, f: int) -> int:
-    """Bitmask of the workers who value firm f positively."""
-    return sum(1 << w for w in range(inst.m) if inst.worker_vals[w][f] > 0)
 
 
 def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
@@ -117,18 +112,16 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
     return subs
 
 
-def _layer_groups(inst: Instance, f: int, full: int, popcount):
+def _layer_groups(inst: Instance, f: int, full: int, popcount, support: int, later: int):
     """The DP layer of firm f: yields (subs, masks) for each t inside f's
     support and size k in the capacity window: the masks S of k bits with
     S & support == t, and the bundles of t that f can value and that leave
     the earlier firms at most their capacity.  Every mask holds all workers
-    whom no later firm values, as no other can complete a positive product.
-    The sizes k <= before + 1 all take bundles of 1..cap bits, so their
-    masks form one group."""
+    outside later, whom no later firm values, as no other can complete a
+    positive product.  The sizes k <= before + 1 all take bundles of
+    1..cap bits, so their masks form one group."""
     before, cap = sum(inst.capacities[:f]), inst.capacities[f]
     lo, hi = inst.m - sum(inst.capacities[f + 1:]), before + cap
-    support = _support(inst, f)
-    later = sum(1 << w for w in range(inst.m) if any(inst.worker_vals[w][f + 1:]))
     fixed = full ^ later
     rest = later & ~support
     # tails[j]: the masks outside the support with j bits of rest
@@ -169,12 +162,21 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
         return *_zero_result(inst), 0
     full = (1 << m) - 1
     popcount = [s.bit_count() for s in range(full + 1)]
+    # support[i]: the workers who value firm i; later[i]: those who value a
+    # firm after i
+    support = [0] * n
+    for w, firms in enumerate(positive_entries(inst.worker_vals)):
+        for f in firms:
+            support[f] |= 1 << w
+    later = [0] * n
+    for i in range(n - 2, -1, -1):
+        later[i] = later[i + 1] | support[i + 1]
 
     def bundle_weights(i: int) -> list[int]:
-        values = _bundle_tables(inst, i, full)
+        values = _bundle_tables(inst, i, full, support[i])
         if weight is not None:
             # a full partition gives firm i at least c_i - slack workers
-            for sub in _sized_submasks(_support(inst, i), caps[i] - slack, caps[i], popcount):
+            for sub in _sized_submasks(support[i], caps[i] - slack, caps[i], popcount):
                 if values[sub]:
                     values[sub] = weight(values[sub])
         return values
@@ -187,7 +189,7 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
         values = bundle_weights(i)
         new = [0] * (full + 1)
         ptr = [0] * (full + 1)
-        for subs, masks in _layer_groups(inst, i, full, popcount):
+        for subs, masks in _layer_groups(inst, i, full, popcount, support[i], later[i]):
             for s in masks:
                 best = 0
                 best_sub = 0
@@ -223,11 +225,10 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     return _dp_solve(inst)[:2]
 
 
-def _best_group_split(
-    inst: Instance, groups: list[list[int]], guess_budget: int
-) -> tuple[Matching, NashValue]:
+def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching, NashValue]:
     """Best matching over all guesses of how many workers of each group go
-    to each firm, with every worker matched.
+    to each firm, with every worker matched; BudgetExceededError when the
+    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time.
 
     Per group, count vectors are tried in increasing lexicographic order,
     and firm f takes the group's next k workers; a firm stops taking at a
@@ -239,7 +240,7 @@ def _best_group_split(
     space = 1
     for workers in groups:
         space *= math.comb(len(workers) + n - 1, n - 1)
-        if space > guess_budget:
+        if space > DEFAULT_GUESS_BUDGET:
             raise BudgetExceededError("bucket guess space exceeds budget")
 
     caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
@@ -316,4 +317,4 @@ def solve_exact_bucketing(inst: Instance) -> tuple[Matching, NashValue]:
     for w in range(inst.m):
         sig = tuple((inst.worker_vals[w][f], inst.firm_vals[f][w]) for f in range(inst.n))
         groups.setdefault(sig, []).append(w)
-    return _best_group_split(inst, list(groups.values()), DEFAULT_BUCKET_GUESS_BUDGET)
+    return _best_group_split(inst, list(groups.values()))

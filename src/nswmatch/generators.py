@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Instance
+from .core import BudgetExceededError, Instance
+
+# subsets the balanced-partition search may try: C(22, 11) fits, C(24, 12) not
+DEFAULT_PARTITION_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -102,11 +105,16 @@ def gen_random(m: int, n: int, capacities, v_max: int, density: float,
 
 
 def has_balanced_partition(a) -> Optional[tuple[int, ...]]:
-    """Subset of size len(a)/2 summing to half the total, if one exists."""
+    """Subset of size len(a)/2 summing to half the total, if one exists.
+    An odd total has none; otherwise BudgetExceededError when there are
+    more than DEFAULT_PARTITION_BUDGET subsets to try."""
     total = sum(a)
     if total % 2:
         return None
     half = len(a) // 2
+    if math.comb(len(a), half) > DEFAULT_PARTITION_BUDGET:
+        raise BudgetExceededError(f"{len(a)} values: C({len(a)}, {half}) subsets exceed "
+                                  f"partition budget {DEFAULT_PARTITION_BUDGET}")
     for combo in combinations(range(len(a)), half):
         if sum(a[i] for i in combo) * 2 == total:
             return combo

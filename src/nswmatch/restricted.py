@@ -11,8 +11,10 @@ The solvers find the pairs they need with one C-level scan of each value
 row for its positive entries (itertools.compress; core.positive_entries
 lists them when they are used more than once) and then index the values
 only at those entries, so past the row scans the work is linear in the
-positive entries, not in m * n.  The symmetric-binary check compares the
-transposed worker matrix with the firm matrix, also at C level.
+positive entries, not in m * n.  The degree-bounded solvers check their
+bound on the graph they build: an edge (w, f) survives when either side
+values the other.  The symmetric-binary check compares the transposed
+worker matrix with the firm matrix, also at C level.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .core import (
     Matching,
     NashValue,
     UNMATCHED,
-    degree_profile,
     firm_bundle_value,
     nash_value,
     positive_entries,
@@ -220,10 +221,9 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     # they already break the bound
     firm_pos = _positive_rows(inst.firm_vals, 2, error)
     worker_pos = _positive_rows(inst.worker_vals, 2, error)
-    if degree_profile(inst, worker_pos, firm_pos).max_degree > 2:
-        raise DomainError(error)
     m, n = inst.m, inst.n
-    # vertices: workers 0..m-1, firms m..m+n-1; each list is increasing
+    # vertices: workers 0..m-1, firms m..m+n-1; each list is increasing.
+    # An edge survives when either side values the other.
     adj = [[] for _ in range(m + n)]
     for w, firms in enumerate(worker_pos):
         for f in firms:
@@ -235,13 +235,14 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
             if not worker_vals[w][f]:
                 insort(adj[w], m + f)
                 insort(adj[m + f], w)
+    if max(map(len, adj)) > 2:
+        raise DomainError(error)
     seen = [False] * (m + n)
     assignment: list = [UNMATCHED] * m
     for start in range(m + n):
         if seen[start]:
             continue
-        comp = _collect_component(adj, seen, start)
-        best = _best_component_matching(inst, adj, comp)
+        best = _best_component_matching(inst, *_component_order(adj, seen, start))
         if best is None:
             return _zero_result(inst)
         for w, f in best.items():
@@ -260,93 +261,62 @@ def _positive_rows(rows, bound: int, error: str) -> list[tuple[int, ...]]:
     return pos
 
 
-def _collect_component(adj, seen, start) -> list[int]:
-    comp = []
-    stack = [start]
+def _component_order(adj, seen, start) -> tuple[list[int], bool]:
+    """The unseen path or cycle whose least vertex is start: marks it seen
+    and returns (its vertices in walk order, whether it is a cycle).  A
+    cycle starts at start and goes first to its lesser neighbour; a path
+    starts at its lesser end."""
     seen[start] = True
-    while stack:
-        node = stack.pop()
-        comp.append(node)
-        for nb in adj[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                stack.append(nb)
-    return comp
+    runs = []
+    for cur in adj[start]:
+        run, last = [], start
+        while not seen[cur]:
+            seen[cur] = True
+            run.append(cur)
+            # on to the neighbour not just left; at a path end, stay put
+            last, cur = cur, next((x for x in adj[cur] if x != last), cur)
+        runs.append(run)
+    if len(runs) == 2 and not runs[1]:  # the first run came back round
+        return [start, *runs[0]], True
+    ahead = runs[0] if runs else []
+    behind = runs[1] if len(runs) == 2 else []
+    order = [*reversed(behind), start, *ahead]
+    return (order if order[0] < order[-1] else order[::-1]), False
 
 
-def _component_candidates(adj, comp, m) -> list[list[tuple[int, int]]]:
-    """Candidate assignments for one path/cycle component, each a list of
-    (worker, firm-vertex) pairs covering every component member that can be
-    covered.  An empty candidate list means no assignment can give every
-    member positive utility."""
-    if len(comp) == 1:
-        return []  # isolated agent always ends with utility 0
-    degs = {v: len(adj[v]) for v in comp}
-    ends = sorted(v for v in comp if degs[v] == 1)
-    if not ends:  # cycle: two alternating perfect matchings
-        order = _walk(adj, comp[0], None, set(comp))
-        cands = []
-        for offset in range(2):
-            pairs = []
-            for i in range(offset, len(order) + offset, 2):
-                a = order[i % len(order)]
-                b = order[(i + 1) % len(order)]
-                pairs.append((a, b) if a < m else (b, a))
-            cands.append(pairs)
-        return cands
-    order = _walk(adj, ends[0], None, set(comp))
-    workers = [v for v in order if v < m]
-    firms = [v for v in order if v >= m]
-    if len(workers) == len(firms):
+def _pair_up(seq, m) -> list[tuple[int, int]]:
+    """(worker, firm-vertex) for each consecutive pair seq[0:2], seq[2:4], ..."""
+    return [(a, b) if a < m else (b, a) for a, b in zip(seq[::2], seq[1::2])]
+
+
+def _component_candidates(order, cycle, m) -> list[list[tuple[int, int]]]:
+    """Candidate assignments for one path/cycle component in walk order,
+    each a list of (worker, firm-vertex) pairs covering every component
+    member that can be covered.  An empty candidate list means no
+    assignment can give every member positive utility, as for an isolated
+    agent or a path with more firms than workers."""
+    if cycle:  # two alternating perfect matchings
+        return [_pair_up(order, m), _pair_up(order[1:] + order[:1], m)]
+    workers = sum(v < m for v in order)
+    firms = len(order) - workers
+    if workers == firms:
         # unique perfect matching: consecutive disjoint pairs along the path
-        pairs = []
-        for i in range(0, len(order), 2):
-            a, b = order[i], order[i + 1]
-            pairs.append((a, b) if a < m else (b, a))
-        return [pairs]
-    if len(workers) == len(firms) + 1:
+        return [_pair_up(order, m)]
+    if workers == firms + 1:
         # worker-led path: one firm takes both neighbors, the rest pair up
-        cands = []
-        for i in range(1, len(order), 2):
-            f = order[i]
-            pairs = [(order[i - 1], f), (order[i + 1], f)]
-            for j in range(0, i - 1, 2):
-                pairs.append(_as_pair(order[j], order[j + 1], m))
-            for j in range(i + 2, len(order) - 1, 2):
-                pairs.append(_as_pair(order[j], order[j + 1], m))
-            cands.append(pairs)
-        return cands
-    # firm-led path: more firms than workers, someone ends at zero
+        return [[(order[i - 1], order[i]), (order[i + 1], order[i]),
+                 *_pair_up(order[:i - 1], m), *_pair_up(order[i + 2:], m)]
+                for i in range(1, len(order), 2)]
     return []
 
 
-def _as_pair(a, b, m):
-    return (a, b) if a < m else (b, a)
-
-
-def _walk(adj, start, prev, members) -> list[int]:
-    """Vertices of a path (from an endpoint) or cycle (from any vertex) in
-    traversal order."""
-    order = [start]
-    cur, last = start, prev
-    while True:
-        nxt = [x for x in adj[cur] if x != last]
-        if not nxt:
-            break
-        last, cur = cur, nxt[0]
-        if cur == start:
-            break
-        order.append(cur)
-    assert len(order) == len(members)
-    return order
-
-
-def _best_component_matching(inst, adj, comp) -> Optional[dict[int, int]]:
+def _best_component_matching(inst, order, cycle) -> Optional[dict[int, int]]:
+    """The best-scoring candidate as {worker: firm}; None when no candidate
+    fits the capacities with a positive product."""
     m = inst.m
-    cands = _component_candidates(adj, comp, m)
     best_prod = 0
     best = None
-    for pairs in cands:
+    for pairs in _component_candidates(order, cycle, m):
         loads: dict[int, int] = {}
         for _w, fv in pairs:
             loads[fv] = loads.get(fv, 0) + 1
@@ -363,8 +333,6 @@ def _best_component_matching(inst, adj, comp) -> Optional[dict[int, int]]:
         if prod > best_prod:
             best_prod = prod
             best = {w: fv - m for w, fv in pairs}
-    if best_prod == 0:
-        return None
     return best
 
 
@@ -383,19 +351,19 @@ def solve_degree3_capacity2(
     """
     error = "a firm has degree above 3"
     firm_pos = _positive_rows(inst.firm_vals, 3, error)
-    worker_pos = positive_entries(inst.worker_vals)
-    if max(degree_profile(inst, worker_pos, firm_pos).firm_degrees) > 3:
-        raise DomainError(error)
     m, n = inst.m, inst.n
-    if m != 2 * n or any(c < 2 for c in inst.capacities):
-        return None
     # workers usable by a firm: the worker must value the firm, or its own
     # utility would be zero
     columns = [[] for _ in range(n)]
-    for w, firms in enumerate(worker_pos):
+    for w, firms in enumerate(positive_entries(inst.worker_vals)):
         for f in firms:
             columns[f].append(w)
     nbrs = [frozenset(workers) for workers in columns]
+    # a firm's edges join the workers it values or that value it
+    if any(len(nb.union(pos)) > 3 for nb, pos in zip(nbrs, firm_pos)):
+        raise DomainError(error)
+    if m != 2 * n or any(c < 2 for c in inst.capacities):
+        return None
     live_firms = set(range(n))
     live_workers = set(range(m))
     assignment: list = [UNMATCHED] * m

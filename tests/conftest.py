@@ -7,6 +7,7 @@ import random
 import pytest
 
 from nswmatch.core import Instance
+from reference_support import degree_profile
 
 
 def crossing_example() -> Instance:
@@ -85,7 +86,6 @@ def random_degree3_cap2(rng: random.Random) -> Instance:
                 worker_vals[w][f] = rng.randint(1, 4)
                 firm_vals[f][w] = rng.randint(0, 4)
         inst = Instance.create([2] * n, worker_vals, firm_vals)
-        from nswmatch.core import degree_profile
         if max(degree_profile(inst).firm_degrees) <= 3:
             return inst
 

@@ -125,7 +125,8 @@ def build_single_firm_poly(
         raise ValueError(f"bundle size {s} exceeds capacity {inst.capacities[j]}")
     m = inst.m
     full = (1 << m) - 1
-    values = _bundle_tables(inst, j, full)
+    support = sum(1 << w for w in range(m) if inst.worker_vals[w][j] > 0)
+    values = _bundle_tables(inst, j, full, support)
     bits = 0
     # the empty bundle has value 0, below every ladder level, so s = 0
     # always yields the zero polynomial via the same test

@@ -12,11 +12,11 @@ and its feasibility flow from here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from nswmatch.core import (
-    DegreeProfile,
     DomainError,
     Instance,
     Matching,
@@ -32,9 +32,22 @@ from nswmatch.graphalgs import (
 )
 from nswmatch.restricted import (
     _best_component_matching,
-    _collect_component,
+    _component_order,
     _pairs_within,
 )
+
+
+@dataclass(frozen=True)
+class DegreeProfile:
+    """Degrees in the graph with 0--0 pairs removed: an edge (w, f)
+    survives iff either side values the other positively."""
+
+    worker_degrees: tuple[int, ...]
+    firm_degrees: tuple[int, ...]
+
+    @property
+    def max_degree(self) -> int:
+        return max(max(self.worker_degrees), max(self.firm_degrees))
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:
@@ -126,8 +139,7 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     for start in range(m + n):
         if seen[start]:
             continue
-        comp = _collect_component(adj, seen, start)
-        best = _best_component_matching(inst, adj, comp)
+        best = _best_component_matching(inst, *_component_order(adj, seen, start))
         if best is None:
             return _zero_result(inst)
         for w, f in best.items():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from nswmatch import approx, exact
+from nswmatch import exact
 from nswmatch.approx import qptas_bucketing
 from nswmatch.core import BudgetExceededError, DomainError, Instance
 from nswmatch.exact import solve_exact_bucketing
@@ -75,9 +75,8 @@ def test_qptas_matches_reference(shape):
 def test_guess_budget_matches_reference(monkeypatch):
     inst = Instance.create([6, 6], [[1, 2]] * 6 + [[2, 1]] * 6, [[1] * 12, [2] * 12])
     for budget in (1, 6, 48, 49, 10 ** 6):
-        # the solvers read their budgets at call time
-        monkeypatch.setattr(exact, "DEFAULT_BUCKET_GUESS_BUDGET", budget)
-        monkeypatch.setattr(approx, "DEFAULT_QPTAS_GUESS_BUDGET", budget)
+        # both solvers read the one search budget at call time
+        monkeypatch.setattr(exact, "DEFAULT_GUESS_BUDGET", budget)
         assert (_outcome(solve_exact_bucketing, inst)
                 == _outcome(plain_buckets, inst, 5, 8, budget))
         assert (_outcome(qptas_bucketing, inst, "1/2")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,12 +188,47 @@ def test_bench_without_oracle_has_empty_ratio(tmp_path):
     {"instances": [{**SUITE["instances"][0], "id": 7}]},
     # two instances under one id would share one oracle row
     {"instances": [{**entry, "id": "p"} for entry in SUITE["instances"][:2]]},
+    # generator fields take exact types: a null seed would seed from the OS,
+    # and a bool or a float would pass as some other number
+    *({"instances": [{**SUITE["instances"][0], key: value}]} for key, value in [
+        ("seed", None), ("seed", True), ("seed", "abc"), ("seed", 1.5),
+        ("m", True), ("density", True), ("v_max", True)]),
+    {"instances": [{"id": "r", "kind": "rainbow", "r": True, "seed": 1}]},
+    {"instances": [{"id": "q", "kind": "partition", "a": [1, 2, 3, 4], "strict": 1}]},
 ])
 def test_bench_suite_field_errors_exit_2(tmp_path, capsys, change):
     suite = {"instances": SUITE["instances"][:2], "algos": [{"name": "oracle"}], **change}
     assert main(["bench", _write(tmp_path / "suite.json", suite)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
+def test_integer_density_is_valid():
+    entry = SUITE["instances"][0]
+    assert (generate_instance({**entry, "density": 1}).instance
+            == generate_instance(entry).instance)
+
+
+def test_partition_search_over_budget_exits_4(tmp_path, capsys):
+    """40 values have C(40, 20) balanced-split candidates: with an even
+    total the search is refused before it starts; an odd total has no
+    split, so the instance is built without a certificate."""
+    values = list(range(1, 40))
+    even, odd = values + [1000], values + [1001]
+    suite = {"instances": [{"id": "big", "kind": "partition", "a": even}],
+             "algos": [{"name": "dp"}]}
+    start = time.perf_counter()
+    for argv in (["generate", "--kind", "partition", "--a", ",".join(map(str, even))],
+                 ["bench", _write(tmp_path / "suite.json", suite)]):
+        assert main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert time.perf_counter() - start < 1
+    out = tmp_path / "odd.json"
+    assert main(["generate", "--kind", "partition", "--a", ",".join(map(str, odd)),
+                 "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["certificate"] is None and meta["theta"] is None
 
 
 def test_bench_entry_and_generate_give_one_instance(tmp_path):

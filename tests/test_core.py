@@ -11,7 +11,6 @@ from nswmatch.core import (
     Matching,
     UNMATCHED,
     all_utilities,
-    degree_profile,
     firm_bundle_value,
     nash_value,
     utilitarian_welfare,
@@ -83,17 +82,6 @@ def test_validate():
     bad = Matching.of([7, 0])
     assert validate(inst, bad).kind == "range"
     assert validate(inst, Matching.of([0])).kind == "shape"
-
-
-def test_degree_profile():
-    inst = crossing_example()
-    prof = degree_profile(inst)
-    # every pair of the crossing example has at least one positive side
-    assert prof.worker_degrees == (2, 2)
-    assert prof.firm_degrees == (2, 2)
-    assert prof.max_degree == 2
-    zero = Instance.create((1,), [[0], [0]], [[0, 0]])
-    assert degree_profile(zero).max_degree == 0
 
 
 def test_binarize():

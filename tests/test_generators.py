@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nswmatch.core import degree_profile, utilitarian_welfare
+from nswmatch.core import BudgetExceededError, utilitarian_welfare
 from nswmatch.generators import (
     GeneratedInstance,
     RainbowGraph,
@@ -17,6 +17,7 @@ from nswmatch.generators import (
 )
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import find_rainbow_pm
+from reference_support import degree_profile
 
 # a restricted-family rainbow graph with no rainbow perfect matching,
 # found by random search over degree-3 triple systems and verified by
@@ -55,6 +56,13 @@ def test_partition_no_instance_below_threshold():
     g = gen_from_partition(a)
     threshold = 81 * math.prod(a)
     assert solve_bruteforce(g.instance).value.product < threshold
+
+
+def test_partition_search_budget():
+    # C(24, 12) subsets exceed the budget, an odd total needs no search
+    with pytest.raises(BudgetExceededError):
+        has_balanced_partition(tuple(range(1, 24)) + (1_000_000,))
+    assert has_balanced_partition(tuple(range(1, 24)) + (1_000_001,)) is None
 
 
 def test_partition_correspondence_sweep():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_symbin
+from nswmatch.cli import run_algo
 from nswmatch.core import DomainError, Instance, Matching, nash_value, validate
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
@@ -158,6 +159,33 @@ def test_deg2_rejects_high_degree():
         solve_degree_two(inst)
 
 
+def from_edges(caps, m, edges):
+    """The instance whose pair (w, f) has values edges[w, f] = (v_wf, v_fw),
+    and 0 on every other pair."""
+    n = len(caps)
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
+    for (w, f), (v_wf, v_fw) in edges.items():
+        worker_vals[w][f], firm_vals[f][w] = v_wf, v_fw
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
+@pytest.mark.parametrize("at_bound, extra", [
+    # w0 values f0 only; f1 and f2 value w0 one-sidedly
+    ({(0, 0): (1, 1), (0, 1): (0, 1), (1, 1): (1, 1), (2, 2): (1, 1)}, {(0, 2): (0, 1)}),
+    # f0 values w0 only; w1 and w2 value f0 one-sidedly
+    ({(0, 0): (1, 1), (1, 0): (1, 0), (1, 1): (1, 1), (2, 2): (1, 1)}, {(2, 0): (1, 0)}),
+])
+def test_deg2_one_sided_edges_count_toward_degree(at_bound, extra):
+    """An edge survives when either side is positive, so a one-sided edge
+    pushes an agent past degree 2 although its own row has one positive."""
+    caps = (1, 1, 1)
+    assert run_algo("deg2", from_edges(caps, 3, at_bound))["status"] == "ok"
+    over = run_algo("deg2", from_edges(caps, 3, {**at_bound, **extra}))
+    assert over["status"] == "infeasible-domain"
+    assert over["error"] == "an agent has degree above 2"
+
+
 def test_deg2_oracle_agreement():
     rng = random.Random(67)
     for _ in range(200):
@@ -213,6 +241,21 @@ def test_deg3cap2_rejects_high_degree():
         (2,), [[1], [1], [1], [1]], [[1, 1, 1, 1]])
     with pytest.raises(DomainError):
         solve_degree3_capacity2(inst)
+
+
+@pytest.mark.parametrize("third, fourth", [
+    ((1, 0), (1, 0)),  # worker-only pairs: f0's row has two positives
+    ((1, 0), (0, 1)),  # the fourth from a firm-only pair: three positives
+    ((0, 1), (1, 0)),  # the third firm-only, the fourth worker-only
+])
+def test_deg3cap2_one_sided_edges_count_toward_degree(third, fourth):
+    """f0 has w0 and w1 on both sides, w2 on one side and, past the bound,
+    w3 on one side."""
+    edges = {(0, 0): (1, 1), (1, 0): (1, 1), (2, 0): third, (2, 1): (1, 1), (3, 1): (1, 1)}
+    assert run_algo("deg3cap2", from_edges((2, 2), 4, edges))["status"] == "ok"
+    over = run_algo("deg3cap2", from_edges((2, 2), 4, {**edges, (3, 0): fourth}))
+    assert over["status"] == "infeasible-domain"
+    assert over["error"] == "a firm has degree above 3"
 
 
 def test_deg3cap2_odd_worker_count_is_no_instance():
