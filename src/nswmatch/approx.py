@@ -2,10 +2,11 @@
 
 - greedy_submodular: pairwise greedy on the log-modified firm valuations;
   the square-root-of-optimum Nash bound is checked empirically by the suite.
-- qptas_bucketing: groups workers by geometric value-bucket signature and
-  runs the count-split search of exact.solve_exact_bucketing on the groups:
-  it guesses how many workers of each group go to each firm, realizes each
-  guess canonically and scores it exactly.
+- qptas_bucketing: groups workers by geometric value-bucket signature,
+  bucketing each distinct value once, and runs the count-split search of
+  exact.solve_exact_bucketing on the groups: it guesses how many workers of
+  each group go to each firm, realizes each guess canonically and scores
+  it exactly, dropping the guesses an exact upper bound shows cannot win.
 - fptas_polymul: set-polynomial scheme over a geometric level ladder; it
   needs, per worker subset, only the best reachable ladder level (the
   polynomial tables are monotone in the level, so this loses nothing), and
@@ -176,13 +177,13 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     else:
         k = ladder.level_of(inst.v_max)
         tau = max(1, k if ladder.power_equals(inst.v_max, k) else k + 1)
+    # each distinct value is bucketed once
+    bucket = {v: _bucket_index(ladder, tau, v)
+              for rows in (inst.worker_vals, inst.firm_vals) for v in set().union(*rows)}
     groups: dict[tuple, list[int]] = {}
     for w in range(m):
-        sig = tuple(
-            (_bucket_index(ladder, tau, inst.worker_vals[w][f]),
-             _bucket_index(ladder, tau, inst.firm_vals[f][w]))
-            for f in range(n)
-        )
+        sig = tuple((bucket[inst.worker_vals[w][f]], bucket[inst.firm_vals[f][w]])
+                    for f in range(n))
         groups.setdefault(sig, []).append(w)
     return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])
 

@@ -93,10 +93,15 @@ def gen_random(m: int, n: int, capacities, v_max: int, density: float,
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)
+    # rng.randint(1, v_max) as CPython draws it: k random bits until they
+    # fall below v_max, plus one
+    getrandbits, uniform, k = rng.getrandbits, rng.random, v_max.bit_length()
 
     def cell() -> int:
-        v = rng.randint(1, v_max)
-        return v if rng.random() < density else 0
+        v = getrandbits(k)
+        while v >= v_max:
+            v = getrandbits(k)
+        return v + 1 if uniform() < density else 0
 
     worker_vals = [[cell() for _ in range(n)] for _ in range(m)]
     firm_vals = [[cell() for _ in range(m)] for _ in range(n)]

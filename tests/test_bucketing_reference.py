@@ -1,18 +1,22 @@
 """buckets and qptas against the plain searches in reference_bucketing.py.
 
-Both solvers now run one count-split search (exact._best_group_split), so
-they must agree with the plain copies exactly: the same assignment (the same
-tie-break), the same product, and the same domain and budget errors.
+Both solvers now run one count-split search (exact._best_group_split), a
+branch and bound, so they must agree with the plain copies, which score
+every guess, exactly: the same assignment (the same tie-break), the same
+product, and the same domain and budget errors.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch import exact
 from nswmatch.approx import qptas_bucketing
 from nswmatch.core import BudgetExceededError, DomainError, Instance
-from nswmatch.exact import solve_exact_bucketing
+from nswmatch.exact import solve_dp, solve_exact_bucketing
+from nswmatch.generators import gen_random
 from reference_bucketing import plain_buckets, plain_qptas
 
 BIG = 2 ** 53
@@ -81,3 +85,53 @@ def test_guess_budget_matches_reference(monkeypatch):
                 == _outcome(plain_buckets, inst, 5, 8, budget))
         assert (_outcome(qptas_bucketing, inst, "1/2")
                 == _outcome(plain_qptas, inst, "1/2", 5, budget))
+
+
+@st.composite
+def split_instances(draw):
+    """Instances for the count-split search: exact ties, near-ties (values
+    one apart), values from 2^53 to 10^30, all-zero rows, zero capacities,
+    total capacity below m, m < n, m = 1 and n = 5.  m stays small enough
+    for the plain searches, which score every guess."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["any", "short", "m_below_n", "one_worker"]))
+    m = {"m_below_n": max(1, n - 1), "one_worker": 1}.get(
+        shape, draw(st.integers(1, 6 if n >= 4 else 8)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.choice([1, 2, rng.randint(BIG, 10 ** 30)])
+    pool = draw(st.sampled_from([
+        [0, base, base, 2 * base],          # exact ties
+        [0, base, base + 1, base + 2],      # near-ties
+        [0] + [rng.randint(BIG, 10 ** 30) for _ in range(3)],
+        [1, 2, 3],
+    ]))
+    caps = [rng.randint(0, 3) for _ in range(n)]
+    if shape == "short":
+        caps = [0] * n
+        for _ in range(rng.randrange(m)):
+            caps[rng.randrange(n)] += 1
+    worker_vals = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    firm_vals = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.2:
+        worker_vals[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.2:
+        firm_vals[rng.randrange(n)] = [0] * m
+    if rng.random() < 0.2:
+        caps[rng.randrange(n)] = 0
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_instances(), st.sampled_from(["1/7", "1/2", "1/1", "3/1"]))
+def test_branch_and_bound_matches_plain_search(inst, eps):
+    # bound on every guess space, however small
+    with mock.patch.object(exact, "_BOUND_MIN_GUESSES", 0):
+        assert _outcome(solve_exact_bucketing, inst) == _outcome(plain_buckets, inst)
+        assert _outcome(qptas_bucketing, inst, eps) == _outcome(plain_qptas, inst, eps)
+
+
+def test_buckets_matches_dp_where_plain_search_is_slow():
+    # eleven singleton groups: the plain search scores 4^11 guesses here
+    inst = gen_random(11, 4, [3] * 4, v_max=2, density=1, seed=7).instance
+    _, value = solve_exact_bucketing(inst)
+    assert value.product == solve_dp(inst)[1].product > 0

@@ -43,6 +43,30 @@ def test_gen_random_deterministic():
     assert a.to_json() != c.to_json()
 
 
+def _randint_values(m, n, v_max, density, seed):
+    """The values gen_random must draw: rng.randint(1, v_max), then one
+    rng.random() against density, per cell."""
+    rng = random.Random(seed)
+
+    def cell():
+        v = rng.randint(1, v_max)
+        return v if rng.random() < density else 0
+
+    worker_vals = [[cell() for _ in range(n)] for _ in range(m)]
+    firm_vals = [[cell() for _ in range(m)] for _ in range(n)]
+    return worker_vals, firm_vals
+
+
+@pytest.mark.parametrize("v_max", [1, 2, 5, 7, 8, 10 ** 18, 2 ** 64, 2 ** 64 + 1])
+@pytest.mark.parametrize("density", [0.3, 1])
+def test_gen_random_draws_as_randint(v_max, density):
+    for seed in range(5):
+        inst = gen_random(9, 4, (3, 3, 3, 3), v_max, density, seed).instance
+        worker_vals, firm_vals = _randint_values(9, 4, v_max, density, seed)
+        assert [list(row) for row in inst.worker_vals] == worker_vals
+        assert [list(row) for row in inst.firm_vals] == firm_vals
+
+
 def test_partition_yes_threshold():
     g = gen_from_partition((1, 2, 3, 4))
     assert g.theta == (600, 1, 6)
