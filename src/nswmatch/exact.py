@@ -42,7 +42,6 @@ DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
 DEFAULT_GUESS_BUDGET = 5_000_000
-_BOUND_MIN_GUESSES = 64
 
 
 def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
@@ -241,17 +240,17 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
     worker who values it at 0.  Guesses are scored exactly and the first
     strict maximiser wins.
 
-    On more than _BOUND_MIN_GUESSES guesses the search is a branch and
-    bound.  Before each group it bounds every completion in exact integers:
-    the product so far, times each unplaced worker's largest value, times,
-    per firm f, firm_sums[f] + free_f * (f's largest value of an unplaced
-    worker), where free_f is the room f has left, capped at the number of
-    unplaced workers.  A subtree is dropped when its bound is at most the
-    best product so far, or when the free_f sum to fewer than the unplaced
-    workers.  None of its guesses can then beat the best strictly, so the
-    first strict maximiser, and with it the matching returned, is the one
-    the full search finds.  The suffix tables behind the bound take O(m*n)
-    per solve; bounding at each firm step as well costs more than it drops.
+    The search is a branch and bound.  Before each group it bounds every
+    completion in exact integers: the product so far, times each unplaced
+    worker's largest value, times, per firm f, firm_sums[f] + free_f * (f's
+    largest value of an unplaced worker), where free_f is the room f has
+    left, capped at the number of unplaced workers.  A subtree is dropped
+    when its bound is at most the best product so far, or when the free_f
+    sum to fewer than the unplaced workers.  None of its guesses can then
+    beat the best strictly, so the first strict maximiser, and with it the
+    matching returned, is the one the full search finds.  The suffix tables
+    behind the bound take O(m*n) per solve; bounding at each firm step as
+    well costs more than it drops.
     """
     n = inst.n
     # distributions of each group across firms
@@ -260,18 +259,25 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
         space *= math.comb(len(workers) + n - 1, n - 1)
         if space > DEFAULT_GUESS_BUDGET:
             raise BudgetExceededError("bucket guess space exceeds budget")
-    # on a small guess space the bound costs more than the guesses it drops
-    bounded = space > _BOUND_MIN_GUESSES
 
     caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
-    if bounded:
-        # suffix tables over the workers in reverse search order: with j
-        # of them left, the product of their largest values top[j], and
-        # each firm's largest value of one of them fmax[f][j]
-        order = [w for workers in reversed(groups) for w in workers]
-        unplaced = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
-        top = list(accumulate(map(max, map(worker_vals.__getitem__, order)), mul, initial=1))
-        fmax = [list(accumulate(map(fv.__getitem__, order), max, initial=0)) for fv in firm_vals]
+    # suffix tables over the workers in reverse search order: with j of
+    # them left, the product of their largest values top[j], and each
+    # firm's largest value of one of them fmax[f][j]
+    order = [w for workers in reversed(groups) for w in workers]
+    unplaced = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
+    top = list(accumulate(map(max, map(worker_vals.__getitem__, order)), mul, initial=1))
+    fmax = []
+    for fv in firm_vals:
+        # a plain loop: accumulate(..., max) calls max(a, b) per worker,
+        # several times slower
+        largest = 0
+        col = [0]
+        for w in order:
+            if fv[w] > largest:
+                largest = fv[w]
+            col.append(largest)
+        fmax.append(col)
     loads = [0] * n
     firm_sums = [0] * n
     assignment: list = [UNMATCHED] * inst.m
@@ -287,16 +293,15 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
                 best_product = prod
                 best = list(assignment)
             return
-        if bounded:
-            left = unplaced[t]
-            room = 0
-            bound = prod * top[left]
-            for cap, load, s, largest in zip(caps, loads, firm_sums, fmax):
-                free = min(left, cap - load)
-                room += free
-                bound *= s + free * largest[left]
-            if room < left or bound <= best_product:
-                return
+        left = unplaced[t]
+        room = 0
+        bound = prod * top[left]
+        for cap, load, s, largest in zip(caps, loads, firm_sums, fmax):
+            free = min(left, cap - load)
+            room += free
+            bound *= s + free * largest[left]
+        if room < left or bound <= best_product:
+            return
         workers = groups[t]
 
         def split(f: int, pos: int, prod: int):

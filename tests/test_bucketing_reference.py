@@ -7,7 +7,6 @@ product, and the same domain and budget errors.
 """
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,10 +123,8 @@ def split_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(split_instances(), st.sampled_from(["1/7", "1/2", "1/1", "3/1"]))
 def test_branch_and_bound_matches_plain_search(inst, eps):
-    # bound on every guess space, however small
-    with mock.patch.object(exact, "_BOUND_MIN_GUESSES", 0):
-        assert _outcome(solve_exact_bucketing, inst) == _outcome(plain_buckets, inst)
-        assert _outcome(qptas_bucketing, inst, eps) == _outcome(plain_qptas, inst, eps)
+    assert _outcome(solve_exact_bucketing, inst) == _outcome(plain_buckets, inst)
+    assert _outcome(qptas_bucketing, inst, eps) == _outcome(plain_qptas, inst, eps)
 
 
 def test_buckets_matches_dp_where_plain_search_is_slow():
