@@ -209,7 +209,16 @@ def fptas_polymul(inst: Instance, eps) -> tuple[Matching, NashValue, int]:
         raise BudgetExceededError(
             f"m={inst.m} exceeds bitmask budget {DEFAULT_FPTAS_BUDGET}")
     ladder = LevelLadder(eps, inst.m, inst.n, inst.v_max)
-    mu, value, weight = _dp_solve(inst, lambda v: 1 << ladder.level_of(v))
-    level = weight.bit_length() - 1
+    # bundle values repeat, so each distinct one is leveled once
+    weights: dict[int, int] = {}
+
+    def weight(v: int) -> int:
+        w = weights.get(v)
+        if w is None:
+            w = weights[v] = 1 << ladder.level_of(v)
+        return w
+
+    mu, value, top = _dp_solve(inst, weight)
+    level = top.bit_length() - 1
     assert level < 0 or ladder.value_at_least(value.product, level)
     return mu, value, level

@@ -1,10 +1,21 @@
 """Brute-force reference solver.
 
 This is the ground truth for the test suite, not a scalable solver.  The
-search assigns workers in index order.  Branches whose partial product is
-already zero are closed immediately with a zero-product completion: any
-completion of such a branch scores zero, so expanding it cannot change the
-optimum.  Every matching with positive Nash product is enumerated explicitly.
+search assigns workers in index order, each to its positively valued firms
+in index order.  Its first node closes a zero-product completion, every
+worker unmatched: any branch whose partial product is zero scores zero, so
+expanding it cannot change the optimum.  Every matching with positive
+worker product is then enumerated explicitly.
+
+The search is an explicit-stack loop, so its depth is not bounded by
+Python's recursion limit.  Each firm's sum of its workers' values is kept
+up to date as the search goes down and undone on backtrack, so a leaf costs
+O(n), not an O(m) rescan of the assignment; the last worker's options are
+scored in one loop without a further descent.  The budget counts the zero
+completion and every complete matching with positive worker product, the
+leaves of the recursive form in tests/reference_oracle.py, which rebuilds
+the firm sums at each leaf; the two must agree on matching, product and
+leaf count.
 """
 
 from __future__ import annotations
@@ -30,51 +41,92 @@ class OracleResult:
 
 
 def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
-    """Exact maximizer of the Nash product over capacity-feasible matchings.
+    """Exact maximizer of the Nash product over capacity-feasible matchings;
+    ties go to the first complete matching enumerated.
 
     Raises BudgetExceededError when more than `limit` complete matchings
     would be examined.
     """
+    # the zero-product completion at the root is the first leaf
+    count, best = 1, None
+    if count > limit:
+        raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
+    # a complete matching needs room for every worker and a positive option
+    # for each; without them the zero completion is the only leaf
+    if sum(inst.capacities) >= inst.m and all(map(any, inst.worker_vals)):
+        count, best = _enumerate(inst, limit)
+    best = zero_fallback(inst) if best is None else Matching.of(best)
+    return OracleResult(best, nash_value(inst, best), count)
+
+
+def _enumerate(inst: Instance, limit: int) -> tuple[int, list | None]:
+    """The search below the root: the leaf count, the zero completion
+    included, and the first assignment of largest positive product (None
+    when no leaf is positive)."""
     m, n = inst.m, inst.n
+    firm_vals = inst.firm_vals
+    # each worker's positive options (firm, worker value, firm value); a
+    # plain loop, as a nested comprehension costs a call per row on 3.11
+    options = []
+    for w, row in enumerate(inst.worker_vals):
+        row_options = []
+        for f, v in enumerate(row):
+            if v:
+                row_options.append((f, v, firm_vals[f][w]))
+        options.append(row_options)
     slack = list(inst.capacities)
+    sums = [0] * n
     assignment: list = [UNMATCHED] * m
-    state = {"best_product": -1, "best": None, "count": 0}
+    last = m - 1
+    last_options = options[last]
+    count, best_product, best = 1, 0, None
 
-    def close_leaf(product: int):
-        state["count"] += 1
-        if state["count"] > limit:
-            raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
-        if product > state["best_product"]:
-            state["best_product"] = product
-            state["best"] = list(assignment)
+    def score(worker_prod: int):
+        # workers 0..last-1 are assigned: each option of the last one is a leaf
+        nonlocal count, best_product, best
+        for f, v, fv in last_options:
+            if slack[f]:
+                count += 1
+                if count > limit:
+                    raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
+                sums[f] += fv
+                product = worker_prod * v
+                for s in sums:
+                    product *= s
+                sums[f] -= fv
+                if product > best_product:
+                    best_product = product
+                    best = assignment[:last] + [f]
 
-    def search(w: int, worker_prod: int):
-        if w == m:
-            # workers all matched positively; add firm utilities
-            firm_sums = [0] * n
-            for wi, f in enumerate(assignment):
-                firm_sums[f] += inst.firm_vals[f][wi]
-            product = worker_prod
-            for s in firm_sums:
-                product *= s
-            close_leaf(product)
-            return
-        # zero-product completion (worker unmatched or matched at value 0)
-        if state["best_product"] < 0:
-            close_leaf(0)
-        for f in range(n):
-            v = inst.worker_vals[w][f]
-            if v > 0 and slack[f] > 0:
-                slack[f] -= 1
-                assignment[w] = f
-                search(w + 1, worker_prod * v)
-                assignment[w] = UNMATCHED
-                slack[f] += 1
-
-    search(0, 1)
-    if state["best_product"] <= 0:
-        best = zero_fallback(inst)
-        return OracleResult(best, nash_value(inst, best), state["count"])
-    best = Matching.of(state["best"])
-    return OracleResult(best, nash_value(inst, best), state["count"])
-
+    if last == 0:
+        score(1)
+        return count, best
+    # per depth below w: the option iterator and the worker product before
+    # that depth's choice; assignment[w] is the choice itself
+    iters: list = [None] * last
+    prods = [1] * last
+    w, it, worker_prod = 0, iter(options[0]), 1
+    while True:
+        for f, v, fv in it:
+            if slack[f]:
+                break
+        else:
+            w -= 1
+            if w < 0:
+                return count, best
+            f = assignment[w]
+            slack[f] += 1
+            sums[f] -= firm_vals[f][w]
+            it, worker_prod = iters[w], prods[w]
+            continue
+        slack[f] -= 1
+        sums[f] += fv
+        assignment[w] = f
+        if w + 1 == last:
+            score(worker_prod * v)
+            slack[f] += 1
+            sums[f] -= fv
+        else:
+            iters[w], prods[w] = it, worker_prod
+            w += 1
+            it, worker_prod = iter(options[w]), worker_prod * v

@@ -1,10 +1,13 @@
-"""Brute-force references for the fixed-demand and feasibility solvers and
-for the rainbow generator.
+"""Brute-force references for the oracle, the fixed-demand and feasibility
+solvers and the rainbow generator.
 
-Like the oracle, these enumerate assignments worker by worker; they answer
-narrower questions than the oracle does (fixed per-firm loads, existence of a
-positive product) and are only used to check solvers in the test suite.
-find_rainbow_pm enumerates one edge per color of a rainbow graph.
+solve_bruteforce is the oracle's earlier recursive form, kept unchanged: it
+rebuilds every firm's sum at each leaf, and the iterative oracle must return
+its matching, product and leaf count.  The others enumerate assignments
+worker by worker, like the oracle; they answer narrower questions than the
+oracle does (fixed per-firm loads, existence of a positive product) and are
+only used to check solvers in the test suite.  find_rainbow_pm enumerates
+one edge per color of a rainbow graph.
 """
 
 from __future__ import annotations
@@ -12,8 +15,67 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
-from nswmatch.core import Instance, Matching, NashValue, UNMATCHED, nash_value
+from nswmatch.core import (
+    BudgetExceededError,
+    Instance,
+    Matching,
+    NashValue,
+    UNMATCHED,
+    nash_value,
+    zero_fallback,
+)
 from nswmatch.generators import RainbowGraph
+from nswmatch.oracle import OracleResult
+
+
+def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
+    """Exact maximizer of the Nash product over capacity-feasible matchings.
+
+    Raises BudgetExceededError when more than `limit` complete matchings
+    would be examined.
+    """
+    m, n = inst.m, inst.n
+    slack = list(inst.capacities)
+    assignment: list = [UNMATCHED] * m
+    state = {"best_product": -1, "best": None, "count": 0}
+
+    def close_leaf(product: int):
+        state["count"] += 1
+        if state["count"] > limit:
+            raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
+        if product > state["best_product"]:
+            state["best_product"] = product
+            state["best"] = list(assignment)
+
+    def search(w: int, worker_prod: int):
+        if w == m:
+            # workers all matched positively; add firm utilities
+            firm_sums = [0] * n
+            for wi, f in enumerate(assignment):
+                firm_sums[f] += inst.firm_vals[f][wi]
+            product = worker_prod
+            for s in firm_sums:
+                product *= s
+            close_leaf(product)
+            return
+        # zero-product completion (worker unmatched or matched at value 0)
+        if state["best_product"] < 0:
+            close_leaf(0)
+        for f in range(n):
+            v = inst.worker_vals[w][f]
+            if v > 0 and slack[f] > 0:
+                slack[f] -= 1
+                assignment[w] = f
+                search(w + 1, worker_prod * v)
+                assignment[w] = UNMATCHED
+                slack[f] += 1
+
+    search(0, 1)
+    if state["best_product"] <= 0:
+        best = zero_fallback(inst)
+        return OracleResult(best, nash_value(inst, best), state["count"])
+    best = Matching.of(state["best"])
+    return OracleResult(best, nash_value(inst, best), state["count"])
 
 
 def solve_bruteforce_exact_loads(

@@ -15,6 +15,7 @@ from nswmatch.approx import (
     parse_eps,
     qptas_bucketing,
 )
+from nswmatch.exact import _dp_solve
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
 from reference_approx import (
@@ -296,6 +297,26 @@ def test_fptas_single_firm_tight():
         opt = solve_bruteforce(inst).value.product
         _mu, value, _level = fptas_polymul(inst, "1/1")
         assert value.product * 4 >= opt >= value.product
+
+
+def test_fptas_levels_each_value_once(monkeypatch):
+    """The per-solve weight cache gives the same matching, product and
+    level as leveling every bundle value afresh, and levels each distinct
+    value once."""
+    rng = random.Random(44)
+    calls = []
+    level_of = LevelLadder.level_of
+    monkeypatch.setattr(LevelLadder, "level_of",
+                        lambda self, value: calls.append(value) or level_of(self, value))
+    for k in range(60):
+        v_max = (5, 10 ** 18, 10 ** 30)[k % 3]
+        inst = random_instance(rng, n=rng.randint(1, 3), v_max=v_max, density=0.8)
+        eps = rng.choice(["1/7", "1/2", "1/1", "3/1"])
+        ladder = LevelLadder(Fraction(eps), inst.m, inst.n, inst.v_max)
+        mu, value, top = _dp_solve(inst, lambda v: 1 << ladder.level_of(v))
+        calls.clear()
+        assert fptas_polymul(inst, eps) == (mu, value, top.bit_length() - 1)
+        assert len(calls) == len(set(calls))
 
 
 def test_fptas_budget():

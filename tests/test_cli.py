@@ -19,14 +19,18 @@ def write_crossing(tmp_path):
     return str(path)
 
 
+def src_env() -> dict:
+    """The environment for a child Python that imports this nswmatch."""
+    src = str(Path(nswmatch.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_loads_no_networkx():
     """networkx is only the test reference for the blossom: importing the
     CLI, and with it every solver module, must not load it."""
-    src = str(Path(nswmatch.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = "import nswmatch.cli, sys; assert 'networkx' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
 
 
 def test_generate_partition(tmp_path, capsys):
@@ -109,6 +113,22 @@ def test_solve_domain_and_budget_exit_codes(tmp_path, capsys):
     assert main(["solve", path, "--algo", "fptas", "--eps", f"1/{10 ** 400}"]) == 4
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "budget-exceeded"
+
+
+def test_solve_oracle_deep_instance(tmp_path):
+    """The oracle's first descent is 1 500 workers deep, past Python's
+    recursion limit: the CLI still exits 0 with no traceback."""
+    m = 1500
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(Instance.create((m,), [[1]] * m, [[1] * m]).to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nswmatch.cli", "solve", str(path), "--algo", "oracle"],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["status"] == "ok"
+    assert record["nash_product"] == "1500"
 
 
 def test_solve_bad_eps(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch.core import (
     BudgetExceededError,
@@ -13,6 +14,7 @@ from nswmatch.core import (
 )
 from nswmatch.oracle import solve_bruteforce
 from conftest import crossing_example, random_instance
+import reference_oracle
 from reference_oracle import exists_nonzero_bruteforce, solve_bruteforce_exact_loads
 
 
@@ -87,3 +89,53 @@ def test_exact_loads_reference():
     assert solve_bruteforce_exact_loads(inst, (2, 0)) is None
     # load total differs from m
     assert solve_bruteforce_exact_loads(inst, (1, 2)) is None
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small instances for the oracle and its recursive reference: m = 1,
+    m < n, zero capacities, total capacity below m, all-zero worker and
+    firm rows, exact ties and values up to 10^30."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["any", "m_below_n", "one_worker"]))
+    m = {"m_below_n": max(1, n - 1), "one_worker": 1}.get(shape, draw(st.integers(1, 7)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.choice([1, 2, rng.randint(2 ** 53, 10 ** 30)])
+    pool = draw(st.sampled_from([
+        [0, base, base, 2 * base],          # exact ties
+        [0, base, base + 1, base + 2],      # near-ties
+        [0] + [rng.randint(1, 10 ** 30) for _ in range(3)],
+        [1, 2, 3],
+    ]))
+    caps = [rng.randint(0, 3) for _ in range(n)]
+    worker_vals = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+    firm_vals = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.2:
+        worker_vals[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.2:
+        firm_vals[rng.randrange(n)] = [0] * m
+    if rng.random() < 0.2:
+        caps[rng.randrange(n)] = 0
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
+def _outcome(inst, limit):
+    try:
+        result = solve_bruteforce(inst, limit=limit)
+    except BudgetExceededError as exc:
+        return str(exc)
+    return result.best, result.value.product, result.num_enumerated
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_instances())
+def test_matches_recursive_reference(inst):
+    """The iterative search returns the recursive form's matching, product
+    and leaf count, and trips the budget on the same leaf."""
+    ref = reference_oracle.solve_bruteforce(inst)
+    leaves = ref.num_enumerated
+    expected = (ref.best, ref.value.product, leaves)
+    assert _outcome(inst, 2_000_000) == expected
+    assert _outcome(inst, leaves) == expected
+    for limit in (leaves - 1, 0):
+        assert _outcome(inst, limit) == f"oracle enumeration budget {limit} exceeded"
