@@ -55,11 +55,14 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     Max-product perfect matching of workers and firms on the edges with
     positive mutual product v_wf * v_fw.  With every capacity 1, a matching
     that is not perfect leaves some worker or firm at utility 0, so when
-    none exists (m != n included) the optimum is zero.
+    none exists the optimum is zero; m != n returns that before any edge
+    is built.
     """
     if any(c != 1 for c in inst.capacities):
         raise DomainError("solve_capacity_one requires every capacity to be 1")
     m, n = inst.m, inst.n
+    if m != n:
+        return _zero_result(inst)
     edges = []
     firms = tuple(range(n))
     for w, row in enumerate(inst.worker_vals):

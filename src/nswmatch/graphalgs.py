@@ -1,15 +1,20 @@
 """Supporting graph algorithms.
 
-Matching is Edmonds' weighted blossom algorithm (max_weight_matching), run
-in-tree on integer vertices; feasible_flow_with_lower_bounds takes a list
-of (u, v, lower, upper) arcs and uses the standard excess/deficit
-transformation on top of a small Dinic max-flow.  Matching weights arrive
-as positive integers and max_weight_perfect_matching_general maximises the
-sum of their float logs, so a near-tie between two matchings can be
-decided by rounding; it is the one place where floats meet the matching
-reductions.  The blossom itself is exact on int weights.
+Matching is Edmonds' weighted blossom algorithm
+(max_weight_perfect_matching), run in-tree on integer vertices.  It returns
+a maximum-weight perfect matching or None, and starts from a greedy
+matching on the tight edges of seeded duals, as Blossom V does, so only the
+vertices that seed leaves single root alternating trees.  Among
+equal-weight perfect matchings it need not return the one networkx would.
+feasible_flow_with_lower_bounds takes a list of (u, v, lower, upper) arcs
+and uses the standard excess/deficit transformation on top of a small
+Dinic max-flow.  Matching weights arrive as positive integers and
+max_weight_perfect_matching_general maximises the sum of their float logs,
+so a near-tie between two matchings can be decided by rounding; it is the
+one place where floats meet the matching reductions.  The blossom itself is
+exact on int weights.
 
-max_weight_matching is ported from networkx 3.6
+The stages of max_weight_perfect_matching are ported from networkx 3.6
 (networkx/algorithms/matching.py), which carries this notice:
 
     Copyright (c) 2004-2025, NetworkX Developers
@@ -51,59 +56,118 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import itemgetter
 
 
 def max_weight_perfect_matching_general(
     num_vertices: int, edges
 ) -> list[tuple[int, int]] | None:
     """Perfect matching of vertices 0..num_vertices-1 that maximises the
-    product of its edge weights, via max_weight_matching on their float
-    logs; two products whose logs round alike can come out in either order.
+    product of its edge weights, via max_weight_perfect_matching on their
+    float logs; two products whose logs round alike can come out in either
+    order.
 
     edges are (u, v, weight) with u != v and positive integer weights, no
     pair given twice.  Returns the matched pairs as sorted (min, max)
     tuples, or None when no perfect matching exists.
     """
-    mate = max_weight_matching(num_vertices, [(u, v, math.log(w)) for u, v, w in edges])
-    if -1 in mate:
+    mate = max_weight_perfect_matching(
+        num_vertices, [(u, v, math.log(w)) for u, v, w in edges])
+    if mate is None:
         return None
     return [(v, w) for v, w in enumerate(mate) if v < w]
 
 
-def max_weight_matching(num_vertices: int, edges) -> list[int]:
-    """Maximum-weight matching among the maximum-cardinality matchings of
-    vertices 0..num_vertices-1; mate[v] is v's partner, or -1.
+def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
+    """Maximum-weight perfect matching of vertices 0..num_vertices-1:
+    mate[v] is v's partner.  None when no perfect matching exists, at once
+    when num_vertices is odd or a vertex has no edge.
 
     edges is a sequence of (u, v, weight) with u != v, no pair given
-    twice.  This is networkx's max_weight_matching(G, maxcardinality=True)
-    on the graph whose nodes are added as 0..num_vertices-1 and then edges
-    in the given order: every scan, tie-break and float operation happens
-    in the same order, so it returns the same matching.  Blossoms get
-    integer ids from num_vertices up, reused once a blossom is expanded;
-    live blossoms are kept in blossomdual in creation order, the order
-    networkx iterates them in.  When every weight is an int the arithmetic
-    is exact and the optimum is verified against the final duals.
+    twice.  The stages are networkx's max_weight_matching(G,
+    maxcardinality=True), started from a seeded state as in Blossom V's
+    greedy initialisation (Kolmogorov 2009, "Blossom V: a new
+    implementation of a minimum cost perfect matching algorithm"): each
+    vertex's dual is half its largest incident weight; then each vertex
+    still single, in vertex order, lowers its dual by its least slack and
+    takes the first single neighbour on a least-slack edge; then each
+    vertex still single takes a tight alternating path of three edges to
+    another single vertex, where there is one.  Only the vertices left
+    single root alternating trees.  A perfect matching's LP leaves vertex
+    duals free in sign, so any feasible seed is valid; a search that ends
+    short of perfect has found a maximum-cardinality matching, so None is
+    the answer then.  Among equal-weight perfect matchings the one returned
+    need not be networkx's.  Blossoms get integer ids from num_vertices
+    up, reused once a blossom is expanded; live blossoms are kept in
+    blossomdual in creation order, the order networkx iterates them in.
+    When every weight is an int the arithmetic is exact and the optimum is
+    verified against the final duals.
 
-    The algorithm is taken from "Efficient Algorithms for Finding Maximum
+    The stages are taken from "Efficient Algorithms for Finding Maximum
     Matching in Graphs" by Zvi Galil, ACM Computing Surveys, 1986.  Many
     terms used in the comments are explained in that paper.
     """
     nv = num_vertices
-    if nv == 0:
-        return []
+    if nv & 1:
+        return None
     # nbrs[v]: (w, 2 * weight) for each edge at v, in input order
     nbrs: list[list] = [[] for _ in range(nv)]
     for u, v, wt in edges:
         w2 = 2 * wt
         nbrs[u].append((v, w2))
         nbrs[v].append((u, w2))
-    maxweight = max(0, max((e[2] for e in edges), default=0))
+    if not all(nbrs):
+        return None  # an isolated vertex
     allinteger = all(type(e[2]) is int for e in edges)
 
     # Ids below nv are vertices, ids nv..2nv-1 blossoms.  For a vertex or
     # blossom id b:
     # mate[v]: v's partner vertex, or -1 while v is single.
     mate = [-1] * nv
+    # dualvar[v] = 2 * u(v), so integer weights keep integer duals.  The
+    # seed u(v) = half v's largest incident weight leaves every slack >= 0.
+    dualvar = [max(map(itemgetter(1), nb)) for nb in nbrs]
+    dualvar = [d // 2 for d in dualvar] if allinteger else [d / 2 for d in dualvar]
+    for v in range(nv):
+        if mate[v] != -1:
+            continue
+        dv = dualvar[v]
+        least = min(dv + dualvar[w] - w2 for w, w2 in nbrs[v])
+        # the least-slack edges become tight; on floats a rounding residue
+        # may stay on them, but no slack may start negative
+        for w, w2 in nbrs[v]:
+            if mate[w] == -1 and dv + dualvar[w] - w2 == least:
+                mate[v] = w
+                mate[w] = v
+                break
+        if least:
+            dv -= least
+            while (worst := min(dv + dualvar[w] - w2 for w, w2 in nbrs[v])) < 0:
+                dv = max(math.nextafter(dv, math.inf), dv - worst)
+        if mate[v] == -1 and allinteger:
+            # a vertex left single gets an even dual: tight edges join
+            # vertices of equal dual parity, so the S-vertices of a stage
+            # share its single vertices' parity and S-S slacks stay even
+            # for half_slack
+            dv += dv & 1
+        dualvar[v] = dv
+    # then each vertex still single takes an alternating path v-x=y-z of
+    # tight edges to another single vertex z, where there is one
+    for v in range(nv):
+        if mate[v] != -1:
+            continue
+        for x, w2 in nbrs[v]:
+            y = mate[x]
+            if y == -1 or dualvar[v] + dualvar[x] - w2 > 0:
+                continue
+            for z, w3 in nbrs[y]:
+                if z != v and mate[z] == -1 and dualvar[y] + dualvar[z] - w3 <= 0:
+                    mate[v], mate[x], mate[y], mate[z] = x, v, z, y
+                    break
+            else:
+                continue
+            break
+
     # label[b] of a top-level blossom: 0 free, 1 S, 2 T (5 is a breadcrumb
     # of scan_blossom).  label[v] of a vertex inside a T-blossom is 2 iff v
     # is reachable from an S-vertex outside the blossom.  Reset every stage.
@@ -120,8 +184,6 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
     # least-slack edge (v, w, 2 * weight) from an S-vertex, or None;
     # bestedge[b] of a top-level S-blossom: least-slack edge to a different
     # S-blossom.  Gives delta2 and delta3.
-    # dualvar[v] = 2 * u(v), so integer weights keep integer duals.
-    dualvar = [maxweight] * nv
     # blossomdual[b] = z(b) of each live blossom, in creation order.
     blossomdual: dict[int, object] = {}
     # childs[b]: sub-blossoms from the base round the blossom; bedges[b][i]
@@ -464,11 +526,9 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
                 mate[j] = s
 
     def verify_optimum():
-        """Check the complementary slackness conditions on the final duals
-        (integer weights only; maximum cardinality)."""
-        # vertex duals may be negative: add a constant to make them >= 0
-        vdualoffset = max(0, -min(dualvar))
-        assert min(dualvar) + vdualoffset >= 0
+        """Check the complementary slackness conditions of a perfect
+        matching on the final duals (integer weights only); vertex duals
+        are free in sign."""
         assert not blossomdual or min(blossomdual.values()) >= 0
         # every edge has non-negative slack and every matched edge zero
         for i in range(nv):
@@ -492,9 +552,6 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
                 if mate[i] == j or mate[j] == i:
                     assert mate[i] == j and mate[j] == i
                     assert s == 0
-        # every single vertex has zero dual
-        for v in range(nv):
-            assert mate[v] != -1 or dualvar[v] + vdualoffset == 0
         # every blossom with positive dual is full
         for b, z in blossomdual.items():
             if z > 0:
@@ -504,6 +561,9 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
 
     # Each stage finds an augmenting path and improves the matching.
     while True:
+        singles = [v for v in singles if mate[v] == -1]
+        if not singles:
+            break
         label = [0] * (2 * nv)
         labeledge = [None] * (2 * nv)
         bestedge = [None] * (2 * nv)
@@ -518,7 +578,6 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
         has_bestedge = [False] * nv
         bestedge_vertices = []
         # label single blossoms/vertices S
-        singles = [v for v in singles if mate[v] == -1]
         for v in singles:
             if label[inblossom[v]] == 0:
                 assign_label(v, 1, -1)
@@ -643,10 +702,9 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
                     deltablossom = b
 
             if deltatype == -1:
-                # max-cardinality optimum reached; a final delta update makes
-                # it verifiable
-                deltatype = 1
-                delta = max(0, min(dualvar))
+                # no augmenting path: the matching has maximum cardinality
+                # and leaves a vertex single
+                return None
 
             for v in labeled_vertices:
                 lab = label[inblossom[v]]
@@ -661,9 +719,7 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
                     elif label[b] == 2:
                         blossomdual[b] -= delta
 
-            if deltatype == 1:
-                break
-            elif deltatype in (2, 3):
+            if deltatype in (2, 3):
                 # continue the search from the least-slack edge
                 v, w, _w2 = deltaedge
                 assert label[inblossom[v]] == 1
@@ -675,9 +731,6 @@ def max_weight_matching(num_vertices: int, edges) -> list[int]:
 
         for v in range(nv):
             assert mate[v] == -1 or mate[mate[v]] == v
-
-        if not augmented:
-            break
 
         # end of a stage: expand every S-blossom with zero dual
         for b in list(blossomdual):

@@ -43,6 +43,17 @@ def test_capacity_one_zero_optimum():
     assert value.is_zero and validate(inst, mu) is None
 
 
+def test_capacity_one_unequal_sides_skip_the_matching(monkeypatch):
+    # m != n has no perfect matching: zero before any edge is built
+    def no_matching(*_args):
+        raise AssertionError("the matching ran")
+
+    monkeypatch.setattr(exact, "max_weight_perfect_matching_general", no_matching)
+    inst = Instance.create((1, 1), [[2, 3]], [[1], [4]])
+    mu, value = solve_capacity_one(inst)
+    assert value.is_zero and validate(inst, mu) is None
+
+
 def test_capacity_one_random_agreement():
     rng = random.Random(31)
     for _ in range(100):

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch.graphalgs import (
     feasible_flow_with_lower_bounds,
-    max_weight_matching,
+    max_weight_perfect_matching,
     max_weight_perfect_matching_general,
 )
 
@@ -67,6 +68,13 @@ def test_perfect_matching_k4_enumeration():
         assert _product(w, pairs) == best
 
 
+def test_no_stage_without_a_perfect_matching_shape():
+    # an odd vertex count or an isolated vertex returns before any stage
+    assert max_weight_perfect_matching(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
+    assert max_weight_perfect_matching(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
+    assert max_weight_perfect_matching(0, []) == []
+
+
 def test_perfect_matching_cardinality():
     # unweighted path of 6 vertices has exactly one perfect matching
     pairs = max_weight_perfect_matching_general(6, [(i, i + 1, 1) for i in range(5)])
@@ -76,7 +84,7 @@ def test_perfect_matching_cardinality():
 # Edge weights for the differential test against networkx: float logs of
 # small and of big integers (log(10**18) == log(10**18 + 1) as floats, so
 # ties are common), and ints, which run the exact path with its final
-# optimality check.
+# optimality check on every perfect result.
 BLOSSOM_WEIGHTS = {
     "log_small": lambda rng: math.log(rng.randint(1, 5)),
     "log_big": lambda rng: math.log(rng.choice([1, 7, 10**18, 10**18 + 1])),
@@ -99,9 +107,12 @@ def _random_graph(rng):
 
 @pytest.mark.parametrize("kind", sorted(BLOSSOM_WEIGHTS))
 def test_blossom_matches_networkx(kind):
+    """None exactly when networkx's maximum-cardinality matching is not
+    perfect, else the same total weight: equal for ints, within 1e-9 for
+    logs.  The mates may differ among equal-weight perfect matchings, since
+    the search starts from a seeded matching."""
     import networkx as nx  # the test extra's reference implementation
 
-    assert max_weight_matching(0, []) == []
     rng = random.Random(f"blossom-{kind}")
     for _ in range(600):
         nv, pairs = _random_graph(rng)
@@ -109,10 +120,85 @@ def test_blossom_matches_networkx(kind):
         graph = nx.Graph()
         graph.add_nodes_from(range(nv))
         graph.add_weighted_edges_from(edges)
-        expect = {frozenset(e) for e in nx.max_weight_matching(graph, maxcardinality=True)}
-        mate = max_weight_matching(nv, edges)
-        assert all(mate[w] == v for v, w in enumerate(mate) if w != -1)
-        assert {frozenset((v, w)) for v, w in enumerate(mate) if v < w} == expect, edges
+        expect = nx.max_weight_matching(graph, maxcardinality=True)
+        mate = max_weight_perfect_matching(nv, edges)
+        if 2 * len(expect) < nv:
+            assert mate is None, edges
+            continue
+        assert mate is not None, edges
+        assert all(mate[w] == v for v, w in enumerate(mate))
+        weight = {frozenset((u, v)): x for u, v, x in edges}
+        got = sum(weight[frozenset((v, w))] for v, w in enumerate(mate) if v < w)
+        want = sum(weight[frozenset(e)] for e in expect)
+        if kind.startswith("int"):
+            assert got == want, edges
+        else:
+            assert abs(got - want) <= 1e-9, edges
+
+
+def _best_perfect_weight(nv, edges):
+    """The largest total weight of a perfect matching, by enumeration, or
+    None when there is none."""
+    weight = {}
+    for u, v, x in edges:
+        weight[u, v] = weight[v, u] = x
+
+    def best(rest):
+        if not rest:
+            return 0
+        v, others = rest[0], rest[1:]
+        top = None
+        for i, w in enumerate(others):
+            if (v, w) in weight:
+                sub = best(others[:i] + others[i + 1:])
+                if sub is not None and (top is None or weight[v, w] + sub > top):
+                    top = weight[v, w] + sub
+        return top
+
+    return best(tuple(range(nv)))
+
+
+# near-ties of 10**18 against 10**18 + 1, small values and values to 10**30
+INT_WEIGHTS = st.one_of(st.integers(1, 5), st.sampled_from([10**18, 10**18 + 1]),
+                        st.integers(1, 10**30))
+
+
+@st.composite
+def int_graphs(draw):
+    """0-10 vertices, a quarter of them odd counts, in one to three
+    components (vertex v is in part (v // 2) % parts, and parts share no
+    edge); a fifth have one isolated vertex."""
+    nv = 2 * draw(st.integers(0, 5))
+    if nv and draw(st.integers(0, 3)) == 0:
+        nv -= 1
+    parts = draw(st.integers(1, 3))
+    isolated = draw(st.integers(0, nv - 1)) if nv and draw(st.integers(0, 4)) == 0 else -1
+    density = draw(st.integers(1, 4))
+    edges = []
+    for u in range(nv):
+        for v in range(u + 1, nv):
+            if ((u // 2 - v // 2) % parts == 0 and isolated not in (u, v)
+                    and draw(st.integers(0, 3)) < density):
+                x = draw(INT_WEIGHTS)
+                edges.append((u, v, x) if draw(st.booleans()) else (v, u, x))
+    return nv, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_graphs())
+def test_int_blossom_matches_enumeration(graph):
+    """The exact int path against every perfect matching: the same optimum
+    weight and None-ness.  Each perfect result has passed verify_optimum's
+    dual certificate inside the call, and no half_slack parity assertion
+    has fired."""
+    nv, edges = graph
+    mate = max_weight_perfect_matching(nv, edges)
+    want = _best_perfect_weight(nv, edges)
+    assert (mate is None) == (want is None)
+    if mate is not None:
+        weight = {frozenset((u, v)): x for u, v, x in edges}
+        assert all(mate[w] == v for v, w in enumerate(mate))
+        assert sum(weight[frozenset((v, w))] for v, w in enumerate(mate) if v < w) == want
 
 
 def test_flow_single_arc():

@@ -289,3 +289,43 @@ def test_deg3cap2_gadgets_after_plain_firms_match_reference():
     assert record["status"] == "ok"
     with mock.patch.multiple(cli, **REFERENCE_SOLVERS):
         assert run_algo("deg3cap2", inst) == record
+
+
+def _networkx_perfect_matching(num_vertices, edges):
+    """max_weight_perfect_matching_general's contract from networkx's
+    blossom on float logs: sorted pairs, or None when not perfect."""
+    import math
+
+    import networkx as nx  # the test extra's reference implementation
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(num_vertices))
+    graph.add_weighted_edges_from((u, v, math.log(w)) for u, v, w in edges)
+    pairs = nx.max_weight_matching(graph, maxcardinality=True)
+    if 2 * len(pairs) < num_vertices:
+        return None
+    return sorted(tuple(sorted(p)) for p in pairs)
+
+
+def _dense_capacity_one(rng, k):
+    worker_vals = [[rng.randint(1, 5) for _ in range(k)] for _ in range(k)]
+    firm_vals = [[rng.randint(1, 5) for _ in range(k)] for _ in range(k)]
+    return [1] * k, worker_vals, firm_vals
+
+
+@pytest.mark.parametrize("algo, build", [
+    ("cap1", _dense_capacity_one),
+    ("deg3cap2", _sparse_degree3_cap2),
+])
+def test_blossom_solves_match_networkx_at_mid_size(algo, build):
+    """cap1 at k = 150 and deg3cap2 at n = 150 reach the Nash product of
+    their dense forms run on networkx's blossom, an independent check of
+    the in-tree blossom's seeded search."""
+    inst = Instance.create(*build(random.Random(150), 150))
+    record = run_algo(algo, inst)
+    assert record["status"] == "ok"
+    with mock.patch.multiple(cli, **REFERENCE_SOLVERS), mock.patch.object(
+            reference_support, "max_weight_perfect_matching_general",
+            _networkx_perfect_matching):
+        want = run_algo(algo, inst)
+    assert (want["status"], want["nash_product"]) == ("ok", record["nash_product"])
