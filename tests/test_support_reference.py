@@ -1,8 +1,10 @@
 """The positive-entry scans of the polynomial solvers against their dense
-forms (reference_support), the solvers on edge-shaped instances, and a
-count of the value reads the scans make."""
+forms (reference_support), the solvers on edge-shaped instances, a count of
+the value reads the scans make, and cap1 and deg3cap2 at mid size against
+their dense forms run on networkx's blossom."""
 
 import json
+import math
 import random
 from unittest import mock
 
@@ -294,8 +296,6 @@ def test_deg3cap2_gadgets_after_plain_firms_match_reference():
 def _networkx_perfect_matching(num_vertices, edges):
     """max_weight_perfect_matching_general's contract from networkx's
     blossom on float logs: sorted pairs, or None when not perfect."""
-    import math
-
     import networkx as nx  # the test extra's reference implementation
 
     graph = nx.Graph()
