@@ -14,7 +14,7 @@ from .core import (
 from .oracle import OracleResult, solve_bruteforce
 from .feasibility import exists_nonzero_nash
 from .exact import solve_capacity_one, solve_dp, solve_exact_bucketing
-from .approx import fptas_polymul, greedy_submodular, qptas_bucketing
+from .approx import greedy_submodular, qptas_bucketing
 from .restricted import (
     solve_degree3_capacity2,
     solve_degree_two,
@@ -39,7 +39,6 @@ __all__ = [
     "solve_exact_bucketing",
     "greedy_submodular",
     "qptas_bucketing",
-    "fptas_polymul",
     "solve_symmetric_binary",
     "solve_degree_two",
     "solve_degree3_capacity2",

@@ -7,10 +7,10 @@
   exact.solve_exact_bucketing on the groups: it guesses how many workers of
   each group go to each firm, realizes each guess canonically and scores
   it exactly, dropping the guesses an exact upper bound shows cannot win.
-- fptas_polymul: set-polynomial scheme over a geometric level ladder; it
-  needs, per worker subset, only the best reachable ladder level (the
-  polynomial tables are monotone in the level, so this loses nothing), and
-  gets it from the subset DP of exact.solve_dp run on weights 2^level.
+
+The paper's set-polynomial FPTAS has no solver here: its product P must
+satisfy P <= opt <= P * (1+eps)^(n+1), which the exact optimum meets for
+every eps, so fptas in cli.SOLVERS is exact.solve_dp behind an eps check.
 
 All ladder comparisons are exact: eps is a Fraction and "value >= (1+eps)^k"
 is decided on integers.
@@ -30,9 +30,8 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import _best_group_split, _dp_solve
+from .exact import _best_group_split
 
-DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_LADDER_BUDGET = 100_000
 DEFAULT_QPTAS_FIRM_BOUND = 5
 
@@ -186,39 +185,3 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
                     for f in range(n))
         groups.setdefault(sig, []).append(w)
     return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])
-
-
-def fptas_polymul(inst: Instance, eps) -> tuple[Matching, NashValue, int]:
-    """Set-polynomial approximation scheme.
-
-    The set-polynomial tables are downward closed in the ladder level, so
-    the scheme only needs, per worker subset, the best reachable level.
-    That is the subset DP of solve_dp with each positive bundle value that
-    fits its firm replaced by 2^level: a product of such weights is 2 to the
-    sum of the levels, so the DP maximises the level sum and its first
-    strict maximiser is the matching it recovers.  A level sum never
-    exceeds q, since every partition's product is at most eta.
-
-    Returns (matching, value, level): the largest ladder level reachable by
-    any full partition of the workers among the firms (-1 when none has a
-    positive product) and the matching.  Its product P satisfies
-    P <= opt <= P * (1+eps)^(n+1).
-    """
-    eps = parse_eps(eps)
-    if inst.m > DEFAULT_FPTAS_BUDGET:
-        raise BudgetExceededError(
-            f"m={inst.m} exceeds bitmask budget {DEFAULT_FPTAS_BUDGET}")
-    ladder = LevelLadder(eps, inst.m, inst.n, inst.v_max)
-    # bundle values repeat, so each distinct one is leveled once
-    weights: dict[int, int] = {}
-
-    def weight(v: int) -> int:
-        w = weights.get(v)
-        if w is None:
-            w = weights[v] = 1 << ladder.level_of(v)
-        return w
-
-    mu, value, top = _dp_solve(inst, weight)
-    level = top.bit_length() - 1
-    assert level < 0 or ladder.value_at_least(value.product, level)
-    return mu, value, level

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import generators
-from .approx import fptas_polymul, greedy_submodular, parse_eps, qptas_bucketing
+from .approx import greedy_submodular, parse_eps, qptas_bucketing
 from .core import (
     BudgetExceededError,
     DomainError,
@@ -30,6 +30,7 @@ from .core import (
 )
 from .exact import (
     DEFAULT_CAPACITY_BOUND,
+    DEFAULT_FPTAS_BUDGET,
     solve_capacity_one,
     solve_dp,
     solve_exact_bucketing,
@@ -75,8 +76,12 @@ def _dp2(inst, eps):
 
 
 def _fptas(inst, eps):
-    mu, value, level = fptas_polymul(inst, _require_eps(eps))
-    return mu, value, {"level": level}
+    """dp behind the eps check: the exact optimum P meets the paper's FPTAS
+    window P <= opt <= P * (1+eps)^(n+1) for every eps."""
+    parse_eps(_require_eps(eps))
+    if inst.m > DEFAULT_FPTAS_BUDGET:
+        raise BudgetExceededError(f"m={inst.m} exceeds bitmask budget {DEFAULT_FPTAS_BUDGET}")
+    return (*solve_dp(inst), {})
 
 
 def _deg3cap2(inst, eps):
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "eps", None):
+    if getattr(args, "eps", None) is not None:
         try:
             parse_eps(args.eps)
         except ValueError as exc:

@@ -2,11 +2,13 @@
 
 - solve_capacity_one: reduction to a max-product perfect matching.
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
-  big-integer products; approx.fptas_polymul runs the same DP on
-  ladder-level weights.  Each layer visits only the mask and bundle sizes
+  big-integer products.  Each layer visits only the mask and bundle sizes
   that a full partition can pass through, and the firms' supports come
-  from one scan of each worker row.  The constant-capacity variant (dp2
-  in cli.SOLVERS) is solve_dp behind a check of DEFAULT_CAPACITY_BOUND.
+  from one scan of each worker row.  Two registry entries in cli.SOLVERS
+  are solve_dp behind a check: the constant-capacity variant dp2 behind
+  DEFAULT_CAPACITY_BOUND, and fptas behind its eps and
+  DEFAULT_FPTAS_BUDGET, since the exact optimum meets the FPTAS's
+  (1+eps)^(n+1) window for every eps.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   searches assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
@@ -38,6 +40,7 @@ from .core import (
 from .graphalgs import max_weight_perfect_matching_general
 
 DEFAULT_DP_BUDGET = 20
+DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
@@ -153,21 +156,23 @@ def _layer_groups(inst: Instance, f: int, full: int, popcount, support: int, lat
                 yield subs, [t | r for r in tails[k - k0]]
 
 
-def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
-    """The DP of solve_dp; ties go to the first S' in increasing order.
+def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
+    """Subset DP over worker bitmasks: T[i, S] = max over S' of
+    W_{f_i}(S') * T[i-1, S \\ S'], over the bundles S' that every member
+    values positively, at the sizes of S and S' a full partition can take;
+    ties go to the first S' in increasing order.
 
     Layer i fills only masks of m - (c_{i+1} + ... + c_{n-1}) to c_0 + ...
     + c_i workers, the sizes a full partition passes through; a bundle it
     skips leads to a zero predecessor, so values and pointers are the same.
-    With weight, each positive bundle value whose size fits the window of
-    its firm is replaced by weight(value), which must be positive.  Also
-    returns T[n-1, full], the DP's optimum over full partitions (0 when
-    none is positive).  With total capacity below m no full partition
-    exists, and it returns the zero result before building any table."""
+    With total capacity below m no full partition exists, and it returns
+    the zero result before building any table."""
+    if inst.m > DEFAULT_DP_BUDGET:
+        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
     m, n = inst.m, inst.n
     caps, slack = inst.capacities, sum(inst.capacities) - m
     if slack < 0:
-        return *_zero_result(inst), 0
+        return _zero_result(inst)
     full = (1 << m) - 1
     popcount = [s.bit_count() for s in range(full + 1)]
     # support[i]: the workers who value firm i; later[i]: those who value a
@@ -180,21 +185,12 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
     for i in range(n - 2, -1, -1):
         later[i] = later[i + 1] | support[i + 1]
 
-    def bundle_weights(i: int) -> list[int]:
-        values = _bundle_tables(inst, i, full, support[i])
-        if weight is not None:
-            # a full partition gives firm i at least c_i - slack workers
-            for sub in _sized_submasks(support[i], caps[i] - slack, caps[i], popcount):
-                if values[sub]:
-                    values[sub] = weight(values[sub])
-        return values
-
-    values = bundle_weights(0)
+    values = _bundle_tables(inst, 0, full, support[0])
     lo0, c0 = caps[0] - slack, caps[0]
     table = [values[s] if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]
     back: list[list[int]] = [[s if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]]
     for i in range(1, n):
-        values = bundle_weights(i)
+        values = _bundle_tables(inst, i, full, support[i])
         new = [0] * (full + 1)
         ptr = [0] * (full + 1)
         for subs, masks in _layer_groups(inst, i, full, popcount, support[i], later[i]):
@@ -211,7 +207,7 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
         table = new
         back.append(ptr)
     if table[full] == 0:
-        return *_zero_result(inst), 0
+        return _zero_result(inst)
     assignment: list = [UNMATCHED] * m
     s = full
     for i in range(n - 1, -1, -1):
@@ -221,16 +217,7 @@ def _dp_solve(inst: Instance, weight=None) -> tuple[Matching, NashValue, int]:
                 assignment[w] = i
         s ^= sub
     mu = Matching.of(assignment)
-    return mu, nash_value(inst, mu), table[full]
-
-
-def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
-    """Subset DP over worker bitmasks: T[i, S] = max over S' of
-    W_{f_i}(S') * T[i-1, S \\ S'], over the bundles S' that every member
-    values positively, at the sizes of S and S' a full partition can take."""
-    if inst.m > DEFAULT_DP_BUDGET:
-        raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
-    return _dp_solve(inst)[:2]
+    return mu, nash_value(inst, mu)
 
 
 def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching, NashValue]:

@@ -1,12 +1,13 @@
-"""Plain reference recurrences for the subset DPs.
+"""Plain reference forms of the subset DP and the ladder levels.
 
-These are the straightforward forms of the exact subset DP (`dp`, `dp2`)
-and the ladder-level DP (`fptas`): every layer visits every mask and every
-submask of it, bundle values and ladder levels are recomputed where they are
-needed, and nothing is skipped.  The solvers in `nswmatch.exact` and
-`nswmatch.approx` must return the same assignments, products and levels,
-including which of several tied maximisers they pick: the first in
-increasing submask order.
+`naive_dp` is the straightforward exact subset DP (`dp`, and `dp2` and
+`fptas`, which run it behind their checks): every layer visits every mask
+and every submask of it, bundle values are recomputed where they are
+needed, and nothing is skipped.  `nswmatch.exact.solve_dp` must return the
+same assignments and products, including which of several tied maximisers
+it picks: the first in increasing submask order.  `ladder_top` and `level`
+are the plain forms of `nswmatch.approx.LevelLadder`'s top level and level
+tests.
 """
 
 from __future__ import annotations
@@ -92,49 +93,3 @@ def level(value: int, eps: Fraction, top: int) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-def naive_fptas(inst: Instance, eps: Fraction) -> tuple[Matching, int, int]:
-    """Level DP L[j][S] = max over S' subset of S of min(top, lvl_j(S') +
-    L[j-1][S minus S']), then the backtrack that takes, firm by firm from
-    the last, the first S' in increasing order that reaches the level
-    recorded.  Returns (matching, product, level)."""
-    m, n = inst.m, inst.n
-    full = (1 << m) - 1
-    top = ladder_top(eps, m, n, inst.v_max)
-    lvls = []
-    for j in range(n):
-        values = bundle_values(inst, j)
-        cj = inst.capacities[j]
-        lvls.append([level(values[s], eps, top) if s.bit_count() <= cj else -1
-                     for s in range(full + 1)])
-    layers = [lvls[0]]
-    for j in range(1, n):
-        prev = layers[-1]
-        cur = [-1] * (full + 1)
-        for mask in range(full + 1):
-            for sub in _submasks_increasing(mask):
-                if lvls[j][sub] >= 0 and prev[mask ^ sub] >= 0:
-                    cur[mask] = max(cur[mask], min(top, lvls[j][sub] + prev[mask ^ sub]))
-        layers.append(cur)
-    target = layers[-1][full]
-    if target < 0:
-        return zero_fallback(inst), 0, -1
-    assignment: list = [UNMATCHED] * m
-    mask = full
-    for j in range(n - 1, 0, -1):
-        prev = layers[j - 1]
-        need = layers[j][mask]
-        chosen = next(
-            sub for sub in _submasks_increasing(mask)
-            if lvls[j][sub] >= 0 and prev[mask ^ sub] >= 0
-            and min(top, lvls[j][sub] + prev[mask ^ sub]) == need)
-        for w in range(m):
-            if chosen >> w & 1:
-                assignment[w] = j
-        mask ^= chosen
-    for w in range(m):
-        if mask >> w & 1:
-            assignment[w] = 0
-    mu = Matching.of(assignment)
-    return mu, nash_value(inst, mu).product, target

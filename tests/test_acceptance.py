@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from nswmatch.core import Instance, validate
-from nswmatch.approx import fptas_polymul, greedy_submodular, qptas_bucketing
+from nswmatch.core import Instance, Matching, validate
+from nswmatch.approx import greedy_submodular, qptas_bucketing
 from nswmatch.cli import main as cli_main, run_algo
 from nswmatch.exact import solve_capacity_one, solve_dp, solve_exact_bucketing
 from nswmatch.feasibility import exists_nonzero_nash
@@ -271,9 +271,9 @@ def test_criterion_5_fptas_bound(suite, oracle_products):
         for (_tag, inst), opt in zip(suite, oracle_products):
             if inst.n > 3:
                 continue
-            mu, value, _level = fptas_polymul(inst, eps_text)
-            assert validate(inst, mu) is None
-            got = value.product
+            record = run_algo("fptas", inst, eps_text)
+            assert validate(inst, Matching.of(record["matching"])) is None
+            got = int(record["nash_product"])
             assert got <= opt
             k = inst.n + 1
             assert got * num ** k >= opt * den ** k

@@ -1,30 +1,15 @@
-import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nswmatch.core import BudgetExceededError, DomainError, Instance, nash_value, validate
-from nswmatch.approx import (
-    LevelLadder,
-    fptas_polymul,
-    greedy_submodular,
-    parse_eps,
-    qptas_bucketing,
-)
-from nswmatch.exact import _dp_solve
+from nswmatch.cli import run_algo
+from nswmatch.core import BudgetExceededError, DomainError, Instance, Matching, validate
+from nswmatch.approx import LevelLadder, greedy_submodular, parse_eps, qptas_bucketing
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
-from reference_approx import (
-    ModifiedValuationView,
-    SetPolynomial,
-    build_single_firm_poly,
-    fptas_tables,
-    multiply_naive,
-)
+from reference_approx import ModifiedValuationView
 import reference_dp
 
 
@@ -39,46 +24,6 @@ def all_positive_instance(rng, m=None, n=None):
         [[rng.randint(1, 5) for _ in range(n)] for _ in range(m)],
         [[rng.randint(1, 5) for _ in range(m)] for _ in range(n)],
     )
-
-
-# --- SetPolynomial ---------------------------------------------------------
-
-def test_hamming_identity_small():
-    # weight of chi(S1) + chi(S2) equals |S1| + |S2| exactly when disjoint
-    m = 6
-    for e1 in range(1 << m):
-        for e2 in range(1 << m):
-            disjoint = (e1 & e2) == 0
-            assert ((e1 + e2).bit_count() == e1.bit_count() + e2.bit_count()) == disjoint
-
-
-def test_multiply_carry_killed_by_projection():
-    p = SetPolynomial.from_monomials(2, [0b01])
-    q = SetPolynomial.from_monomials(2, [0b10])
-    assert p.multiply(q).hamming_projection(2).monomials() == [0b11]
-    same = SetPolynomial.from_monomials(2, [0b01])
-    carry = same.multiply(same)
-    assert carry.monomials() == [0b10]
-    assert carry.hamming_projection(2).is_zero
-
-
-def test_projections_idempotent():
-    rng = random.Random(2)
-    for _ in range(30):
-        m = rng.randint(1, 6)
-        p = SetPolynomial(m, rng.getrandbits(1 << m))
-        h = p.hamming_projection(2)
-        assert h.hamming_projection(2).bits == h.bits
-        assert p.representative_projection().bits == p.bits
-
-
-def test_multiply_matches_naive():
-    rng = random.Random(6)
-    for _ in range(60):
-        m = rng.randint(1, 8)
-        a = SetPolynomial(m, rng.getrandbits(1 << m))
-        b = SetPolynomial(m, rng.getrandbits(1 << m))
-        assert a.multiply(b).bits == multiply_naive(a, b).bits
 
 
 # --- LevelLadder -----------------------------------------------------------
@@ -246,35 +191,11 @@ def test_qptas_huge_eps_still_valid():
 
 # --- fptas -----------------------------------------------------------------
 
-def test_single_firm_poly_examples():
-    inst = Instance.create((2,), [[1], [1]], [[1, 1]])
-    ladder = LevelLadder(Fraction(1), 2, 1, 1)
-    p = build_single_firm_poly(inst, 0, 2, 1, ladder)
-    assert p.monomials() == [0b11]  # bundle value 2 >= (1+eps)^1
-    assert build_single_firm_poly(inst, 0, 0, 1, ladder).is_zero
-    assert build_single_firm_poly(inst, 0, 0, 0, ladder).is_zero
-    huge = ladder.q + 1
-    assert build_single_firm_poly(inst, 0, 2, huge, ladder).is_zero
-    with pytest.raises(ValueError):
-        build_single_firm_poly(inst, 0, 3, 0, ladder)
-
-
-def test_combined_tables_match_assignment_enumeration():
-    rng = random.Random(34)
-    for _ in range(10):
-        m, n = 3, 2
-        caps = [rng.randint(1, 3) for _ in range(n)]
-        inst = Instance.create(
-            caps,
-            [[rng.randint(0, 3) for _ in range(n)] for _ in range(m)],
-            [[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
-        tables, ladder = fptas_tables(inst, "1/1")
-        _mu, _value, best = fptas_polymul(inst, "1/1")
-        full = (1 << m) - 1
-        for level in range(ladder.q + 2):
-            poly = tables[-1].get((m, level))
-            present = poly is not None and bool(poly.bits >> full & 1)
-            assert present == (best >= level)
+def fptas_product(inst, eps) -> int:
+    record = run_algo("fptas", inst, eps)
+    assert record["status"] in ("ok", "zero-optimum"), record
+    assert validate(inst, Matching.of(record["matching"])) is None
+    return int(record["nash_product"])
 
 
 def test_fptas_bounds_random():
@@ -282,12 +203,9 @@ def test_fptas_bounds_random():
     for _ in range(100):
         inst = random_instance(rng, n=rng.randint(1, 3), density=0.8)
         opt = solve_bruteforce(inst).value.product
-        mu, value, level = fptas_polymul(inst, "1/1")
-        assert validate(inst, mu) is None
-        assert value.product <= opt
-        assert value.product * 2 ** (inst.n + 1) >= opt
-        if opt == 0:
-            assert level == -1 and value.is_zero
+        got = fptas_product(inst, "1/1")
+        assert got <= opt
+        assert got * 2 ** (inst.n + 1) >= opt
 
 
 def test_fptas_single_firm_tight():
@@ -295,39 +213,20 @@ def test_fptas_single_firm_tight():
     for _ in range(30):
         inst = random_instance(rng, n=1, density=1.0)
         opt = solve_bruteforce(inst).value.product
-        _mu, value, _level = fptas_polymul(inst, "1/1")
-        assert value.product * 4 >= opt >= value.product
-
-
-def test_fptas_levels_each_value_once(monkeypatch):
-    """The per-solve weight cache gives the same matching, product and
-    level as leveling every bundle value afresh, and levels each distinct
-    value once."""
-    rng = random.Random(44)
-    calls = []
-    level_of = LevelLadder.level_of
-    monkeypatch.setattr(LevelLadder, "level_of",
-                        lambda self, value: calls.append(value) or level_of(self, value))
-    for k in range(60):
-        v_max = (5, 10 ** 18, 10 ** 30)[k % 3]
-        inst = random_instance(rng, n=rng.randint(1, 3), v_max=v_max, density=0.8)
-        eps = rng.choice(["1/7", "1/2", "1/1", "3/1"])
-        ladder = LevelLadder(Fraction(eps), inst.m, inst.n, inst.v_max)
-        mu, value, top = _dp_solve(inst, lambda v: 1 << ladder.level_of(v))
-        calls.clear()
-        assert fptas_polymul(inst, eps) == (mu, value, top.bit_length() - 1)
-        assert len(calls) == len(set(calls))
+        got = fptas_product(inst, "1/1")
+        assert got * 4 >= opt >= got
 
 
 def test_fptas_budget():
     inst = random_instance(random.Random(2), m=17, n=2)
-    with pytest.raises(BudgetExceededError):
-        fptas_polymul(inst, "1/1")
+    assert run_algo("fptas", inst, "1/1")["status"] == "budget-exceeded"
+    assert run_algo("fptas", inst)["status"] == "infeasible-domain"
 
 
 def test_ladder_budget():
     # q = ln(4^3) / ln(1 + 1/100000) is about 416 000 levels
     inst = Instance.create((2,), [[2], [2]], [[2, 2]])
-    for solve in (fptas_polymul, qptas_bucketing):
-        with pytest.raises(BudgetExceededError):
-            solve(inst, "1/100000")
+    with pytest.raises(BudgetExceededError):
+        qptas_bucketing(inst, "1/100000")
+    # fptas builds no ladder, so any eps is solved exactly
+    assert fptas_product(inst, "1/100000") == 16

@@ -110,7 +110,7 @@ def test_solve_domain_and_budget_exit_codes(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "budget-exceeded"
     # log1p rounds this eps to 0, so the ladder has no usable size
-    assert main(["solve", path, "--algo", "fptas", "--eps", f"1/{10 ** 400}"]) == 4
+    assert main(["solve", path, "--algo", "qptas", "--eps", f"1/{10 ** 400}"]) == 4
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "budget-exceeded"
 
@@ -133,7 +133,7 @@ def test_solve_oracle_deep_instance(tmp_path):
 
 def test_solve_bad_eps(tmp_path, capsys):
     path = write_crossing(tmp_path)
-    for eps in ("0/1", "1/0"):
+    for eps in ("0/1", "1/0", ""):
         assert main(["solve", path, "--algo", "qptas", "--eps", eps]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
@@ -205,6 +205,7 @@ def test_bench_without_oracle_has_empty_ratio(tmp_path):
     {"algos": [{"name": "fptas", "eps": "1/0"}]},
     {"algos": [{"name": "fptas", "eps": 1}]},
     {"algos": [{"name": "fptas", "eps": True}]},
+    {"algos": [{"name": "qptas", "eps": ""}]},
     {"instances": [{**SUITE["instances"][0], "id": 7}]},
     # two instances under one id would share one oracle row
     {"instances": [{**entry, "id": "p"} for entry in SUITE["instances"][:2]]},
@@ -301,7 +302,7 @@ def test_solver_table(tmp_path):
     assert len(SOLVERS) == 13
     # every solver's domain holds for one worker and one firm valuing each other
     one = Instance.create((1,), [[1]], [[1]])
-    extra = {"fptas": {"level"}, "feasible": {"feasible"}}
+    extra = {"feasible": {"feasible"}}
     for name in SOLVERS:
         record = run_algo(name, one, "1/1")
         assert record["status"] in ("ok", "zero-optimum"), name

@@ -1,22 +1,20 @@
-"""dp, dp2 and fptas against the plain recurrences in reference_dp.py.
+"""dp, dp2 and fptas against the plain recurrence in reference_dp.py.
 
 The solvers skip every bundle that cannot score and every mask whose size no
 full partition passes through, so they must agree with the reference
-exactly: the same assignment (the same tie-break), product and ladder level,
-not just the same optimum.
+exactly: the same assignment (the same tie-break) and product, not just the
+same optimum.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from nswmatch import exact, generators
-from nswmatch.approx import fptas_polymul
 from nswmatch.cli import run_algo
 from nswmatch.core import BudgetExceededError, Instance, Matching, validate, zero_fallback
 from nswmatch.exact import _sized_submasks, solve_dp
-from reference_dp import naive_dp, naive_fptas
+from reference_dp import naive_dp
 
 BIG = 2 ** 53
 
@@ -98,17 +96,21 @@ def test_dp_matches_reference(shape):
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_fptas_matches_reference(shape):
+    """fptas is dp behind its eps check, for every eps: the same status,
+    matching and product as dp and the reference."""
     rng = random.Random(f"fptas-{shape}")
     for _ in range(_count(shape, 40)):
         inst = make_instance(rng, shape)
-        eps = rng.choice(["1/1", "1/2", "3/1", "1/5"])
-        mu_ref, product_ref, level_ref = naive_fptas(inst, Fraction(eps))
-        mu, value, level = fptas_polymul(inst, eps)
-        assert (mu, value.product, level) == (mu_ref, product_ref, level_ref), inst
+        eps = rng.choice(["1/5", "1/2", "1/1", "3/1", f"1/{10 ** 400}"])
+        record = run_algo("fptas", inst, eps)
+        assert record == {**run_algo("dp", inst), "algo": "fptas", "eps": eps}
+        mu_ref, product_ref = naive_dp(inst)
+        assert Matching.of(record["matching"]) == mu_ref, inst
+        assert record["nash_product"] == str(product_ref)
 
 
-def assert_dp2_zero_fallback(inst):
-    record = run_algo("dp2", inst)
+def assert_zero_fallback(inst, algo, eps=None):
+    record = run_algo(algo, inst, eps)
     assert record["status"] == "zero-optimum" and record["nash_product"] == "0"
     assert Matching.of(record["matching"]) == zero_fallback(inst)
 
@@ -117,11 +119,11 @@ def test_short_capacity_at_m16_returns_zero():
     """Total capacity 15 < m = 16: the window is empty at every layer, so the
     solvers return the zero fallback without a subset DP pass."""
     inst = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
-    results = [solve_dp(inst), fptas_polymul(inst, "1/2")]
-    for mu, value, *level in results:
-        assert value.product == 0 and level in ([], [-1])
-        assert validate(inst, mu) is None and mu == zero_fallback(inst)
-    assert_dp2_zero_fallback(inst)
+    mu, value = solve_dp(inst)
+    assert value.product == 0
+    assert validate(inst, mu) is None and mu == zero_fallback(inst)
+    assert_zero_fallback(inst, "dp2")
+    assert_zero_fallback(inst, "fptas", "1/2")
 
 
 def test_short_capacity_builds_no_tables(monkeypatch):
@@ -133,15 +135,13 @@ def test_short_capacity_builds_no_tables(monkeypatch):
     monkeypatch.setattr(exact, "_bundle_tables", no_tables)
     short16 = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
     short18 = generators.gen_random(18, 5, [3] * 5, 5, 1.0, 7).instance
-    results = [solve_dp(short16), fptas_polymul(short16, "1/2"), solve_dp(short18)]
-    for inst, (mu, value, *level) in zip([short16] * 2 + [short18], results):
-        assert value.product == 0 and level in ([], [-1])
-        assert mu == zero_fallback(inst)
-    assert_dp2_zero_fallback(short16)
-    assert_dp2_zero_fallback(short18)
+    for inst in (short16, short18):
+        mu, value = solve_dp(inst)
+        assert value.product == 0 and mu == zero_fallback(inst)
+        assert_zero_fallback(inst, "dp2")
+    assert_zero_fallback(short16, "fptas", "1/2")
     # m = 18 is past the fptas budget of 16, which is still checked first
-    with pytest.raises(BudgetExceededError):
-        fptas_polymul(short18, "1/2")
+    assert run_algo("fptas", short18, "1/2")["status"] == "budget-exceeded"
     # the dp budget of 20 and dp2's capacity bound as well
     over = generators.gen_random(21, 5, [3] * 5, 5, 1.0, 7).instance
     with pytest.raises(BudgetExceededError):
