@@ -2,15 +2,19 @@
 
 - greedy_submodular: pairwise greedy on the log-modified firm valuations;
   the square-root-of-optimum Nash bound is checked empirically by the suite.
-- qptas_bucketing: groups workers by geometric value-bucket signature,
-  bucketing each distinct value once, and runs the count-split search of
-  exact.solve_exact_bucketing on the groups: it guesses how many workers of
-  each group go to each firm, realizes each guess canonically and scores
-  it exactly, dropping the guesses an exact upper bound shows cannot win.
+- qptas_bucketing: puts each distinct value on the (1+eps) grid that runs
+  up to v_max, groups workers by their bucket signature, and runs the
+  count-split search of exact.solve_exact_bucketing on the groups: it
+  guesses how many workers of each group go to each firm, realizes each
+  guess canonically and scores it exactly, dropping the guesses an exact
+  upper bound shows cannot win.  It shares that solver's firm bound,
+  exact.DEFAULT_BUCKET_FIRM_BOUND, and DEFAULT_LADDER_BUDGET bounds the
+  log(v_max) / log(1+eps) levels its exact tests raise 1+eps to.
 
 The paper's set-polynomial FPTAS has no solver here: its product P must
 satisfy P <= opt <= P * (1+eps)^(n+1), which the exact optimum meets for
-every eps, so fptas in cli.SOLVERS is exact.solve_dp behind an eps check.
+every eps, so fptas in cli.SOLVERS is exact.solve_dp behind an eps check,
+under dp's own budget.
 
 All ladder comparisons are exact: eps is a Fraction and "value >= (1+eps)^k"
 is decided on integers.
@@ -30,10 +34,9 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import _best_group_split
+from .exact import DEFAULT_BUCKET_FIRM_BOUND, _best_group_split
 
 DEFAULT_LADDER_BUDGET = 100_000
-DEFAULT_QPTAS_FIRM_BOUND = 5
 
 
 def parse_eps(eps) -> Fraction:
@@ -47,52 +50,6 @@ def parse_eps(eps) -> Fraction:
     if value <= 0:
         raise ValueError("eps must be positive")
     return value
-
-
-class LevelLadder:
-    """Geometric grid {(1+eps)^k}, k = 0 .. q+1, with q the largest exponent
-    whose power is at most eta = (m*v_max)^(m+n).  Levels are integer
-    exponents; value-vs-level tests multiply out exactly, and a float only
-    gives the first guess of a level.  Each test raises 1+eps to a power up
-    to q, so a ladder whose estimated q exceeds DEFAULT_LADDER_BUDGET is
-    rejected before any power is computed."""
-
-    def __init__(self, eps: Fraction, m: int, n: int, v_max: int):
-        self.eps = parse_eps(eps)
-        self.num = self.eps.numerator + self.eps.denominator
-        self.den = self.eps.denominator
-        self.eta = max(1, (m * v_max)) ** (m + n)
-        # log(1+eps): log1p keeps a tiny eps accurate, int logs take a huge one
-        self.log_ratio = (math.log1p(self.eps) if self.eps < 1
-                          else math.log(self.num) - math.log(self.den))
-        # a tiny eps can round log(1+eps) to 0: that ladder has no usable size
-        if self.log_ratio == 0 or math.log(self.eta) / self.log_ratio > DEFAULT_LADDER_BUDGET:
-            raise BudgetExceededError(f"ladder exceeds budget of {DEFAULT_LADDER_BUDGET} levels")
-        self.q = self._top_level(self.eta, math.inf)
-
-    def value_at_least(self, value: int, k: int) -> bool:
-        """Exact test: value >= (1+eps)^k, for k >= 0."""
-        return value * self.den ** k >= self.num ** k
-
-    def power_equals(self, value: int, k: int) -> bool:
-        """Exact test: value == (1+eps)^k, for k >= 0."""
-        return value * self.den ** k == self.num ** k
-
-    def _top_level(self, value: int, hi) -> int:
-        """Largest k in [0, hi] with (1+eps)^k <= value, for value >= 1:
-        exact tests step from the estimate log(value) / log(1+eps)."""
-        k = max(0, min(hi, int(math.log(value) / self.log_ratio))) if value > 1 else 0
-        while k < hi and self.value_at_least(value, k + 1):
-            k += 1
-        while k > 0 and not self.value_at_least(value, k):
-            k -= 1
-        return k
-
-    def level_of(self, value: int) -> int:
-        """Largest k in [0, q+1] with (1+eps)^k <= value; -1 when value < 1."""
-        if value < 1:
-            return -1
-        return self._top_level(value, self.q + 1)
 
 
 def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
@@ -144,13 +101,15 @@ def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
     return mu, nash_value(inst, mu)
 
 
-def _bucket_index(ladder: LevelLadder, tau: int, value: int) -> int:
-    """Geometric bucket of a valuation: 0 for value 0, else the i in [1, tau]
-    with (1+eps)^(i-1) <= value < (1+eps)^i; the top bucket also takes the
-    upper boundary."""
-    if value == 0:
-        return 0
-    return min(tau, ladder.level_of(value) + 1)
+def _level(value: int, num: int, den: int, log_ratio: float) -> int:
+    """Largest k >= 0 with (num/den)^k <= value, for value >= 1: exact
+    integer tests step from the estimate log(value) / log_ratio."""
+    k = int(math.log(value) / log_ratio) if value > 1 else 0
+    while value * den ** (k + 1) >= num ** (k + 1):
+        k += 1
+    while k > 0 and value * den ** k < num ** k:
+        k -= 1
+    return k
 
 
 def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
@@ -166,22 +125,29 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     gives the welfare guarantee.
     """
     eps = parse_eps(eps)
-    if inst.n > DEFAULT_QPTAS_FIRM_BOUND:
-        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_QPTAS_FIRM_BOUND}")
-    m, n = inst.m, inst.n
-    ladder = LevelLadder(eps, m, n, inst.v_max)
+    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
+        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
+    values = set().union(*inst.worker_vals, *inst.firm_vals)
+    v_max = max(values, default=0)
+    num, den = eps.numerator + eps.denominator, eps.denominator
+    # log(1+eps): log1p keeps a tiny eps accurate, int logs take a huge one
+    log_ratio = math.log1p(eps) if eps < 1 else math.log(num) - math.log(den)
+    # level tests raise 1+eps to powers up to log(v_max) / log(1+eps); a tiny
+    # eps can round log(1+eps) to 0, which gives that count no usable size
+    if v_max > 1 and (log_ratio == 0 or math.log(v_max) / log_ratio > DEFAULT_LADDER_BUDGET):
+        raise BudgetExceededError(f"ladder exceeds budget of {DEFAULT_LADDER_BUDGET} levels")
     # tau = ceil(log_{1+eps} v_max), at least 1
-    if inst.v_max <= 1:
-        tau = 1
-    else:
-        k = ladder.level_of(inst.v_max)
-        tau = max(1, k if ladder.power_equals(inst.v_max, k) else k + 1)
-    # each distinct value is bucketed once
-    bucket = {v: _bucket_index(ladder, tau, v)
-              for rows in (inst.worker_vals, inst.firm_vals) for v in set().union(*rows)}
+    tau = 1
+    if v_max > 1:
+        k = _level(v_max, num, den, log_ratio)
+        tau = k if v_max * den ** k == num ** k else k + 1
+    # each distinct value is bucketed once: 0 for value 0, else the i in
+    # [1, tau] with (1+eps)^(i-1) <= value < (1+eps)^i; the top bucket also
+    # takes the upper boundary
+    bucket = {v: min(tau, _level(v, num, den, log_ratio) + 1) if v else 0 for v in values}
     groups: dict[tuple, list[int]] = {}
-    for w in range(m):
+    for w in range(inst.m):
         sig = tuple((bucket[inst.worker_vals[w][f]], bucket[inst.firm_vals[f][w]])
-                    for f in range(n))
+                    for f in range(inst.n))
         groups.setdefault(sig, []).append(w)
     return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])

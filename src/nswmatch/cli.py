@@ -30,7 +30,6 @@ from .core import (
 )
 from .exact import (
     DEFAULT_CAPACITY_BOUND,
-    DEFAULT_FPTAS_BUDGET,
     solve_capacity_one,
     solve_dp,
     solve_exact_bucketing,
@@ -79,8 +78,6 @@ def _fptas(inst, eps):
     """dp behind the eps check: the exact optimum P meets the paper's FPTAS
     window P <= opt <= P * (1+eps)^(n+1) for every eps."""
     parse_eps(_require_eps(eps))
-    if inst.m > DEFAULT_FPTAS_BUDGET:
-        raise BudgetExceededError(f"m={inst.m} exceeds bitmask budget {DEFAULT_FPTAS_BUDGET}")
     return (*solve_dp(inst), {})
 
 

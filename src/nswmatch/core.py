@@ -82,15 +82,6 @@ class Instance:
     def n(self) -> int:
         return self.num_firms
 
-    @property
-    def v_max(self) -> int:
-        cached = getattr(self, "_v_max", None)
-        if cached is None:
-            cached = max(max((max(r) for r in self.worker_vals), default=0),
-                         max((max(r) for r in self.firm_vals), default=0))
-            object.__setattr__(self, "_v_max", cached)
-        return cached
-
     def to_json(self) -> dict:
         return {
             "m": self.m,

@@ -6,9 +6,9 @@
   that a full partition can pass through, and the firms' supports come
   from one scan of each worker row.  Two registry entries in cli.SOLVERS
   are solve_dp behind a check: the constant-capacity variant dp2 behind
-  DEFAULT_CAPACITY_BOUND, and fptas behind its eps and
-  DEFAULT_FPTAS_BUDGET, since the exact optimum meets the FPTAS's
-  (1+eps)^(n+1) window for every eps.
+  DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since the exact
+  optimum meets the FPTAS's (1+eps)^(n+1) window for every eps; both run
+  under DEFAULT_DP_BUDGET.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   searches assignments of worker-type counts to firms with
   _best_group_split, the count-split search approx.qptas_bucketing shares.
@@ -40,7 +40,6 @@ from .core import (
 from .graphalgs import max_weight_perfect_matching_general
 
 DEFAULT_DP_BUDGET = 20
-DEFAULT_FPTAS_BUDGET = 16
 DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8

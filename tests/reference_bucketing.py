@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from nswmatch.approx import LevelLadder, _bucket_index, parse_eps
+from nswmatch.approx import parse_eps
 from nswmatch.core import (
     BudgetExceededError,
     DomainError,
@@ -24,6 +24,7 @@ from nswmatch.core import (
     nash_value,
 )
 from nswmatch.exact import _zero_result
+from reference_dp import level
 
 
 def _worker_types(inst: Instance) -> tuple[list[tuple], dict[tuple, list[int]]]:
@@ -158,20 +159,28 @@ def plain_qptas(
     if inst.n > max_firms:
         raise DomainError(f"n={inst.n} exceeds firm bound {max_firms}")
     m, n = inst.m, inst.n
-    ladder = LevelLadder(eps, m, n, inst.v_max)
+    v_max = max(max(row, default=0) for row in inst.worker_vals + inst.firm_vals)
+    num, den = eps.numerator + eps.denominator, eps.denominator
+    # at most 100 000 levels, log(v_max) / log(1+eps), below v_max
+    if v_max > 1 and math.log(v_max) > 100_000 * (math.log(num) - math.log(den)):
+        raise BudgetExceededError("ladder exceeds budget of 100000 levels")
     # tau = ceil(log_{1+eps} v_max), at least 1
-    if inst.v_max <= 1:
+    if v_max <= 1:
         tau = 1
     else:
-        k = ladder.level_of(inst.v_max)
-        tau = max(1, k if ladder.power_equals(inst.v_max, k) else k + 1)
+        k = level(v_max, eps)
+        tau = max(1, k if v_max * den ** k == num ** k else k + 1)
+
+    def bucket(value: int) -> int:
+        """0 for value 0, else the i in [1, tau] with
+        (1+eps)^(i-1) <= value < (1+eps)^i; the top bucket also takes the
+        upper boundary."""
+        return 0 if value == 0 else min(tau, level(value, eps) + 1)
+
     groups: dict[tuple, list[int]] = {}
     for w in range(m):
-        sig = tuple(
-            (_bucket_index(ladder, tau, inst.worker_vals[w][f]),
-             _bucket_index(ladder, tau, inst.firm_vals[f][w]))
-            for f in range(n)
-        )
+        sig = tuple((bucket(inst.worker_vals[w][f]), bucket(inst.firm_vals[f][w]))
+                    for f in range(n))
         groups.setdefault(sig, []).append(w)
     sigs = sorted(groups)
     counts = [len(groups[sig]) for sig in sigs]

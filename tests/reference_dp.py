@@ -1,13 +1,13 @@
-"""Plain reference forms of the subset DP and the ladder levels.
+"""Plain reference forms of the subset DP and the ladder level.
 
 `naive_dp` is the straightforward exact subset DP (`dp`, and `dp2` and
 `fptas`, which run it behind their checks): every layer visits every mask
 and every submask of it, bundle values are recomputed where they are
 needed, and nothing is skipped.  `nswmatch.exact.solve_dp` must return the
 same assignments and products, including which of several tied maximisers
-it picks: the first in increasing submask order.  `ladder_top` and `level`
-are the plain forms of `nswmatch.approx.LevelLadder`'s top level and level
-tests.
+it picks: the first in increasing submask order.  `level` is the plain
+form of `nswmatch.approx._level`, by doubling and bisection on exact
+integer tests.
 """
 
 from __future__ import annotations
@@ -70,22 +70,16 @@ def naive_dp(inst: Instance) -> tuple[Matching, int]:
     return mu, nash_value(inst, mu).product
 
 
-def ladder_top(eps: Fraction, m: int, n: int, v_max: int) -> int:
-    """q + 1, where q is the largest k with (1+eps)^k <= (m*v_max)^(m+n)."""
-    eta = max(1, m * v_max) ** (m + n)
-    num, den = eps.numerator + eps.denominator, eps.denominator
-    q = 0
-    while eta * den ** (q + 1) >= num ** (q + 1):
-        q += 1
-    return q + 1
-
-
-def level(value: int, eps: Fraction, top: int) -> int:
-    """Largest k in [0, top] with (1+eps)^k <= value; -1 when value < 1."""
+def level(value: int, eps: Fraction) -> int:
+    """Largest k with (1+eps)^k <= value; -1 when value < 1."""
     if value < 1:
         return -1
     num, den = eps.numerator + eps.denominator, eps.denominator
-    lo, hi = 0, top
+    # double hi until (1+eps)^hi > value, then bisect below it
+    hi = 1
+    while value * den ** hi >= num ** hi:
+        hi *= 2
+    lo, hi = 0, hi - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if value * den ** mid >= num ** mid:

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from nswmatch.cli import run_algo
 from nswmatch.core import BudgetExceededError, DomainError, Instance, Matching, validate
-from nswmatch.approx import LevelLadder, greedy_submodular, parse_eps, qptas_bucketing
+from nswmatch.approx import _level, greedy_submodular, parse_eps, qptas_bucketing
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
 from reference_approx import ModifiedValuationView
@@ -26,7 +27,7 @@ def all_positive_instance(rng, m=None, n=None):
     )
 
 
-# --- LevelLadder -----------------------------------------------------------
+# --- ladder levels ---------------------------------------------------------
 
 def test_parse_eps():
     assert parse_eps("1/2") == Fraction(1, 2)
@@ -37,21 +38,22 @@ def test_parse_eps():
         parse_eps(0.5)
 
 
+def _ladder(eps: Fraction) -> tuple[int, int, float]:
+    """num, den and log(1+eps) of the (1+eps) grid, as qptas computes them."""
+    num, den = eps.numerator + eps.denominator, eps.denominator
+    return num, den, math.log1p(eps) if eps < 1 else math.log(num) - math.log(den)
+
+
 def test_ladder_exact_boundaries():
-    ladder = LevelLadder(Fraction(1), m=4, n=2, v_max=4)
-    # (1+1)^k = 2^k: exact power comparisons, no float drift
-    assert ladder.level_of(8) == 3
-    assert ladder.level_of(7) == 2
-    assert ladder.value_at_least(8, 3)
-    assert not ladder.value_at_least(7, 3)
-    assert ladder.power_equals(8, 3)
-    assert ladder.eta == 16 ** 6
-    assert ladder.q == 24
-
-
-def test_ladder_caps_level():
-    ladder = LevelLadder(Fraction(1), m=2, n=1, v_max=2)
-    assert ladder.level_of(10 ** 9) == ladder.q + 1
+    num, den, log_ratio = _ladder(Fraction(1))
+    # (1+1)^k = 2^k: exact power comparisons, no float drift; log2 of
+    # 2^60 - 1 rounds to 60.0, so an integer test must step it down
+    assert _level(8, num, den, log_ratio) == 3
+    assert _level(7, num, den, log_ratio) == 2
+    assert _level(1, num, den, log_ratio) == 0
+    assert _level(2 ** 60, num, den, log_ratio) == 60
+    assert _level(2 ** 60 - 1, num, den, log_ratio) == 59
+    assert _level(10 ** 9, num, den, log_ratio) == 29
 
 
 @pytest.mark.parametrize("eps, m, n, v_max", [
@@ -59,28 +61,35 @@ def test_ladder_caps_level():
     ("7/3", 1, 1, 1), ("1/100", 2, 1, 2 ** 20),
 ])
 def test_ladder_matches_reference(eps, m, n, v_max):
-    ladder = LevelLadder(eps, m, n, v_max)
-    top = reference_dp.ladder_top(Fraction(eps), m, n, v_max)
-    assert ladder.q == top - 1
-    num, den = ladder.num, ladder.den
-    # the smallest integers at or above (1+eps)^k, and their neighbours; for
-    # eps 1/2 and 1/100 the upper ks are powers above 2^53 below the cap
+    eps = Fraction(eps)
+    num, den, log_ratio = _ladder(eps)
+    # levels up to that of eta = (m*v_max)^(m+n), the paper's bound on a
+    # Nash product: for eps 1/2 and 1/100 the upper ks are powers past 2^53
+    top = reference_dp.level(max(1, m * v_max) ** (m + n), eps) + 1
+    # the smallest integers at or above (1+eps)^k, and their neighbours
     ks = {0, 1, 2, top // 3, top // 2, top - 2, top - 1, top, top + 1, 2 * top}
     ceilings = [-(-num ** k // den ** k) for k in ks if k >= 0]
-    values = {v + d for v in ceilings for d in (-1, 0, 1)} | {0, 2 ** 53 + 1}
-    for v in sorted(values):
-        assert ladder.level_of(v) == reference_dp.level(v, Fraction(eps), top), v
+    values = {v + d for v in ceilings for d in (-1, 0, 1)} | {2 ** 53 + 1}
+    for v in sorted(values - {0}):
+        assert _level(v, num, den, log_ratio) == reference_dp.level(v, eps), v
 
 
 def test_ladder_builds_no_power_table():
+    # about 1 389 levels below 10^6 at eps 1/100: a table of the powers of
+    # 101 and 100 up to there would take about 1.8 MB
+    rng = random.Random(3)
+    inst = Instance.create(
+        (2, 2),
+        [[rng.randint(1, 10 ** 6) for _ in range(2)] for _ in range(4)],
+        [[rng.randint(1, 10 ** 6) for _ in range(4)] for _ in range(2)],
+    )
     tracemalloc.start()
     try:
-        ladder = LevelLadder("1/100", m=9, n=5, v_max=10 ** 6)
+        qptas_bucketing(inst, "1/100")
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ladder.q == 22_529
-    assert peak < 2 * 2 ** 20
+    assert peak < 2 ** 18
 
 
 # --- modified valuations ---------------------------------------------------
@@ -218,15 +227,24 @@ def test_fptas_single_firm_tight():
 
 
 def test_fptas_budget():
-    inst = random_instance(random.Random(2), m=17, n=2)
+    # fptas runs under dp's bitmask budget of 20
+    inst = random_instance(random.Random(2), m=21, n=2)
     assert run_algo("fptas", inst, "1/1")["status"] == "budget-exceeded"
     assert run_algo("fptas", inst)["status"] == "infeasible-domain"
 
 
 def test_ladder_budget():
-    # q = ln(4^3) / ln(1 + 1/100000) is about 416 000 levels
+    # v_max = 2 takes ln 2 / ln(1 + eps) levels: about 69 315 at eps
+    # 1/100000 and 693 147 at eps 1/1000000, against a budget of 100 000
     inst = Instance.create((2,), [[2], [2]], [[2, 2]])
+    assert qptas_bucketing(inst, "1/100000")[1].product == 16
     with pytest.raises(BudgetExceededError):
-        qptas_bucketing(inst, "1/100000")
+        qptas_bucketing(inst, "1/1000000")
+    # with no value above 1 no power of 1+eps is taken, so any eps solves
+    tiny = Fraction(1, 10 ** 9)
+    zeros = Instance.create((2,), [[0], [0]], [[0, 0]])
+    ones = Instance.create((2,), [[1], [1]], [[1, 1]])
+    assert qptas_bucketing(zeros, tiny)[1].product == 0
+    assert qptas_bucketing(ones, tiny)[1].product == 2
     # fptas builds no ladder, so any eps is solved exactly
-    assert fptas_product(inst, "1/100000") == 16
+    assert fptas_product(inst, "1/1000000") == 16

@@ -139,10 +139,8 @@ def test_short_capacity_builds_no_tables(monkeypatch):
         mu, value = solve_dp(inst)
         assert value.product == 0 and mu == zero_fallback(inst)
         assert_zero_fallback(inst, "dp2")
-    assert_zero_fallback(short16, "fptas", "1/2")
-    # m = 18 is past the fptas budget of 16, which is still checked first
-    assert run_algo("fptas", short18, "1/2")["status"] == "budget-exceeded"
-    # the dp budget of 20 and dp2's capacity bound as well
+        assert_zero_fallback(inst, "fptas", "1/2")
+    # the dp budget of 20 and dp2's capacity bound come before the short check
     over = generators.gen_random(21, 5, [3] * 5, 5, 1.0, 7).instance
     with pytest.raises(BudgetExceededError):
         solve_dp(over)
