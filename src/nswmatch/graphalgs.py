@@ -8,7 +8,9 @@ vertices that seed leaves single root alternating trees.  Among
 equal-weight perfect matchings it need not return the one networkx would.
 feasible_flow_with_lower_bounds takes a list of (u, v, lower, upper) arcs
 and uses the standard excess/deficit transformation on top of a small
-Dinic max-flow.  Matching weights arrive as positive integers and
+Dinic max-flow.  Dinic is iterative: its blocking-flow search keeps an
+explicit stack of path arcs, so an augmenting path may be longer than
+Python's recursion limit.  Matching weights arrive as positive integers and
 max_weight_perfect_matching_general maximises the sum of their float logs,
 so a near-tie between two matchings can be decided by rounding; it is the
 one place where floats meet the matching reductions.  The blossom itself is
@@ -762,6 +764,7 @@ class _Dinic:
         return idx
 
     def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             level = [-1] * self.n
@@ -769,35 +772,42 @@ class _Dinic:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and level[v] < 0:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[t] < 0:
                 return flow
+            # blocking flow: walk from s along level-increasing arcs with
+            # a stack of the arcs taken; a dead end retreats one arc and
+            # moves the parent's it pointer on, reaching t pushes the
+            # path's bottleneck and restarts from s
             it = [0] * self.n
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got > 0:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
-                    break
-                flow += pushed
+                if u == t:
+                    pushed = min(1 << 60, *(cap[idx] for idx in path))
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                arcs = head[u]
+                while it[u] < len(arcs):
+                    idx = arcs[it[u]]
+                    if cap[idx] > 0 and level[to[idx]] == level[u] + 1:
+                        path.append(idx)
+                        u = to[idx]
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def feasible_flow_with_lower_bounds(

@@ -1,7 +1,7 @@
 """Exact polynomial-time solvers for restricted instance families.
 
-- solve_symmetric_binary: exchange-graph local search for symmetric 0/1
-  valuations.
+- solve_symmetric_binary: good-path local search for symmetric 0/1
+  valuations, on per-firm bitmasks of the firms a worker can move to.
 - solve_degree_two: path/cycle casework when every agent has degree <= 2.
 - solve_degree3_capacity2: firms of degree <= 3 that must each receive
   exactly two workers; reduces to a max-product perfect matching on workers.
@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Optional
 
 from .core import (
@@ -38,63 +40,6 @@ from .core import (
 from .exact import _zero_result
 from .feasibility import exists_nonzero_nash
 from .graphalgs import max_weight_perfect_matching_general
-
-
-class ExchangeGraph:
-    """Directed firm multigraph for the symmetric-binary local search.
-
-    arcs[f][f'] lists, in increasing order, the witness workers currently
-    at f that firm f' values; moving any of them from f to f' keeps every
-    interior utility unchanged.  likes[w] lists, in increasing order, the
-    firms that value w.
-    """
-
-    def __init__(self, arcs: list[list[list[int]]], likes: list):
-        self.num_firms = len(arcs)
-        self.arcs = arcs
-        self.likes = likes
-
-    @classmethod
-    def build(cls, inst: Instance, mu: Matching, likes: list) -> "ExchangeGraph":
-        """The graph of assignment mu, given likes as above (under
-        symmetric binary values, each worker's positive firms)."""
-        n = inst.n
-        arcs = [[[] for _ in range(n)] for _ in range(n)]
-        for w, f in enumerate(mu.assignment):
-            if f is UNMATCHED:
-                continue
-            for g in likes[w]:
-                if g != f:
-                    arcs[f][g].append(w)
-        return cls(arcs, likes)
-
-    def move(self, w: int, f: int, g: int) -> None:
-        """Update the arcs for worker w moving from firm f to firm g: only
-        the firms that value w see a change."""
-        for h in self.likes[w]:
-            if h != f:
-                self.arcs[f][h].remove(w)
-            if h != g:
-                insort(self.arcs[g][h], w)
-
-    def bfs_tree(self, u: int) -> list:
-        """BFS parents from u: parent[g] = (f, witness) for each reached
-        g != u, with firms scanned in increasing order and each arc's
-        smallest witness; None where g is unreached.  Running the search to
-        the end sets the same parents as one that stops at any target."""
-        n = self.num_firms
-        parent: list = [None] * n
-        parent[u] = (-1, -1)
-        queue = [u]
-        while queue:
-            nxt = []
-            for f in queue:
-                for g, witnesses in enumerate(self.arcs[f]):
-                    if witnesses and parent[g] is None:
-                        parent[g] = (f, witnesses[0])
-                        nxt.append(g)
-            queue = nxt
-        return parent
 
 
 def _check_symmetric_binary(inst: Instance) -> list[tuple[int, ...]]:
@@ -122,14 +67,15 @@ def solve_symmetric_binary(
     """Nash-optimal matching under symmetric binary valuations.
 
     Starts from any all-positive matching and repeatedly applies the best
-    good path in the exchange graph: a firm path whose rematching shifts one
-    worker along every arc, lowering the start firm's utility by 1 and
-    raising the end firm's by 1.  Such a path improves the Nash product iff
-    u_start >= u_end + 2 and the end firm has slack; the gain depends only
-    on the endpoints, so the best path is found by scanning endpoint pairs
-    in decreasing gain order, ties by (start, end), and testing
-    reachability in one BFS tree per start firm.  The exchange graph is
-    built once and updated for each worker a path moves.
+    good path: a firm path whose rematching moves, at each step f -> g, a
+    worker at f that g values to g, so the start firm's utility falls by 1
+    and the end firm's rises by 1.  That improves the Nash product iff
+    u_start >= u_end + 2 and the end firm has slack.  The gain depends only
+    on the endpoints, so endpoint pairs are scanned in decreasing gain
+    order, ties by (start, end), with one BFS tree per start firm.  Firm
+    sets are int bitmasks: liked_by[w], the firms that value w, and
+    reach[f], the OR of liked_by over the workers at f.  A step's worker,
+    the least at f that g values, is found only on the applied path.
     """
     likes = _check_symmetric_binary(inst)
     m, n = inst.m, inst.n
@@ -141,39 +87,72 @@ def solve_symmetric_binary(
     if not ok:
         return _zero_result(inst)
     assignment = list(mu.assignment)
-    graph = ExchangeGraph.build(inst, mu, likes)
-    loads = [0] * n
-    for f in assignment:
-        loads[f] += 1
+    liked_by = [sum(1 << f for f in firms) for firms in likes]
+    members: list[set[int]] = [set() for _ in range(n)]
+    for w, f in enumerate(assignment):
+        members[f].add(w)
+    reach = [_union(liked_by, workers) for workers in members]
     iterations = 0
     while True:
-        path = _best_good_path(graph, loads, inst.capacities)
-        if path is None:
+        loads = list(map(len, members))
+        firms = _best_good_path(reach, loads, inst.capacities)
+        if firms is None:
             break
-        u, v = path[0][0], path[-1][1]
-        before = math.prod(loads)
+        path = [(f, g, min(w for w in members[f] if liked_by[w] >> g & 1))
+                for f, g in zip(firms, firms[1:])]
         # apply tail-first so intermediate loads never exceed capacity
         for f, g, w in reversed(path):
             assert assignment[w] == f and inst.firm_vals[g][w] > 0
             assignment[w] = g
-            graph.move(w, f, g)
-        loads[u] -= 1
-        loads[v] += 1
-        after = math.prod(loads)
-        assert after > before, "good path failed to increase the product"
+            members[f].remove(w)
+            members[g].add(w)
+            reach[f] = _union(liked_by, members[f])
+            reach[g] |= liked_by[w]
+        assert math.prod(map(len, members)) > math.prod(loads), \
+            "good path failed to increase the product"
         iterations += 1
         if stats is not None:
             stats["iterations"] = iterations
         if iterations > cap + 10:
-            raise RuntimeError("exchange-graph iteration cap exceeded")
+            raise RuntimeError("good-path iteration cap exceeded")
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
 
 
-def _best_good_path(graph: ExchangeGraph, loads, caps):
-    """The path of the first reachable endpoint pair (u, v) in (-gain, u, v)
-    order, as [(f, g, witness_worker), ...], or None.  The exact gain is
-    computed once per distinct (load_u, load_v) pair."""
+def _union(liked_by: list[int], workers) -> int:
+    """The OR of liked_by[w] over workers."""
+    return reduce(or_, map(liked_by.__getitem__, workers), 0)
+
+
+def _bfs_parents(reach: list[int], u: int) -> list[Optional[int]]:
+    """BFS parents from firm u over the arcs f -> g for each bit g of
+    reach[f]: parent[g] for each reached g != u, None where g is unreached.
+    Firms are taken level by level and each firm's new targets in
+    increasing order, so running the search to the end sets the same
+    parents as one that stops at any target."""
+    parent: list[Optional[int]] = [None] * len(reach)
+    parent[u] = -1
+    seen = 1 << u
+    queue = [u]
+    while queue:
+        nxt = []
+        for f in queue:
+            new = reach[f] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                g = low.bit_length() - 1
+                parent[g] = f
+                nxt.append(g)
+                new ^= low
+        queue = nxt
+    return parent
+
+
+def _best_good_path(reach: list[int], loads, caps) -> Optional[list[int]]:
+    """The firms u, ..., v of the BFS-tree path for the first reachable
+    endpoint pair (u, v) in (-gain, u, v) order, or None.  The exact gain
+    is computed once per distinct (load_u, load_v) pair."""
     by_load: dict[int, list[int]] = {}
     for f, load in enumerate(loads):
         by_load.setdefault(load, []).append(f)
@@ -190,18 +169,14 @@ def _best_good_path(graph: ExchangeGraph, loads, caps):
                        for v in by_load[b] if loads[v] < caps[v])
         for u, v in pairs:
             if u not in trees:
-                trees[u] = graph.bfs_tree(u)
+                trees[u] = _bfs_parents(reach, u)
             parent = trees[u]
             if parent[v] is None:
                 continue
-            path = []
-            node = v
-            while node != u:
-                pf, w = parent[node]
-                path.append((pf, node, w))
-                node = pf
-            path.reverse()
-            return path
+            firms = [v]
+            while firms[-1] != u:
+                firms.append(parent[firms[-1]])
+            return firms[::-1]
     return None
 
 

@@ -131,6 +131,30 @@ def test_solve_oracle_deep_instance(tmp_path):
     assert record["nash_product"] == "1500"
 
 
+@pytest.mark.parametrize("algo", ["feasible", "symbin"])
+def test_solve_long_augmenting_path(tmp_path, algo):
+    """A 1 000-firm chain, capacities 1: firm f values, and is valued by,
+    the workers at chain positions f and f + 1, and the worker at position p
+    has index n - 1 - p.  The flow's augmenting paths run the chain's
+    length, past Python's recursion limit: the CLI still exits 0."""
+    n = 1000
+    rows = [[0] * n for _ in range(n)]
+    for f in range(n):
+        for p in (f, f + 1):
+            if p < n:
+                rows[n - 1 - p][f] = 1
+    inst = Instance.create([1] * n, rows, [list(col) for col in zip(*rows)])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(inst.to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nswmatch.cli", "solve", str(path), "--algo", algo],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["status"] == "ok"
+    assert record["nash_product"] == "1"
+
+
 def test_solve_bad_eps(tmp_path, capsys):
     path = write_crossing(tmp_path)
     for eps in ("0/1", "1/0", ""):

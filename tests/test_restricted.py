@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import reference_symbin
 from nswmatch.cli import run_algo
-from nswmatch.core import DomainError, Instance, Matching, nash_value, validate
+from nswmatch.core import DomainError, Instance, nash_value, validate
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
-    ExchangeGraph,
-    _check_symmetric_binary,
     solve_degree3_capacity2,
     solve_degree_two,
     solve_single_positive_firm,
@@ -69,33 +67,6 @@ def test_symbin_oracle_agreement_and_cap():
         assert stats["iterations"] <= cap
 
 
-def test_exchange_graph_arcs():
-    inst = sym((2, 1), [[1, 1], [1, 0]])
-    from nswmatch.core import Matching
-    mu = Matching.of([0, 0])
-    g = ExchangeGraph.build(inst, mu, _check_symmetric_binary(inst))
-    assert g.arcs[0][1] == [0]   # only w0 is valued by f1
-    assert g.arcs[1][0] == []
-
-
-def test_exchange_graph_moves_match_fresh_build():
-    rng = random.Random(79)
-    for _ in range(100):
-        inst = random_symmetric_binary(rng, m=rng.randint(1, 12), n=rng.randint(1, 5))
-        assignment = [rng.randrange(inst.n) for _ in range(inst.m)]
-        likes = _check_symmetric_binary(inst)
-        graph = ExchangeGraph.build(inst, Matching.of(assignment), likes)
-        for _ in range(20):
-            w, g = rng.randrange(inst.m), rng.randrange(inst.n)
-            if g == assignment[w]:
-                continue
-            graph.move(w, assignment[w], g)
-            assignment[w] = g
-            fresh = ExchangeGraph.build(inst, Matching.of(assignment), likes)
-            assert graph.arcs == fresh.arcs
-            assert graph.arcs == reference_symbin.build_arcs(inst, assignment)
-
-
 @st.composite
 def symbin_instances(draw):
     """Symmetric 0/1 instances up to m = 40, n = 8.  Firm f values worker f
@@ -113,15 +84,34 @@ def symbin_instances(draw):
     return sym(caps, rows)
 
 
-@settings(max_examples=500, deadline=None)
-@given(symbin_instances())
-def test_symbin_matches_rebuild_reference(inst):
+def assert_matches_rebuild_reference(inst) -> int:
+    """solve_symmetric_binary agrees with reference_symbin, which rebuilds
+    its arcs every iteration; returns the iteration count."""
     stats, ref_stats = {}, {}
     mu, value = solve_symmetric_binary(inst, stats=stats)
     mu_ref, value_ref = reference_symbin.solve_symmetric_binary(inst, ref_stats)
     assert mu == mu_ref
     assert value.product == value_ref.product
     assert stats["iterations"] == ref_stats["iterations"]
+    return stats["iterations"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(symbin_instances())
+def test_symbin_matches_rebuild_reference(inst):
+    assert_matches_rebuild_reference(inst)
+
+
+def test_symbin_matches_rebuild_reference_past_one_word():
+    """80 firms, past the strategy's 8: the firm bitmasks span more than
+    one 64-bit word, and the search runs some 60 paths."""
+    rng = random.Random(24)
+    m, n = 320, 80
+    rows = [[int(rng.random() < 0.05) for _ in range(n)] for _ in range(m)]
+    for w, row in enumerate(rows):
+        row[w % n] = 1
+    inst = sym([rng.randint(1, 12) for _ in range(n)], rows)
+    assert assert_matches_rebuild_reference(inst) > 0
 
 
 # --- degree two ------------------------------------------------------------
