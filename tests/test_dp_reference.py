@@ -138,6 +138,7 @@ def test_short_capacity_builds_no_tables(monkeypatch):
     for inst in (short16, short18):
         mu, value = solve_dp(inst)
         assert value.product == 0 and mu == zero_fallback(inst)
+        assert validate(inst, mu) is None
         assert_zero_fallback(inst, "dp2")
         assert_zero_fallback(inst, "fptas", "1/2")
     # the dp budget of 20 and dp2's capacity bound come before the short check
