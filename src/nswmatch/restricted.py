@@ -1,7 +1,8 @@
 """Exact polynomial-time solvers for restricted instance families.
 
 - solve_symmetric_binary: good-path local search for symmetric 0/1
-  valuations, on per-firm bitmasks of the firms a worker can move to.
+  valuations, on per-firm bitmasks of the firms a worker can move to; one
+  BFS pass, rooted in decreasing load order, finds each best-gain path.
 - solve_degree_two: path/cycle casework when every agent has degree <= 2.
 - solve_degree3_capacity2: firms of degree <= 3 that must each receive
   exactly two workers; reduces to a max-product perfect matching on workers.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -70,10 +70,11 @@ def solve_symmetric_binary(
     good path: a firm path whose rematching moves, at each step f -> g, a
     worker at f that g values to g, so the start firm's utility falls by 1
     and the end firm's rises by 1.  That improves the Nash product iff
-    u_start >= u_end + 2 and the end firm has slack.  The gain depends only
-    on the endpoints, so endpoint pairs are scanned in decreasing gain
-    order, ties by (start, end), with one BFS tree per start firm.  Firm
-    sets are int bitmasks: liked_by[w], the firms that value w, and
+    u_start >= u_end + 2 and the end firm has slack.  The gain grows with
+    u_start and falls with u_end, so one BFS pass from the firms in
+    decreasing load order finds each end's best start and path, and the
+    pick is the first reachable (start, end) in (-gain, start, end) order.
+    Firm sets are int bitmasks: liked_by[w], the firms that value w, and
     reach[f], the OR of liked_by over the workers at f.  A step's worker,
     the least at f that g values, is found only on the applied path.
     """
@@ -124,60 +125,54 @@ def _union(liked_by: list[int], workers) -> int:
     return reduce(or_, map(liked_by.__getitem__, workers), 0)
 
 
-def _bfs_parents(reach: list[int], u: int) -> list[Optional[int]]:
-    """BFS parents from firm u over the arcs f -> g for each bit g of
-    reach[f]: parent[g] for each reached g != u, None where g is unreached.
-    Firms are taken level by level and each firm's new targets in
-    increasing order, so running the search to the end sets the same
-    parents as one that stops at any target."""
-    parent: list[Optional[int]] = [None] * len(reach)
-    parent[u] = -1
-    seen = 1 << u
-    queue = [u]
-    while queue:
-        nxt = []
-        for f in queue:
-            new = reach[f] & ~seen
-            seen |= new
-            while new:
-                low = new & -new
-                g = low.bit_length() - 1
-                parent[g] = f
-                nxt.append(g)
-                new ^= low
-        queue = nxt
-    return parent
-
-
 def _best_good_path(reach: list[int], loads, caps) -> Optional[list[int]]:
-    """The firms u, ..., v of the BFS-tree path for the first reachable
-    endpoint pair (u, v) in (-gain, u, v) order, or None.  The exact gain
-    is computed once per distinct (load_u, load_v) pair."""
-    by_load: dict[int, list[int]] = {}
-    for f, load in enumerate(loads):
-        by_load.setdefault(load, []).append(f)
-    # pairs of loads, grouped by gain; u and v lists are increasing
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for a in by_load:
-        for b in by_load:
-            if a >= b + 2:
-                gain = Fraction((a - 1) * (b + 1), a * b)
-                groups.setdefault(gain, []).append((a, b))
-    trees: dict[int, list] = {}
-    for gain in sorted(groups, reverse=True):
-        pairs = sorted((u, v) for a, b in groups[gain] for u in by_load[a]
-                       for v in by_load[b] if loads[v] < caps[v])
-        for u, v in pairs:
-            if u not in trees:
-                trees[u] = _bfs_parents(reach, u)
-            parent = trees[u]
-            if parent[v] is None:
-                continue
-            firms = [v]
-            while firms[-1] != u:
-                firms.append(parent[firms[-1]])
-            return firms[::-1]
-    return None
+    """The firms u, ..., v of the good path of largest gain (a-1)(b+1)/(ab),
+    a = loads[u] >= b + 2, b = loads[v] < caps[v], ties by (u, v); or None.
+
+    One BFS pass over the arcs f -> g for each bit g of reach[f]: roots in
+    order of decreasing load, ties by index, each label the firms that no
+    earlier root reached, level by level and each firm's new targets in
+    increasing order.  A firm an earlier root reached leads only to firms
+    it reached too, so root[v] is the least-index firm of largest load that
+    reaches v, and its tree path to v is the one a BFS from it alone takes."""
+    n = len(loads)
+    slack = [v for v in range(n) if loads[v] < caps[v]]
+    root, parent = [-1] * n, [-1] * n
+    seen = 0
+    for r in sorted(range(n), key=loads.__getitem__, reverse=True):
+        if seen >> r & 1:
+            continue
+        seen |= 1 << r
+        root[r] = r
+        queue = [r]
+        while queue:
+            nxt = []
+            for f in queue:
+                new = reach[f] & ~seen
+                seen |= new
+                while new:
+                    low = new & -new
+                    g = low.bit_length() - 1
+                    root[g], parent[g] = r, f
+                    nxt.append(g)
+                    new ^= low
+            queue = nxt
+    # exact gains num/den by cross-multiplying; equal (gain, u) keep least v
+    best = None
+    for v in slack:
+        u = root[v]
+        if u < 0 or loads[u] < loads[v] + 2:
+            continue
+        a, b = loads[u], loads[v]
+        num, den = (a - 1) * (b + 1), a * b
+        if best is None or (num * best[1], -u) > (best[0] * den, -best[2]):
+            best = (num, den, u, v)
+    if best is None:
+        return None
+    firms = [best[3]]
+    while firms[-1] != best[2]:
+        firms.append(parent[firms[-1]])
+    return firms[::-1]
 
 
 def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:

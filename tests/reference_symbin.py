@@ -43,32 +43,40 @@ def solve_symmetric_binary(inst: Instance, stats: dict) -> tuple[Matching, NashV
         loads = [0] * n
         for f in assignment:
             loads[f] += 1
-        arcs = build_arcs(inst, assignment)
-        pairs = []
-        for u in range(n):
-            for v in range(n):
-                if u == v or loads[u] < loads[v] + 2 or loads[v] >= inst.capacities[v]:
-                    continue
-                gain = Fraction((loads[u] - 1) * (loads[v] + 1), loads[u] * loads[v])
-                pairs.append((gain, u, v))
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-        for _gain, u, v in pairs:
-            path = find_path(arcs, u, v)
-            if path is None:
-                continue
-            before = math.prod(loads)
-            for f, g, w in reversed(path):
-                assert assignment[w] == f and inst.firm_vals[g][w] > 0
-                assignment[w] = g
-            loads[u] -= 1
-            loads[v] += 1
-            assert math.prod(loads) > before
+        path = best_path(build_arcs(inst, assignment), loads, inst.capacities)
+        if path is None:
             break
-        else:
-            break
+        before = math.prod(loads)
+        for f, g, w in reversed(path):
+            assert assignment[w] == f and inst.firm_vals[g][w] > 0
+            assignment[w] = g
+        loads[path[0][0]] -= 1
+        loads[path[-1][1]] += 1
+        assert math.prod(loads) > before
         stats["iterations"] += 1
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
+
+
+def best_path(arcs, loads, caps):
+    """The path of the first reachable endpoint pair (u, v), scoring every
+    pair with its own Fraction gain and sorting all of them by
+    (-gain, u, v), then one early-exit BFS per pair in that order;
+    [(f, g, witness_worker), ...] or None."""
+    n = len(loads)
+    pairs = []
+    for u in range(n):
+        for v in range(n):
+            if u == v or loads[u] < loads[v] + 2 or loads[v] >= caps[v]:
+                continue
+            gain = Fraction((loads[u] - 1) * (loads[v] + 1), loads[u] * loads[v])
+            pairs.append((gain, u, v))
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    for _gain, u, v in pairs:
+        path = find_path(arcs, u, v)
+        if path is not None:
+            return path
+    return None
 
 
 def find_path(arcs, u: int, v: int):

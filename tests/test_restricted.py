@@ -9,6 +9,7 @@ from nswmatch.core import DomainError, Instance, nash_value, validate
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
+    _best_good_path,
     solve_degree3_capacity2,
     solve_degree_two,
     solve_single_positive_firm,
@@ -55,33 +56,103 @@ def test_symbin_already_optimal_zero_iterations():
     assert stats["iterations"] == 0
 
 
+def unbalanced_symbin(rng, m, n, p):
+    """Firm w % n values worker w and other pairs value each other w.p. p,
+    capacities 1..m: most optima are positive, and generous capacities
+    leave the flow's first matching unbalanced, so the search applies
+    paths."""
+    rows = [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
+    for w, row in enumerate(rows):
+        row[w % n] = 1
+    return sym([rng.randint(1, m) for _ in range(n)], rows)
+
+
 def test_symbin_oracle_agreement_and_cap():
+    """200 small inputs and 150 unbalanced ones, some of which apply paths;
+    one of those (m = 12, n = 4) takes some 2.6 million oracle leaves, past
+    the default budget of 2 million."""
     rng = random.Random(61)
-    for _ in range(200):
-        inst = random_symmetric_binary(rng)
+    instances = [random_symmetric_binary(rng) for _ in range(200)]
+    instances += [unbalanced_symbin(rng, rng.randint(4, 12), rng.randint(2, 4),
+                                    rng.choice((0.3, 0.5, 0.8)))
+                  for _ in range(150)]
+    searched = 0
+    for inst in instances:
         stats = {}
         mu, value = solve_symmetric_binary(inst, stats=stats)
         assert validate(inst, mu) is None
-        assert value.product == solve_bruteforce(inst).value.product
+        oracle = solve_bruteforce(inst, limit=10 ** 7)
+        assert value.product == oracle.value.product
         cap = symmetric_binary_iteration_cap(inst.m, inst.n)
         assert stats["iterations"] <= cap
+        searched += stats["iterations"] > 0
+    assert searched >= 20
+
+
+def pair_scan_firms(reach, loads, caps):
+    """reference_symbin's choice on a (reach, loads, caps) state: the firms
+    of best_path's path, with one arc f -> g for each bit g != f of
+    reach[f]."""
+    n = len(loads)
+    arcs = [[[f] if g != f and reach[f] >> g & 1 else [] for g in range(n)]
+            for f in range(n)]
+    path = reference_symbin.best_path(arcs, loads, caps)
+    return None if path is None else [path[0][0]] + [g for _f, g, _w in path]
+
+
+def arcs_mask(n, *arcs):
+    """reach bitmasks with bit f set in reach[f] and bit g for each (f, g)."""
+    reach = [1 << f for f in range(n)]
+    for f, g in arcs:
+        reach[f] |= 1 << g
+    return reach
+
+
+@pytest.mark.parametrize("reach, loads, caps, firms", [
+    # (3, 1) and (9, 2) both gain 4/3: the lesser start wins, although
+    # the load-9 firm is searched first in the second state
+    (arcs_mask(4, (0, 1), (2, 3)), [9, 2, 3, 1], [9, 3, 3, 2], [0, 1]),
+    (arcs_mask(4, (0, 1), (2, 3)), [3, 1, 9, 2], [3, 2, 9, 3], [0, 1]),
+    # the least-load firm 1 has no slack
+    (arcs_mask(3, (0, 1), (0, 2)), [5, 1, 2], [5, 1, 4], [0, 2]),
+    (arcs_mask(3, (0, 1), (0, 2)), [3, 1, 2], [3, 1, 4], None),
+    # the load-10 firm reaches nothing
+    (arcs_mask(3, (1, 2), (2, 0)), [10, 4, 1], [10, 4, 2], [1, 2]),
+    # equal-load roots 0 and 1: 0 reaches 3 only through 2, 1 directly
+    (arcs_mask(4, (0, 2), (2, 3), (1, 3)), [5, 5, 3, 1], [5, 5, 3, 2],
+     [0, 2, 3]),
+    # firm 2, reached from root 0, leads on to 3 for root 0, not root 1
+    (arcs_mask(4, (1, 2), (0, 2), (2, 3), (1, 3)), [6, 6, 2, 1], [6, 6, 2, 5],
+     [0, 2, 3]),
+])
+def test_best_good_path_matches_pair_scan(reach, loads, caps, firms):
+    assert pair_scan_firms(reach, loads, caps) == firms
+    assert _best_good_path(reach, loads, caps) == firms
+
+
+def test_best_good_path_matches_pair_scan_random():
+    rng = random.Random(18)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        p = rng.random()
+        reach = arcs_mask(n, *((f, g) for f in range(n) for g in range(n)
+                               if rng.random() < p))
+        loads = [rng.randint(1, rng.choice((3, 6, 12))) for _ in range(n)]
+        caps = [load + rng.choice((0, 0, 1, 3)) for load in loads]
+        firms = _best_good_path(reach, loads, caps)
+        assert firms == pair_scan_firms(reach, loads, caps)
+        found += firms is not None
+    assert found > 1000
 
 
 @st.composite
 def symbin_instances(draw):
-    """Symmetric 0/1 instances up to m = 40, n = 8.  Firm f values worker f
-    and every worker values some firm, so most optima are positive, and
-    generous capacities leave the flow's first matching unbalanced, so the
-    search has work to do."""
+    """unbalanced_symbin instances up to m = 40, n = 8."""
     m = draw(st.integers(1, 40))
     n = draw(st.integers(1, min(8, m)))
     p = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = [[int(rng.random() < p) for _ in range(n)] for _ in range(m)]
-    for w, row in enumerate(rows):
-        row[w % n] = 1
-    caps = [rng.randint(1, m) for _ in range(n)]
-    return sym(caps, rows)
+    return unbalanced_symbin(random.Random(draw(st.integers(0, 2 ** 32 - 1))), m, n, p)
 
 
 def assert_matches_rebuild_reference(inst) -> int:
