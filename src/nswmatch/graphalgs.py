@@ -1,20 +1,22 @@
 """Supporting graph algorithms.
 
 Matching is Edmonds' weighted blossom algorithm
-(max_weight_perfect_matching), run in-tree on integer vertices.  It returns
-a maximum-weight perfect matching or None, and starts from a greedy
-matching on the tight edges of seeded duals, as Blossom V does, so only the
-vertices that seed leaves single root alternating trees.  Among
-equal-weight perfect matchings it need not return the one networkx would.
+(max_weight_perfect_matching), run in-tree on integer vertices and integer
+weights, so every dual and slack is an exact int.  It returns a
+maximum-weight perfect matching, or None, together with a check of the
+optimum against the final duals, and starts from a greedy matching on the
+tight edges of seeded duals, as Blossom V does, so only the vertices that
+seed leaves single root alternating trees.  Among equal-weight perfect
+matchings it need not return the one networkx would.
 feasible_flow_with_lower_bounds takes a list of (u, v, lower, upper) arcs
 and uses the standard excess/deficit transformation on top of a small
 Dinic max-flow.  Dinic is iterative: its blocking-flow search keeps an
 explicit stack of path arcs, so an augmenting path may be longer than
 Python's recursion limit.  Matching weights arrive as positive integers and
-max_weight_perfect_matching_general maximises the sum of their float logs,
-so a near-tie between two matchings can be decided by rounding; it is the
-one place where floats meet the matching reductions.  The blossom itself is
-exact on int weights.
+max_weight_perfect_matching_general maximises the sum of their logs rounded
+to multiples of 2^-52, so a near-tie between two products can still be
+decided by rounding; it is the one place where logs meet the matching
+reductions.
 
 The stages of max_weight_perfect_matching are ported from networkx 3.6
 (networkx/algorithms/matching.py), which carries this notice:
@@ -66,27 +68,32 @@ def max_weight_perfect_matching_general(
 ) -> list[tuple[int, int]] | None:
     """Perfect matching of vertices 0..num_vertices-1 that maximises the
     product of its edge weights, via max_weight_perfect_matching on their
-    float logs; two products whose logs round alike can come out in either
-    order.
+    logs as integer multiples of 2^-52; two products whose rounded logs sum
+    alike can come out in either order.  The optimum check is not run: it
+    would certify the rounded logs, not the product.
 
     edges are (u, v, weight) with u != v and positive integer weights, no
     pair given twice.  Returns the matched pairs as sorted (min, max)
     tuples, or None when no perfect matching exists.
     """
-    mate = max_weight_perfect_matching(
-        num_vertices, [(u, v, math.log(w)) for u, v, w in edges])
+    scaled = {w: round(math.log(w) * 2**52) for w in {e[2] for e in edges}}
+    mate, _check = max_weight_perfect_matching(
+        num_vertices, [(u, v, scaled[w]) for u, v, w in edges])
     if mate is None:
         return None
     return [(v, w) for v, w in enumerate(mate) if v < w]
 
 
-def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
-    """Maximum-weight perfect matching of vertices 0..num_vertices-1:
-    mate[v] is v's partner.  None when no perfect matching exists, at once
-    when num_vertices is odd or a vertex has no edge.
+def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
+    """Maximum-weight perfect matching of vertices 0..num_vertices-1, as
+    (mate, check): mate[v] is v's partner, and check() asserts the
+    complementary slackness conditions on the final duals, a certificate
+    that no perfect matching weighs more.  (None, None) when no perfect
+    matching exists, at once when num_vertices is odd or a vertex has no
+    edge.
 
-    edges is a sequence of (u, v, weight) with u != v, no pair given
-    twice.  The stages are networkx's max_weight_matching(G,
+    edges is a sequence of (u, v, weight) with u != v, int weights, no
+    pair given twice.  The stages are networkx's max_weight_matching(G,
     maxcardinality=True), started from a seeded state as in Blossom V's
     greedy initialisation (Kolmogorov 2009, "Blossom V: a new
     implementation of a minimum cost perfect matching algorithm"): each
@@ -102,8 +109,6 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
     need not be networkx's.  Blossoms get integer ids from num_vertices
     up, reused once a blossom is expanded; live blossoms are kept in
     blossomdual in creation order, the order networkx iterates them in.
-    When every weight is an int the arithmetic is exact and the optimum is
-    verified against the final duals.
 
     The stages are taken from "Efficient Algorithms for Finding Maximum
     Matching in Graphs" by Zvi Galil, ACM Computing Surveys, 1986.  Many
@@ -111,7 +116,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
     """
     nv = num_vertices
     if nv & 1:
-        return None
+        return None, None
     # nbrs[v]: (w, 2 * weight) for each edge at v, in input order
     nbrs: list[list] = [[] for _ in range(nv)]
     for u, v, wt in edges:
@@ -119,34 +124,28 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
         nbrs[u].append((v, w2))
         nbrs[v].append((u, w2))
     if not all(nbrs):
-        return None  # an isolated vertex
-    allinteger = all(type(e[2]) is int for e in edges)
+        return None, None  # an isolated vertex
 
     # Ids below nv are vertices, ids nv..2nv-1 blossoms.  For a vertex or
     # blossom id b:
     # mate[v]: v's partner vertex, or -1 while v is single.
     mate = [-1] * nv
-    # dualvar[v] = 2 * u(v), so integer weights keep integer duals.  The
-    # seed u(v) = half v's largest incident weight leaves every slack >= 0.
-    dualvar = [max(map(itemgetter(1), nb)) for nb in nbrs]
-    dualvar = [d // 2 for d in dualvar] if allinteger else [d / 2 for d in dualvar]
+    # dualvar[v] = 2 * u(v), so duals stay ints.  The seed u(v) = half v's
+    # largest incident weight leaves every slack >= 0.
+    dualvar = [max(map(itemgetter(1), nb)) // 2 for nb in nbrs]
     for v in range(nv):
         if mate[v] != -1:
             continue
         dv = dualvar[v]
         least = min(dv + dualvar[w] - w2 for w, w2 in nbrs[v])
-        # the least-slack edges become tight; on floats a rounding residue
-        # may stay on them, but no slack may start negative
+        # the least-slack edges become exactly tight
         for w, w2 in nbrs[v]:
             if mate[w] == -1 and dv + dualvar[w] - w2 == least:
                 mate[v] = w
                 mate[w] = v
                 break
-        if least:
-            dv -= least
-            while (worst := min(dv + dualvar[w] - w2 for w, w2 in nbrs[v])) < 0:
-                dv = max(math.nextafter(dv, math.inf), dv - worst)
-        if mate[v] == -1 and allinteger:
+        dv -= least
+        if mate[v] == -1:
             # a vertex left single gets an even dual: tight edges join
             # vertices of equal dual parity, so the S-vertices of a stage
             # share its single vertices' parity and S-S slacks stay even
@@ -163,7 +162,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
             if y == -1 or dualvar[v] + dualvar[x] - w2 > 0:
                 continue
             for z, w3 in nbrs[y]:
-                if z != v and mate[z] == -1 and dualvar[y] + dualvar[z] - w3 <= 0:
+                if z != v and mate[z] == -1 and dualvar[y] + dualvar[z] - w3 == 0:
                     mate[v], mate[x], mate[y], mate[z] = x, v, z, y
                     break
             else:
@@ -214,10 +213,8 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
     def half_slack(e):
         """delta3's candidate: the slack of edge e between S-blossoms."""
         kslack = dualvar[e[0]] + dualvar[e[1]] - e[2]
-        if allinteger:
-            assert kslack % 2 == 0
-            return kslack // 2
-        return kslack / 2.0
+        assert kslack % 2 == 0
+        return kslack // 2
 
     def leaves(b):
         """The vertices of blossom b, in networkx's stack order."""
@@ -529,8 +526,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
 
     def verify_optimum():
         """Check the complementary slackness conditions of a perfect
-        matching on the final duals (integer weights only); vertex duals
-        are free in sign."""
+        matching on the final duals; vertex duals are free in sign."""
         assert not blossomdual or min(blossomdual.values()) >= 0
         # every edge has non-negative slack and every matched edge zero
         for i in range(nv):
@@ -706,7 +702,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
             if deltatype == -1:
                 # no augmenting path: the matching has maximum cardinality
                 # and leaves a vertex single
-                return None
+                return None, None
 
             for v in labeled_vertices:
                 lab = label[inblossom[v]]
@@ -741,9 +737,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> list[int] | None:
             if blossomparent[b] == -1 and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    if allinteger:
-        verify_optimum()
-    return mate
+    return mate, verify_optimum
 
 
 class _Dinic:

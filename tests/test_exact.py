@@ -64,8 +64,8 @@ def test_capacity_one_random_agreement():
         check_optimal(inst, solve_capacity_one)
 
 
-@pytest.mark.xfail(strict=True, reason="the blossom compares float logs, which "
-                   "cannot tell 10^18 from 10^18 + 1")
+@pytest.mark.xfail(strict=True, reason="the blossom compares logs rounded to "
+                   "2^-52, which cannot tell 10^18 from 10^18 + 1")
 def test_capacity_one_near_tie():
     inst = Instance.create((1, 1), [[10 ** 18, 10 ** 18 + 1], [1, 1]], [[1, 1], [1, 1]])
     assert check_optimal(inst, solve_capacity_one).product == 10 ** 18 + 1

@@ -70,9 +70,11 @@ def test_perfect_matching_k4_enumeration():
 
 def test_no_stage_without_a_perfect_matching_shape():
     # an odd vertex count or an isolated vertex returns before any stage
-    assert max_weight_perfect_matching(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
-    assert max_weight_perfect_matching(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) is None
-    assert max_weight_perfect_matching(0, []) == []
+    assert max_weight_perfect_matching(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
+    assert max_weight_perfect_matching(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
+    mate, check = max_weight_perfect_matching(0, [])
+    assert mate == []
+    check()
 
 
 def test_perfect_matching_cardinality():
@@ -81,13 +83,14 @@ def test_perfect_matching_cardinality():
     assert pairs == [(0, 1), (2, 3), (4, 5)]
 
 
-# Edge weights for the differential test against networkx: float logs of
-# small and of big integers (log(10**18) == log(10**18 + 1) as floats, so
-# ties are common), and ints, which run the exact path with its final
-# optimality check on every perfect result.
+# Edge weights for the differential test against networkx, all ints.  The
+# int kinds go to the blossom itself, and its optimality check runs on every
+# perfect result.  The log kinds go to max_weight_perfect_matching_general,
+# which maximises the product, while networkx maximises the sum of float
+# logs (log(10**18) == log(10**18 + 1) as floats, so ties are common).
 BLOSSOM_WEIGHTS = {
-    "log_small": lambda rng: math.log(rng.randint(1, 5)),
-    "log_big": lambda rng: math.log(rng.choice([1, 7, 10**18, 10**18 + 1])),
+    "log_small": lambda rng: rng.randint(1, 5),
+    "log_big": lambda rng: rng.choice([1, 7, 10**18, 10**18 + 1]),
     "int_small": lambda rng: rng.randint(1, 5),
     "int_big": lambda rng: rng.choice([1, 2, 10**18, 10**18 + 1]),
 }
@@ -108,54 +111,58 @@ def _random_graph(rng):
 @pytest.mark.parametrize("kind", sorted(BLOSSOM_WEIGHTS))
 def test_blossom_matches_networkx(kind):
     """None exactly when networkx's maximum-cardinality matching is not
-    perfect, else the same total weight: equal for ints, within 1e-9 for
-    logs.  The mates may differ among equal-weight perfect matchings, since
-    the search starts from a seeded matching."""
+    perfect, else the same total weight: equal for ints, within 1e-9 in log
+    for products.  The mates may differ among equal-weight perfect
+    matchings, since the search starts from a seeded matching."""
     import networkx as nx  # the test extra's reference implementation
 
+    logs = kind.startswith("log")
     rng = random.Random(f"blossom-{kind}")
     for _ in range(600):
         nv, pairs = _random_graph(rng)
         edges = [(u, v, BLOSSOM_WEIGHTS[kind](rng)) for u, v in pairs]
+        weight = {frozenset((u, v)): math.log(x) if logs else x for u, v, x in edges}
         graph = nx.Graph()
         graph.add_nodes_from(range(nv))
-        graph.add_weighted_edges_from(edges)
+        graph.add_weighted_edges_from((u, v, weight[frozenset((u, v))]) for u, v, _ in edges)
         expect = nx.max_weight_matching(graph, maxcardinality=True)
-        mate = max_weight_perfect_matching(nv, edges)
-        if 2 * len(expect) < nv:
-            assert mate is None, edges
-            continue
-        assert mate is not None, edges
-        assert all(mate[w] == v for v, w in enumerate(mate))
-        weight = {frozenset((u, v)): x for u, v, x in edges}
-        got = sum(weight[frozenset((v, w))] for v, w in enumerate(mate) if v < w)
-        want = sum(weight[frozenset(e)] for e in expect)
-        if kind.startswith("int"):
-            assert got == want, edges
+        if logs:
+            got = max_weight_perfect_matching_general(nv, edges)
         else:
-            assert abs(got - want) <= 1e-9, edges
+            mate, check = max_weight_perfect_matching(nv, edges)
+            got = None
+            if mate is not None:
+                check()
+                got = [(v, w) for v, w in enumerate(mate) if v < w]
+        if 2 * len(expect) < nv:
+            assert got is None, edges
+            continue
+        assert got is not None and sorted(v for p in got for v in p) == list(range(nv)), edges
+        got_weight = sum(weight[frozenset(p)] for p in got)
+        want = sum(weight[frozenset(e)] for e in expect)
+        if logs:
+            assert abs(got_weight - want) <= 1e-9, edges
+        else:
+            assert got_weight == want, edges
 
 
-def _best_perfect_weight(nv, edges):
-    """The largest total weight of a perfect matching, by enumeration, or
-    None when there is none."""
+def _perfect_matching_weights(nv, edges):
+    """The edge weights of each perfect matching, by enumeration."""
     weight = {}
     for u, v, x in edges:
         weight[u, v] = weight[v, u] = x
 
-    def best(rest):
+    def matchings(rest):
         if not rest:
-            return 0
+            yield []
+            return
         v, others = rest[0], rest[1:]
-        top = None
         for i, w in enumerate(others):
             if (v, w) in weight:
-                sub = best(others[:i] + others[i + 1:])
-                if sub is not None and (top is None or weight[v, w] + sub > top):
-                    top = weight[v, w] + sub
-        return top
+                for sub in matchings(others[:i] + others[i + 1:]):
+                    yield [weight[v, w], *sub]
 
-    return best(tuple(range(nv)))
+    return matchings(tuple(range(nv)))
 
 
 # near-ties of 10**18 against 10**18 + 1, small values and values to 10**30
@@ -164,7 +171,7 @@ INT_WEIGHTS = st.one_of(st.integers(1, 5), st.sampled_from([10**18, 10**18 + 1])
 
 
 @st.composite
-def int_graphs(draw):
+def int_graphs(draw, weights=INT_WEIGHTS):
     """0-10 vertices, a quarter of them odd counts, in one to three
     components (vertex v is in part (v // 2) % parts, and parts share no
     edge); a fifth have one isolated vertex."""
@@ -179,7 +186,7 @@ def int_graphs(draw):
         for v in range(u + 1, nv):
             if ((u // 2 - v // 2) % parts == 0 and isolated not in (u, v)
                     and draw(st.integers(0, 3)) < density):
-                x = draw(INT_WEIGHTS)
+                x = draw(weights)
                 edges.append((u, v, x) if draw(st.booleans()) else (v, u, x))
     return nv, edges
 
@@ -187,18 +194,35 @@ def int_graphs(draw):
 @settings(max_examples=400, deadline=None)
 @given(int_graphs())
 def test_int_blossom_matches_enumeration(graph):
-    """The exact int path against every perfect matching: the same optimum
-    weight and None-ness.  Each perfect result has passed verify_optimum's
-    dual certificate inside the call, and no half_slack parity assertion
-    has fired."""
+    """The blossom against every perfect matching: the same optimum weight
+    and None-ness.  Each perfect result passes the returned check of the
+    final duals, and no half_slack parity assertion fires."""
     nv, edges = graph
-    mate = max_weight_perfect_matching(nv, edges)
-    want = _best_perfect_weight(nv, edges)
+    mate, check = max_weight_perfect_matching(nv, edges)
+    want = max(map(sum, _perfect_matching_weights(nv, edges)), default=None)
     assert (mate is None) == (want is None)
     if mate is not None:
+        check()
         weight = {frozenset((u, v)): x for u, v, x in edges}
         assert all(mate[w] == v for v, w in enumerate(mate))
         assert sum(weight[frozenset((v, w))] for v, w in enumerate(mate) if v < w) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_graphs(st.integers(1, 25)))
+def test_product_matching_matches_enumeration(graph):
+    """max_weight_perfect_matching_general against every perfect matching:
+    the same None-ness and the same largest product.  Weights 1..25 repeat
+    and tie often (2 * 6 == 3 * 4); at these sizes distinct products differ
+    in log by far more than 2^-52 rounding can swap."""
+    nv, edges = graph
+    pairs = max_weight_perfect_matching_general(nv, edges)
+    want = max(map(math.prod, _perfect_matching_weights(nv, edges)), default=None)
+    assert (pairs is None) == (want is None)
+    if pairs is not None:
+        weight = {frozenset((u, v)): x for u, v, x in edges}
+        assert sorted(v for p in pairs for v in p) == list(range(nv))
+        assert math.prod(weight[frozenset(p)] for p in pairs) == want
 
 
 def test_flow_single_arc():
