@@ -1,16 +1,23 @@
 """Polynomial-time test for existence of a nonzero-Nash matching.
 
-The binarized instance admits a matching with all-positive utilities iff an
-integral flow exists in the network below.  Each worker must be matched along
-an arc it values; each firm needs at least one matched worker it values, but
-may absorb further workers it does not value (those leave its utility
-untouched and keep the workers' utilities positive).
+The binarized instance admits a matching with all-positive utilities iff
+every worker can be placed along an arc it values while every firm holds at
+least one worker it values; a firm may absorb further workers it does not
+value (those leave its utility untouched and keep the workers' utilities
+positive).  Both conditions are met by two max flows on one network:
 
-    source -> firm_cap          [0, c_f]
-    firm_cap -> firm_valued     [1, c_f]   workers the firm values
-    firm_cap -> firm_unvalued   [0, c_f]   workers the firm does not value
-    firm_* -> worker            [0, 1]     only where the worker values the firm
-    worker -> sink              [1, 1]
+    source -> worker       1
+    worker -> own_f        1        the worker and firm f value each other
+    worker -> open_f       1        only the worker values f
+    own_f  -> sink         min(1, c_f)   f's seat for a worker it values
+    own_f  -> open_f       m
+    open_f -> sink         0, then c_f - 1
+
+The first run must fill every firm's seat (flow n).  Then the open_f arcs
+are raised and the run resumes from that flow; the answer is yes iff the
+two runs total m.  An augmenting path ends at the sink and never leaves it,
+so it never takes flow off an arc into the sink and the seats stay filled
+(Mendelsohn and Dulmage 1958).
 """
 
 from __future__ import annotations
@@ -18,43 +25,41 @@ from __future__ import annotations
 from itertools import compress
 
 from .core import Instance, Matching, UNMATCHED
-from .graphalgs import feasible_flow_with_lower_bounds
+from .graphalgs import _Dinic
 
 
 def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
     """True iff some matching gives every agent positive utility; on True a
     witness matching is returned."""
     m, n = inst.m, inst.n
-    # nodes: 0 = source, 1 = sink, firms at 2 + 3f (cap/valued/unvalued),
-    # workers at 2 + 3n + w
+    # nodes: 0 = source, 1 = sink, workers at 2 + w, firm f's own node at
+    # 2 + m + 2f and its open node one above
     source, sink = 0, 1
-    def f_cap(f): return 2 + 3 * f
-    def f_val(f): return 2 + 3 * f + 1
-    def f_unval(f): return 2 + 3 * f + 2
-    def w_node(w): return 2 + 3 * n + w
-
-    arcs = []
-    for f in range(n):
-        c = inst.capacities[f]
-        arcs.append((source, f_cap(f), 0, c))
-        arcs.append((f_cap(f), f_val(f), 1, max(1, c)))
-        arcs.append((f_cap(f), f_unval(f), 0, c))
-    pair_arcs: dict[int, tuple[int, int]] = {}
+    dinic = _Dinic(2 + m + 2 * n)
+    open_arcs = []
+    for f, c in enumerate(inst.capacities):
+        own = 2 + m + 2 * f
+        dinic.add_edge(own, sink, min(1, c))
+        open_arcs.append(dinic.add_edge(own + 1, sink, 0))
+        dinic.add_edge(own, own + 1, m)
+    pair_arcs = []
     firms = tuple(range(n))
     for w, row in enumerate(inst.worker_vals):
+        dinic.add_edge(source, 2 + w, 1)
         # the firms w values: one C-level scan of the row
         for f in compress(firms, row):
-            src = f_val(f) if inst.firm_vals[f][w] > 0 else f_unval(f)
-            pair_arcs[len(arcs)] = (w, f)
-            arcs.append((src, w_node(w), 0, 1))
-    for w in range(m):
-        arcs.append((w_node(w), sink, 1, 1))
+            own = 2 + m + 2 * f
+            node = own if inst.firm_vals[f][w] > 0 else own + 1
+            pair_arcs.append((dinic.add_edge(2 + w, node, 1), w, f))
 
-    flows = feasible_flow_with_lower_bounds(2 + 3 * n + m, source, sink, arcs)
-    if flows is None:
+    if dinic.max_flow(source, sink) < n:
+        return False, None
+    for idx, c in zip(open_arcs, inst.capacities):
+        dinic.cap[idx] = c - 1
+    if n + dinic.max_flow(source, sink) < m:
         return False, None
     assignment: list = [UNMATCHED] * m
-    for idx, (w, f) in pair_arcs.items():
-        if flows[idx] > 0:
+    for idx, w, f in pair_arcs:
+        if dinic.cap[idx] == 0:
             assignment[w] = f
     return True, Matching.of(assignment)

@@ -7,16 +7,16 @@ maximum-weight perfect matching, or None, together with a check of the
 optimum against the final duals, and starts from a greedy matching on the
 tight edges of seeded duals, as Blossom V does, so only the vertices that
 seed leaves single root alternating trees.  Among equal-weight perfect
-matchings it need not return the one networkx would.
-feasible_flow_with_lower_bounds takes a list of (u, v, lower, upper) arcs
-and uses the standard excess/deficit transformation on top of a small
-Dinic max-flow.  Dinic is iterative: its blocking-flow search keeps an
-explicit stack of path arcs, so an augmenting path may be longer than
-Python's recursion limit.  Matching weights arrive as positive integers and
-max_weight_perfect_matching_general maximises the sum of their logs rounded
-to multiples of 2^-52, so a near-tie between two products can still be
-decided by rounding; it is the one place where logs meet the matching
-reductions.
+matchings it need not return the one networkx would.  Matching weights
+arrive as positive integers and max_weight_perfect_matching_general
+maximises the sum of their logs rounded to multiples of 2^-52, so a
+near-tie between two products can still be decided by rounding; it is the
+one place where logs meet the matching reductions.
+
+_Dinic is a small max-flow.  A run resumes from the flow the last one left,
+so raising some capacities and running again reaches the larger maximum.
+Its blocking-flow search is iterative, with an explicit stack of path arcs,
+so an augmenting path may be longer than Python's recursion limit.
 
 The stages of max_weight_perfect_matching are ported from networkx 3.6
 (networkx/algorithms/matching.py), which carries this notice:
@@ -86,11 +86,11 @@ def max_weight_perfect_matching_general(
 
 def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
     """Maximum-weight perfect matching of vertices 0..num_vertices-1, as
-    (mate, check): mate[v] is v's partner, and check() asserts the
-    complementary slackness conditions on the final duals, a certificate
-    that no perfect matching weighs more.  (None, None) when no perfect
-    matching exists, at once when num_vertices is odd or a vertex has no
-    edge.
+    (mate, check): mate[v] is v's partner, and check() raises
+    AssertionError unless the complementary slackness conditions hold on
+    the final duals, a certificate that no perfect matching weighs more.
+    (None, None) when no perfect matching exists, at once when num_vertices
+    is odd or a vertex has no edge.
 
     edges is a sequence of (u, v, weight) with u != v, int weights, no
     pair given twice.  The stages are networkx's max_weight_matching(G,
@@ -213,7 +213,8 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
     def half_slack(e):
         """delta3's candidate: the slack of edge e between S-blossoms."""
         kslack = dualvar[e[0]] + dualvar[e[1]] - e[2]
-        assert kslack % 2 == 0
+        if kslack & 1:
+            raise AssertionError(f"odd slack on edge {e[:2]} between S-blossoms")
         return kslack // 2
 
     def leaves(b):
@@ -526,8 +527,10 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
 
     def verify_optimum():
         """Check the complementary slackness conditions of a perfect
-        matching on the final duals; vertex duals are free in sign."""
-        assert not blossomdual or min(blossomdual.values()) >= 0
+        matching on the final duals (vertex duals are free in sign); raise
+        AssertionError, under python -O too, when one fails."""
+        if blossomdual and min(blossomdual.values()) < 0:
+            raise AssertionError("a blossom dual is negative")
         # every edge has non-negative slack and every matched edge zero
         for i in range(nv):
             for j, w2 in nbrs[i]:
@@ -546,16 +549,15 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
                     if bi != bj:
                         break
                     s += 2 * blossomdual[bi]
-                assert s >= 0
-                if mate[i] == j or mate[j] == i:
-                    assert mate[i] == j and mate[j] == i
-                    assert s == 0
+                if s < 0:
+                    raise AssertionError(f"edge ({i}, {j}) has negative slack")
+                if (mate[i] == j or mate[j] == i) and (s, mate[i], mate[j]) != (0, j, i):
+                    raise AssertionError(f"matched edge ({i}, {j}) is not tight")
         # every blossom with positive dual is full
         for b, z in blossomdual.items():
-            if z > 0:
-                assert len(bedges[b]) % 2 == 1
-                for i, j in bedges[b][1::2]:
-                    assert mate[i] == j and mate[j] == i
+            if z > 0 and (len(bedges[b]) % 2 == 0 or any(
+                    mate[i] != j or mate[j] != i for i, j in bedges[b][1::2])):
+                raise AssertionError(f"blossom {b} has a positive dual but is not full")
 
     # Each stage finds an augmenting path and improves the matching.
     while True:
@@ -802,37 +804,3 @@ class _Dinic:
                         break
                     u = to[path.pop() ^ 1]
                     it[u] += 1
-
-
-def feasible_flow_with_lower_bounds(
-    num_nodes: int, source: int, sink: int, arcs
-) -> list[int] | None:
-    """Integral flow on nodes 0..num_nodes-1 meeting the [lower, upper]
-    bounds of every arc (u, v, lower, upper), as a list of arc flows in
-    the order of arcs, or None when there is none.
-
-    Standard reduction: send each arc's lower bound unconditionally, route
-    the resulting node imbalances through a super source/sink, and allow
-    sink -> source circulation.
-    """
-    super_s, super_t = num_nodes, num_nodes + 1
-    dinic = _Dinic(num_nodes + 2)
-    excess = [0] * num_nodes
-    arc_idx = []
-    for u, v, lower, upper in arcs:
-        if lower < 0 or lower > upper:
-            raise ValueError(f"invalid bounds [{lower}, {upper}] on arc ({u}, {v})")
-        arc_idx.append(dinic.add_edge(u, v, upper - lower))
-        excess[u] -= lower
-        excess[v] += lower
-    need = 0
-    for node in range(num_nodes):
-        if excess[node] > 0:
-            dinic.add_edge(super_s, node, excess[node])
-            need += excess[node]
-        elif excess[node] < 0:
-            dinic.add_edge(node, super_t, -excess[node])
-    dinic.add_edge(sink, source, 1 << 60)
-    if dinic.max_flow(super_s, super_t) < need:
-        return None
-    return [upper - dinic.cap[idx] for (_u, _v, _lower, upper), idx in zip(arcs, arc_idx)]

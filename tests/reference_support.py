@@ -26,10 +26,7 @@ from nswmatch.core import (
     nash_value,
 )
 from nswmatch.exact import _zero_result
-from nswmatch.graphalgs import (
-    feasible_flow_with_lower_bounds,
-    max_weight_perfect_matching_general,
-)
+from nswmatch.graphalgs import _Dinic, max_weight_perfect_matching_general
 from nswmatch.restricted import (
     _best_component_matching,
     _component_order,
@@ -73,33 +70,34 @@ def check_symmetric_binary(inst: Instance) -> None:
 def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
     m, n = inst.m, inst.n
     source, sink = 0, 1
-    def f_cap(f): return 2 + 3 * f
-    def f_val(f): return 2 + 3 * f + 1
-    def f_unval(f): return 2 + 3 * f + 2
-    def w_node(w): return 2 + 3 * n + w
+    def w_node(w): return 2 + w
+    def f_own(f): return 2 + m + 2 * f
+    def f_open(f): return 2 + m + 2 * f + 1
 
-    arcs = []
+    dinic = _Dinic(2 + m + 2 * n)
+    open_arcs = []
     for f in range(n):
         c = inst.capacities[f]
-        arcs.append((source, f_cap(f), 0, c))
-        arcs.append((f_cap(f), f_val(f), 1, max(1, c)))
-        arcs.append((f_cap(f), f_unval(f), 0, c))
-    pair_arcs: dict[int, tuple[int, int]] = {}
+        dinic.add_edge(f_own(f), sink, min(1, c))
+        open_arcs.append(dinic.add_edge(f_open(f), sink, 0))
+        dinic.add_edge(f_own(f), f_open(f), m)
+    pair_arcs = []
     for w in range(m):
+        dinic.add_edge(source, w_node(w), 1)
         for f in range(n):
             if inst.worker_vals[w][f] > 0:
-                src = f_val(f) if inst.firm_vals[f][w] > 0 else f_unval(f)
-                pair_arcs[len(arcs)] = (w, f)
-                arcs.append((src, w_node(w), 0, 1))
-    for w in range(m):
-        arcs.append((w_node(w), sink, 1, 1))
+                node = f_own(f) if inst.firm_vals[f][w] > 0 else f_open(f)
+                pair_arcs.append((dinic.add_edge(w_node(w), node, 1), w, f))
 
-    flows = feasible_flow_with_lower_bounds(2 + 3 * n + m, source, sink, arcs)
-    if flows is None:
+    if dinic.max_flow(source, sink) < n:
+        return False, None
+    for f in range(n):
+        dinic.cap[open_arcs[f]] = inst.capacities[f] - 1
+    if n + dinic.max_flow(source, sink) < m:
         return False, None
     assignment: list = [UNMATCHED] * m
-    for idx, (w, f) in pair_arcs.items():
-        if flows[idx] > 0:
+    for idx, w, f in pair_arcs:
+        if dinic.cap[idx] == 0:
             assignment[w] = f
     return True, Matching.of(assignment)
 

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from nswmatch.core import Instance, nash_value, validate
 from nswmatch.feasibility import exists_nonzero_nash
 from reference_oracle import exists_nonzero_bruteforce
@@ -54,3 +56,45 @@ def test_invariant_under_binarize():
     for _ in range(60):
         inst = random_instance(rng, density=0.5)
         assert exists_nonzero_nash(inst)[0] == exists_nonzero_nash(binarize(inst))[0]
+
+
+# positive values small, at 2^53 (where floats stop telling integers apart)
+# and up to 10^30
+POSITIVE = st.one_of(st.integers(1, 3), st.integers(2**53 - 1, 2**53 + 1),
+                     st.integers(1, 10**30))
+
+
+@st.composite
+def edge_shaped(draw):
+    """1-4 firms with capacities 1-3, one of them sometimes 0; m from 1 to
+    7, sometimes below n; none to three fifths of the entries zero on each
+    side independently, so many pairs are valued on one side only; and
+    sometimes a worker row or a firm row all zero."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([1, max(1, n - 1), n, n + 1, 2 * n, 7]))
+    caps = [draw(st.integers(1, 3)) for _ in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        caps[draw(st.integers(0, n - 1))] = 0
+    zeros = draw(st.integers(0, 3))
+
+    def entry():
+        return 0 if draw(st.integers(0, 4)) < zeros else draw(POSITIVE)
+
+    worker_vals = [[entry() for _ in range(n)] for _ in range(m)]
+    firm_vals = [[entry() for _ in range(m)] for _ in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        worker_vals[draw(st.integers(0, m - 1))] = [0] * n
+    if draw(st.integers(0, 4)) == 0:
+        firm_vals[draw(st.integers(0, n - 1))] = [0] * m
+    return Instance.create(tuple(caps), worker_vals, firm_vals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_shaped())
+def test_edge_shapes_agree_with_bruteforce(inst):
+    got, witness = exists_nonzero_nash(inst)
+    assert got == exists_nonzero_bruteforce(inst)[0]
+    assert (witness is None) == (not got)
+    if got:
+        assert validate(inst, witness) is None
+        assert nash_value(inst, witness).product > 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nswmatch.graphalgs import (
-    feasible_flow_with_lower_bounds,
+    _Dinic,
     max_weight_perfect_matching,
     max_weight_perfect_matching_general,
 )
@@ -225,50 +225,65 @@ def test_product_matching_matches_enumeration(graph):
         assert math.prod(weight[frozenset(p)] for p in pairs) == want
 
 
-def test_flow_single_arc():
-    assert feasible_flow_with_lower_bounds(2, 0, 1, [(0, 1, 1, 1)]) == [1]
+def test_check_fails_on_a_corrupted_mate():
+    """The returned check reads the returned mate list: swapping the
+    partners of two matched pairs for a lighter perfect matching leaves a
+    matched edge that is not tight, and check() must raise, also under
+    python -O."""
+    rng = random.Random(31)
+    fired = 0
+    for _ in range(200):
+        nv = 2 * rng.randint(2, 5)
+        weight = {(u, v): rng.randint(1, 20) for u in range(nv) for v in range(u + 1, nv)}
+        mate, check = max_weight_perfect_matching(nv, [(u, v, x) for (u, v), x in weight.items()])
+        check()
+        (a, b), (c, d) = rng.sample([(v, w) for v, w in enumerate(mate) if v < w], 2)
+        mate[a], mate[d], mate[c], mate[b] = d, a, b, c
+        lost = (weight[a, b] + weight[c, d]
+                - weight[min(a, d), max(a, d)] - weight[min(b, c), max(b, c)])
+        if lost > 0:
+            fired += 1
+            with pytest.raises(AssertionError):
+                check()
+    assert fired > 100
 
 
-def test_flow_bad_bounds_rejected():
-    for bad in ((0, 1, 2, 1), (0, 1, -1, 1)):
-        with pytest.raises(ValueError):
-            feasible_flow_with_lower_bounds(2, 0, 1, [(0, 1, 0, 1), bad])
+def _flow_on(dinic, arcs, caps):
+    return [c - dinic.cap[idx] for idx, c in zip(arcs, caps)]
 
 
-def _enumerate_flows(nodes, source, sink, arcs):
-    """All integral arc-flow vectors meeting bounds and conservation at
-    internal nodes, allowing net source->sink throughput."""
-    ranges = [range(lo, hi + 1) for _u, _v, lo, hi in arcs]
-    for combo in itertools.product(*ranges):
-        balance = [0] * nodes
-        for (u, v, _lo, _hi), x in zip(arcs, combo):
-            balance[u] -= x
-            balance[v] += x
-        ok = all(balance[i] == 0 for i in range(nodes) if i not in (source, sink))
-        if ok and balance[sink] >= 0 and balance[sink] == -balance[source]:
-            return list(combo)
-    return None
+def test_dinic_matches_networkx_and_resumes():
+    """_Dinic.max_flow against networkx on random small digraphs, then
+    resumed: after raising some capacities a second run adds exactly the
+    difference to networkx's value on the raised network, and no arc into
+    the sink carries less flow than after the first run."""
+    import networkx as nx  # the test extra's reference implementation
 
+    def nx_value(nodes, arcs, caps):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(nodes))
+        for (u, v), c in zip(arcs, caps):
+            old = graph.edges[u, v]["capacity"] if graph.has_edge(u, v) else 0
+            graph.add_edge(u, v, capacity=old + c)
+        return nx.maximum_flow_value(graph, 0, nodes - 1)
 
-def test_flow_agrees_with_exhaustive_search():
-    rng = random.Random(12)
-    for _ in range(120):
-        nodes = rng.randint(3, 5)
-        arcs = []
-        for _ in range(rng.randint(2, 6)):
-            u, v = rng.sample(range(nodes), 2)
-            lo = rng.randint(0, 2)
-            hi = lo + rng.randint(0, 2)
-            arcs.append((u, v, lo, hi))
-        got = feasible_flow_with_lower_bounds(nodes, 0, nodes - 1, arcs)
-        expect = _enumerate_flows(nodes, 0, nodes - 1, arcs)
-        assert (got is None) == (expect is None)
-        if got is not None:
-            balance = [0] * nodes
-            for (u, v, lo, hi), x in zip(arcs, got):
-                assert lo <= x <= hi
-                balance[u] -= x
-                balance[v] += x
-            for i in range(nodes):
-                if i not in (0, nodes - 1):
-                    assert balance[i] == 0
+    rng = random.Random(20)
+    for _ in range(300):
+        nodes = rng.randint(2, 8)
+        sink = nodes - 1
+        arcs = [tuple(rng.sample(range(nodes), 2)) for _ in range(rng.randint(1, 16))]
+        caps = [rng.randint(0, 3) for _ in arcs]
+        dinic = _Dinic(nodes)
+        idxs = [dinic.add_edge(u, v, c) for (u, v), c in zip(arcs, caps)]
+        first = dinic.max_flow(0, sink)
+        assert first == nx_value(nodes, arcs, caps)
+        before = _flow_on(dinic, idxs, caps)
+        raised = [c + (rng.randint(1, 3) if rng.random() < 0.4 else 0) for c in caps]
+        for idx, c, r in zip(idxs, caps, raised):
+            dinic.cap[idx] += r - c
+        second = dinic.max_flow(0, sink)
+        assert first + second == nx_value(nodes, arcs, raised)
+        after = _flow_on(dinic, idxs, raised)
+        for (_u, v), x, y in zip(arcs, before, after):
+            if v == sink:
+                assert y >= x
