@@ -1,6 +1,7 @@
 """Exact Nash-optimal solvers.
 
-- solve_capacity_one: reduction to a max-product perfect matching.
+- solve_capacity_one: reduction to a max-product perfect matching, on
+  adjacency lists gathered from one scan of each worker and firm row.
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer visits only the mask and bundle sizes
   that a full partition can pass through, and the firms' supports come
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, compress
-from operator import mul
+from operator import itemgetter, mul
 
 from .core import (
     BudgetExceededError,
@@ -58,29 +59,49 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     positive mutual product v_wf * v_fw.  With every capacity 1, a matching
     that is not perfect leaves some worker or firm at utility 0, so when
     none exists the optimum is zero; m != n returns that before any edge
-    is built.
+    is built.  Workers are vertices 0..m-1 and firm f is vertex m + f.
     """
-    if any(c != 1 for c in inst.capacities):
-        raise DomainError("solve_capacity_one requires every capacity to be 1")
     m, n = inst.m, inst.n
+    if inst.capacities.count(1) != n:
+        raise DomainError("solve_capacity_one requires every capacity to be 1")
     if m != n:
         return _zero_result(inst)
-    edges = []
-    firms = tuple(range(n))
-    for w, row in enumerate(inst.worker_vals):
-        # the firms w values: one C-level scan of the row
-        for f in compress(firms, row):
-            prod = row[f] * inst.firm_vals[f][w]
-            if prod > 0:
-                edges.append((w, m + f, prod))
-    pairs = max_weight_perfect_matching_general(m + n, edges)
-    if pairs is None:
+    worker_ids, worker_weights = _positive_products(inst.worker_vals, inst.firm_vals, m)
+    firm_ids, firm_weights = _positive_products(inst.firm_vals, inst.worker_vals, 0)
+    mate = max_weight_perfect_matching_general(
+        worker_ids + firm_ids, worker_weights + firm_weights)
+    if mate is None:
         return _zero_result(inst)
-    assignment: list = [UNMATCHED] * m
-    for u, v in pairs:
-        assignment[u] = v - m
-    mu = Matching.of(assignment)
+    mu = Matching.of([f - m for f in mate[:m]])
     return mu, nash_value(inst, mu)
+
+
+def _positive_products(rows, cols, first: int) -> tuple[list, list]:
+    """Adjacency lists of the rows' side of the capacity-one graph: for row
+    r, the vertex ids first + c of the columns c with rows[r][c] *
+    cols[c][r] > 0, and those products in the same order.  One C-level scan
+    of the row finds its positive entries; one itemgetter then gathers the
+    row's values, the columns' values at r and the vertex ids."""
+    index = tuple(range(len(cols)))
+    vertex = tuple(range(first, first + len(cols)))
+    ids = []
+    weights = []
+    for r, row in enumerate(rows):
+        pos = tuple(compress(index, row))
+        if len(pos) > 1:
+            get = itemgetter(*pos)
+            near = get(vertex)
+            prods = list(map(mul, get(row), map(itemgetter(r), get(cols))))
+        else:  # itemgetter of one index returns the item, not a tuple
+            near = [first + c for c in pos]
+            prods = [row[c] * cols[c][r] for c in pos]
+        if 0 in prods:
+            # the other side values this one 0: no edge
+            near = list(compress(near, prods))
+            prods = list(filter(None, prods))
+        ids.append(near)
+        weights.append(prods)
+    return ids, weights
 
 
 def _bundle_tables(inst: Instance, f: int, full: int, support: int) -> list[int]:
@@ -325,7 +346,9 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
         return _zero_result(inst)
     mu = Matching.of(best)
     value = nash_value(inst, mu)
-    assert value.product == best_product
+    if value.product != best_product:
+        raise AssertionError(f"the best guess re-scores to {value.product}, "
+                             f"not {best_product}")
     return mu, value
 
 

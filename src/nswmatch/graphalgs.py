@@ -7,11 +7,18 @@ maximum-weight perfect matching, or None, together with a check of the
 optimum against the final duals, and starts from a greedy matching on the
 tight edges of seeded duals, as Blossom V does, so only the vertices that
 seed leaves single root alternating trees.  Among equal-weight perfect
-matchings it need not return the one networkx would.  Matching weights
-arrive as positive integers and max_weight_perfect_matching_general
-maximises the sum of their logs rounded to multiples of 2^-52, so a
-near-tie between two products can still be decided by rounding; it is the
-one place where logs meet the matching reductions.
+matchings it need not return the one networkx would.
+
+A graph is two adjacency lists, the one form the matching takes: ids[v]
+lists v's neighbours and weights[v] the weights of those edges in the same
+order, so the seed's per-vertex max and min run at C level and no edge list
+is built.  Matching weights arrive as positive integers, and
+max_weight_perfect_matching_general maximises the sum of their logs
+rounded to multiples of 2^-52, so a near-tie between two products can
+still be decided by rounding; it is the one place where logs meet the
+matching reductions.  It splits the graph into connected components with
+C-level set intersections, answers None at once when one has an odd vertex
+count, and matches each component on its own.
 
 _Dinic is a small max-flow.  A run resumes from the flow the last one left,
 so raising some capacities and running again reaches the larger maximum.
@@ -60,71 +67,106 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import itemgetter
+from operator import sub
 
 
-def max_weight_perfect_matching_general(
-    num_vertices: int, edges
-) -> list[tuple[int, int]] | None:
-    """Perfect matching of vertices 0..num_vertices-1 that maximises the
-    product of its edge weights, via max_weight_perfect_matching on their
-    logs as integer multiples of 2^-52; two products whose rounded logs sum
-    alike can come out in either order.  The optimum check is not run: it
-    would certify the rounded logs, not the product.
+def max_weight_perfect_matching_general(ids, weights) -> list[int] | None:
+    """Perfect matching that maximises the product of its edge weights, as
+    mate, where mate[v] is v's partner, or None when no perfect matching
+    exists.  It runs max_weight_perfect_matching on their logs as integer
+    multiples of 2^-52, so two products whose rounded logs sum alike can
+    come out in either order.  The optimum check is not run: it would
+    certify the rounded logs, not the product.
 
-    edges are (u, v, weight) with u != v and positive integer weights, no
-    pair given twice.  Returns the matched pairs as sorted (min, max)
-    tuples, or None when no perfect matching exists.
+    ids[v] lists v's neighbours and weights[v] the positive int weights of
+    those edges, in the same order; each edge appears at both ends with the
+    same weight.  Each connected component is matched on its own, in its
+    vertices' increasing order; a graph of one component is passed on as it
+    is.  An odd component returns None before any matching runs.
     """
-    scaled = {w: round(math.log(w) * 2**52) for w in {e[2] for e in edges}}
-    mate, _check = max_weight_perfect_matching(
-        num_vertices, [(u, v, scaled[w]) for u, v, w in edges])
-    if mate is None:
-        return None
-    return [(v, w) for v, w in enumerate(mate) if v < w]
+    nv = len(ids)
+    unseen = set(range(nv))
+    components = []
+    for root in range(nv):
+        if not unseen:
+            break
+        if root not in unseen:
+            continue
+        unseen.remove(root)
+        component = [root]
+        # the list grows while it is walked: a breadth-first search whose
+        # frontier steps are C-level set intersections
+        for v in component:
+            if not unseen:
+                break
+            found = unseen.intersection(ids[v])
+            if found:
+                unseen -= found
+                component += found
+        if len(component) & 1:
+            return None
+        components.append(component)
+    # each distinct weight's log in units of 2^-52, rounded once and
+    # doubled for the blossom
+    logs = {w: 2 * round(math.log(w) * 2**52) for w in set().union(*weights)}
+    to_log = logs.__getitem__
+    if len(components) == 1:
+        mate, _check = max_weight_perfect_matching(
+            ids, [list(map(to_log, ws)) for ws in weights])
+        return mate
+    mate = [-1] * nv
+    local = [0] * nv
+    for component in components:
+        component.sort()
+        for i, v in enumerate(component):
+            local[v] = i
+        to_local = local.__getitem__
+        part, _check = max_weight_perfect_matching(
+            [list(map(to_local, ids[v])) for v in component],
+            [list(map(to_log, weights[v])) for v in component])
+        if part is None:
+            return None
+        for v, i in zip(component, part):
+            mate[v] = component[i]
+    return mate
 
 
-def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
-    """Maximum-weight perfect matching of vertices 0..num_vertices-1, as
+def max_weight_perfect_matching(ids, weights) -> tuple:
+    """Maximum-weight perfect matching of vertices 0..len(ids)-1, as
     (mate, check): mate[v] is v's partner, and check() raises
     AssertionError unless the complementary slackness conditions hold on
     the final duals, a certificate that no perfect matching weighs more.
-    (None, None) when no perfect matching exists, at once when num_vertices
-    is odd or a vertex has no edge.
+    (None, None) when no perfect matching exists, at once when the vertex
+    count is odd or a vertex has no edge.
 
-    edges is a sequence of (u, v, weight) with u != v, int weights, no
-    pair given twice.  The stages are networkx's max_weight_matching(G,
-    maxcardinality=True), started from a seeded state as in Blossom V's
-    greedy initialisation (Kolmogorov 2009, "Blossom V: a new
-    implementation of a minimum cost perfect matching algorithm"): each
-    vertex's dual is half its largest incident weight; then each vertex
-    still single, in vertex order, lowers its dual by its least slack and
-    takes the first single neighbour on a least-slack edge; then each
-    vertex still single takes a tight alternating path of three edges to
-    another single vertex, where there is one.  Only the vertices left
-    single root alternating trees.  A perfect matching's LP leaves vertex
-    duals free in sign, so any feasible seed is valid; a search that ends
-    short of perfect has found a maximum-cardinality matching, so None is
-    the answer then.  Among equal-weight perfect matchings the one returned
-    need not be networkx's.  Blossoms get integer ids from num_vertices
-    up, reused once a blossom is expanded; live blossoms are kept in
-    blossomdual in creation order, the order networkx iterates them in.
+    ids[v] lists v's neighbours and weights[v] the weights of those edges,
+    in the same order; each edge appears at both ends with the same weight.
+    Weights are even ints, twice the edge weights: the duals are doubled
+    too, so every dual and slack is an exact int.  The stages are
+    networkx's max_weight_matching(G, maxcardinality=True), started from a
+    seeded state as in Blossom V's greedy initialisation (Kolmogorov 2009,
+    "Blossom V: a new implementation of a minimum cost perfect matching
+    algorithm"): each vertex's dual is half its largest incident weight;
+    then each vertex still single, in vertex order, lowers its dual by its
+    least slack and takes the first single neighbour on a least-slack edge;
+    then each vertex still single takes a tight alternating path of three
+    edges to another single vertex, where there is one.  Only the vertices
+    left single root alternating trees.  A perfect matching's LP leaves
+    vertex duals free in sign, so any feasible seed is valid; a search that
+    ends short of perfect has found a maximum-cardinality matching, so None
+    is the answer then.  Among equal-weight perfect matchings the one
+    returned need not be networkx's.  Blossoms get integer ids from the
+    vertex count up, reused once a blossom is expanded; live blossoms are
+    kept in blossomdual in creation order, the order networkx iterates
+    them in.
 
     The stages are taken from "Efficient Algorithms for Finding Maximum
     Matching in Graphs" by Zvi Galil, ACM Computing Surveys, 1986.  Many
     terms used in the comments are explained in that paper.
     """
-    nv = num_vertices
-    if nv & 1:
-        return None, None
-    # nbrs[v]: (w, 2 * weight) for each edge at v, in input order
-    nbrs: list[list] = [[] for _ in range(nv)]
-    for u, v, wt in edges:
-        w2 = 2 * wt
-        nbrs[u].append((v, w2))
-        nbrs[v].append((u, w2))
-    if not all(nbrs):
-        return None, None  # an isolated vertex
+    nv = len(ids)
+    if nv & 1 or not all(ids):
+        return None, None  # an odd count or an isolated vertex
 
     # Ids below nv are vertices, ids nv..2nv-1 blossoms.  For a vertex or
     # blossom id b:
@@ -132,14 +174,15 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
     mate = [-1] * nv
     # dualvar[v] = 2 * u(v), so duals stay ints.  The seed u(v) = half v's
     # largest incident weight leaves every slack >= 0.
-    dualvar = [max(map(itemgetter(1), nb)) // 2 for nb in nbrs]
+    dualvar = [w2 // 2 for w2 in map(max, weights)]
+    dual_of = dualvar.__getitem__
     for v in range(nv):
         if mate[v] != -1:
             continue
         dv = dualvar[v]
-        least = min(dv + dualvar[w] - w2 for w, w2 in nbrs[v])
+        least = dv + min(map(sub, map(dual_of, ids[v]), weights[v]))
         # the least-slack edges become exactly tight
-        for w, w2 in nbrs[v]:
+        for w, w2 in zip(ids[v], weights[v]):
             if mate[w] == -1 and dv + dualvar[w] - w2 == least:
                 mate[v] = w
                 mate[w] = v
@@ -157,11 +200,11 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
     for v in range(nv):
         if mate[v] != -1:
             continue
-        for x, w2 in nbrs[v]:
+        for x, w2 in zip(ids[v], weights[v]):
             y = mate[x]
             if y == -1 or dualvar[v] + dualvar[x] - w2 > 0:
                 continue
-            for z, w3 in nbrs[y]:
+            for z, w3 in zip(ids[y], weights[y]):
                 if z != v and mate[z] == -1 and dualvar[y] + dualvar[z] - w3 == 0:
                     mate[v], mate[x], mate[y], mate[z] = x, v, z, y
                     break
@@ -333,9 +376,10 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
                     # the sub-blossom won't need this data again
                     mybestedges[bv] = None
                 else:
-                    nblist = [(v, w, w2) for v in leaves(bv) for w, w2 in nbrs[v]]
+                    nblist = [(v, w, w2) for v in leaves(bv)
+                              for w, w2 in zip(ids[v], weights[v])]
             else:
-                nblist = [(bv, w, w2) for w, w2 in nbrs[bv]]
+                nblist = [(bv, w, w2) for w, w2 in zip(ids[bv], weights[bv])]
             for k in nblist:
                 j = k[0] if inblossom[k[1]] == b else k[1]
                 bj = inblossom[j]
@@ -533,7 +577,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
             raise AssertionError("a blossom dual is negative")
         # every edge has non-negative slack and every matched edge zero
         for i in range(nv):
-            for j, w2 in nbrs[i]:
+            for j, w2 in zip(ids[i], weights[i]):
                 if j < i:
                     continue
                 s = dualvar[i] + dualvar[j] - w2
@@ -595,7 +639,7 @@ def max_weight_perfect_matching(num_vertices: int, edges) -> tuple:
                 # the slack of bestedge[bv]; duals are fixed while scanning
                 e = bestedge[bv]
                 bv_slack = None if e is None else slack(e)
-                for w, w2 in nbrs[v]:
+                for w, w2 in zip(ids[v], weights[v]):
                     bw = inblossom[w]
                     if bv == bw:
                         # internal to a blossom

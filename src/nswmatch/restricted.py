@@ -103,14 +103,16 @@ def solve_symmetric_binary(
                 for f, g in zip(firms, firms[1:])]
         # apply tail-first so intermediate loads never exceed capacity
         for f, g, w in reversed(path):
-            assert assignment[w] == f and inst.firm_vals[g][w] > 0
+            if assignment[w] != f or inst.firm_vals[g][w] == 0:
+                raise AssertionError(f"good-path step {f} -> {g}: worker {w} "
+                                     f"is not at {f} or {g} does not value it")
             assignment[w] = g
             members[f].remove(w)
             members[g].add(w)
             reach[f] = _union(liked_by, members[f])
             reach[g] |= liked_by[w]
-        assert math.prod(map(len, members)) > math.prod(loads), \
-            "good path failed to increase the product"
+        if math.prod(map(len, members)) <= math.prod(loads):
+            raise AssertionError("good path failed to increase the product")
         iterations += 1
         if stats is not None:
             stats["iterations"] = iterations
@@ -387,26 +389,34 @@ def solve_degree3_capacity2(
     workers = sorted(live_workers)
     if firms:
         index = {w: i for i, w in enumerate(workers)}
-        edges = []
+        # the worker-pair graph as adjacency lists, in local numbering
+        ids: list[list[int]] = [[] for _ in workers]
+        weights: list[list[int]] = [[] for _ in workers]
         edge_firm = {}
         for f in firms:
             pool = sorted(nbrs[f] & live_workers)
             for a, b in _pairs_within(pool):
                 val = firm_bundle_value(inst, f, (a, b))
                 if val > 0:
-                    key = (index[a], index[b])
+                    a, b = index[a], index[b]
                     # firms pairwise share <= 1 worker here, so the common
                     # firm of a worker pair is unique
-                    assert key not in edge_firm
-                    edge_firm[key] = f
-                    edges.append((key[0], key[1], val))
-        pairs = max_weight_perfect_matching_general(len(workers), edges)
-        if pairs is None:
+                    if (a, b) in edge_firm:
+                        raise AssertionError(f"workers {workers[a]} and {workers[b]} "
+                                             "share two firms after the peel")
+                    edge_firm[a, b] = f
+                    ids[a].append(b)
+                    weights[a].append(val)
+                    ids[b].append(a)
+                    weights[b].append(val)
+        mate = max_weight_perfect_matching_general(ids, weights)
+        if mate is None:
             return None
-        for a, b in pairs:
-            f = edge_firm[(a, b)]
-            assignment[workers[a]] = f
-            assignment[workers[b]] = f
+        for a, b in enumerate(mate):
+            if a < b:
+                f = edge_firm[a, b]
+                assignment[workers[a]] = f
+                assignment[workers[b]] = f
     mu = Matching.of(assignment)
     value = nash_value(inst, mu)
     if value.is_zero:

@@ -6,8 +6,14 @@ import random
 
 import pytest
 
-from nswmatch.core import Instance
-from reference_support import degree_profile
+# pytest rewrites asserts only in test modules and conftest; registered
+# before their first import, the reference modules' asserts also run under
+# python -O
+pytest.register_assert_rewrite("reference_bucketing", "reference_support",
+                               "reference_symbin")
+
+from nswmatch.core import Instance  # noqa: E402
+from reference_support import degree_profile  # noqa: E402
 
 
 def crossing_example() -> Instance:

@@ -7,7 +7,9 @@ greedy builds a Fraction for every candidate gain, where
 scans differ: the case analysis after them is the same, and the solvers
 must return the same matchings and products.  Symmetric binary instances
 use `reference_symbin.solve_symmetric_binary`, which takes its domain check
-and its feasibility flow from here.
+and its feasibility flow from here.  The dense forms build edge lists,
+which matching_on_edges turns into the adjacency lists that
+`nswmatch.graphalgs` takes.
 """
 
 from __future__ import annotations
@@ -45,6 +47,32 @@ class DegreeProfile:
     @property
     def max_degree(self) -> int:
         return max(max(self.worker_degrees), max(self.firm_degrees))
+
+
+def adjacency(num_vertices: int, edges) -> tuple[list, list]:
+    """The edge list [(u, v, weight), ...] as adjacency lists (ids,
+    weights): each edge at both ends, in edge order."""
+    ids: list[list[int]] = [[] for _ in range(num_vertices)]
+    weights: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v, x in edges:
+        ids[u].append(v)
+        weights[u].append(x)
+        ids[v].append(u)
+        weights[v].append(x)
+    return ids, weights
+
+
+def matched_pairs(mate) -> list[tuple[int, int]] | None:
+    """A mate list as its sorted (min, max) pairs; None stays None."""
+    if mate is None:
+        return None
+    return [(v, w) for v, w in enumerate(mate) if v < w]
+
+
+def matching_on_edges(num_vertices: int, edges) -> list[tuple[int, int]] | None:
+    """max_weight_perfect_matching_general on an edge list, as sorted
+    pairs, or None when no perfect matching exists."""
+    return matched_pairs(max_weight_perfect_matching_general(*adjacency(num_vertices, edges)))
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:
@@ -112,7 +140,7 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
             prod = inst.worker_vals[w][f] * inst.firm_vals[f][w]
             if prod > 0:
                 edges.append((w, m + f, prod))
-    pairs = max_weight_perfect_matching_general(m + n, edges)
+    pairs = matching_on_edges(m + n, edges)
     if pairs is None:
         return _zero_result(inst)
     assignment: list = [UNMATCHED] * m
@@ -213,7 +241,7 @@ def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValu
                     assert key not in edge_firm
                     edge_firm[key] = f
                     edges.append((key[0], key[1], val))
-        pairs = max_weight_perfect_matching_general(len(workers), edges)
+        pairs = matching_on_edges(len(workers), edges)
         if pairs is None:
             return None
         for a, b in pairs:

@@ -11,9 +11,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_bucketing
+from conftest import crossing_example
 from nswmatch import exact
 from nswmatch.approx import qptas_bucketing
-from nswmatch.core import BudgetExceededError, DomainError, Instance
+from nswmatch.core import BudgetExceededError, DomainError, Instance, NashValue, nash_value
 from nswmatch.exact import solve_dp, solve_exact_bucketing
 from nswmatch.generators import gen_random
 from reference_bucketing import plain_buckets, plain_qptas
@@ -132,3 +134,25 @@ def test_buckets_matches_dp_where_plain_search_is_slow():
     inst = gen_random(11, 4, [3] * 4, v_max=2, density=1, seed=7).instance
     _, value = solve_exact_bucketing(inst)
     assert value.product == solve_dp(inst)[1].product > 0
+
+
+def _off_by_one(inst, mu):
+    """nash_value with a product one too large."""
+    return NashValue(nash_value(inst, mu).product + 1, None)
+
+
+def test_branch_and_bound_rescore_check_raises(monkeypatch):
+    """The branch and bound re-scores its best guess with nash_value and
+    raises AssertionError, also under python -O, when the two disagree."""
+    monkeypatch.setattr(exact, "nash_value", _off_by_one)
+    with pytest.raises(AssertionError, match="re-scores"):
+        solve_exact_bucketing(crossing_example())
+
+
+def test_reference_asserts_run(monkeypatch):
+    """The plain search's own re-score check is a bare assert in a helper
+    module; conftest registers that module for pytest's assert rewriting,
+    so the check still runs under python -O."""
+    monkeypatch.setattr(reference_bucketing, "nash_value", _off_by_one)
+    with pytest.raises(AssertionError):
+        plain_buckets(crossing_example())

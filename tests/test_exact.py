@@ -64,6 +64,41 @@ def test_capacity_one_random_agreement():
         check_optimal(inst, solve_capacity_one)
 
 
+def block_diagonal_capacity_one(rng):
+    """Capacity 1 with two or three blocks of 1-3 workers and as many
+    firms; workers and firms are shuffled, so blocks interleave.  Inside a
+    block a pair may be valued by both sides, by one side only, or by
+    neither; across blocks every value is 0."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    k = sum(sizes)
+    workers = rng.sample(range(k), k)
+    firms = rng.sample(range(k), k)
+    worker_vals = [[0] * k for _ in range(k)]
+    firm_vals = [[0] * k for _ in range(k)]
+    start = 0
+    for size in sizes:
+        for w in workers[start:start + size]:
+            for f in firms[start:start + size]:
+                kind = rng.choice("bbbbbbwwff.")  # both, worker, firm, none
+                if kind in "bw":
+                    worker_vals[w][f] = rng.randint(1, 5)
+                if kind in "bf":
+                    firm_vals[f][w] = rng.randint(1, 5)
+        start += size
+    return Instance.create([1] * k, worker_vals, firm_vals)
+
+
+def test_capacity_one_block_diagonal():
+    """cap1 against oracle where the graph splits into components and
+    one-sided values give zero products, which must not become edges."""
+    rng = random.Random(23)
+    positive = 0
+    for _ in range(300):
+        value = check_optimal(block_diagonal_capacity_one(rng), solve_capacity_one)
+        positive += value.product > 0
+    assert positive > 50
+
+
 @pytest.mark.xfail(strict=True, reason="the blossom compares logs rounded to "
                    "2^-52, which cannot tell 10^18 from 10^18 + 1")
 def test_capacity_one_near_tie():

@@ -5,11 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nswmatch import graphalgs
 from nswmatch.graphalgs import (
     _Dinic,
     max_weight_perfect_matching,
     max_weight_perfect_matching_general,
 )
+from reference_support import adjacency, matched_pairs, matching_on_edges
+
+
+def blossom_on_edges(num_vertices, edges):
+    """max_weight_perfect_matching on an edge list of int weights, which it
+    takes doubled."""
+    return max_weight_perfect_matching(
+        *adjacency(num_vertices, [(u, v, 2 * x) for u, v, x in edges]))
 
 
 def _product(weights, pairs):
@@ -18,12 +27,12 @@ def _product(weights, pairs):
 
 def test_bipartite_crossing_weights():
     # positive-product edges of the motivating example, weight v*v
-    pairs = max_weight_perfect_matching_general(4, [(0, 3, 4), (1, 2, 4)])
+    pairs = matching_on_edges(4, [(0, 3, 4), (1, 2, 4)])
     assert pairs == [(0, 3), (1, 2)]
 
 
 def test_bipartite_single_edge():
-    assert max_weight_perfect_matching_general(2, [(0, 1, 5)]) == [(0, 1)]
+    assert matching_on_edges(2, [(0, 1, 5)]) == [(0, 1)]
 
 
 def test_bipartite_matches_permutation_enumeration():
@@ -31,7 +40,7 @@ def test_bipartite_matches_permutation_enumeration():
     for _ in range(100):
         k = 3
         weights = {(i, k + j): rng.randint(1, 50) for i in range(k) for j in range(k)}
-        pairs = max_weight_perfect_matching_general(
+        pairs = matching_on_edges(
             2 * k, [(u, v, x) for (u, v), x in weights.items()])
         best = max(math.prod(weights[(i, k + p[i])] for i in range(k))
                    for p in itertools.permutations(range(k)))
@@ -41,12 +50,12 @@ def test_bipartite_matches_permutation_enumeration():
 def test_bipartite_saturation_infeasible():
     # a star on an even vertex count: 0, 1 and 3 all need vertex 2
     edges = [(0, 2, 1), (1, 2, 1), (2, 3, 1)]
-    assert max_weight_perfect_matching_general(4, edges) is None
+    assert matching_on_edges(4, edges) is None
 
 
 def test_perfect_matching_four_cycle():
     weights = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
-    pairs = max_weight_perfect_matching_general(
+    pairs = matching_on_edges(
         4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
     assert pairs == [(0, 3), (1, 2)]
     assert _product(weights, pairs) == 4
@@ -54,14 +63,14 @@ def test_perfect_matching_four_cycle():
 
 def test_perfect_matching_odd_infeasible():
     edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
-    assert max_weight_perfect_matching_general(3, edges) is None
+    assert matching_on_edges(3, edges) is None
 
 
 def test_perfect_matching_k4_enumeration():
     rng = random.Random(8)
     for _ in range(100):
         w = {(i, j): rng.randint(1, 50) for i in range(4) for j in range(i + 1, 4)}
-        pairs = max_weight_perfect_matching_general(
+        pairs = matching_on_edges(
             4, [(i, j, x) for (i, j), x in w.items()])
         best = max(w[(0, 1)] * w[(2, 3)], w[(0, 2)] * w[(1, 3)],
                    w[(0, 3)] * w[(1, 2)])
@@ -70,16 +79,16 @@ def test_perfect_matching_k4_enumeration():
 
 def test_no_stage_without_a_perfect_matching_shape():
     # an odd vertex count or an isolated vertex returns before any stage
-    assert max_weight_perfect_matching(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
-    assert max_weight_perfect_matching(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
-    mate, check = max_weight_perfect_matching(0, [])
+    assert blossom_on_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
+    assert blossom_on_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
+    mate, check = blossom_on_edges(0, [])
     assert mate == []
     check()
 
 
 def test_perfect_matching_cardinality():
     # unweighted path of 6 vertices has exactly one perfect matching
-    pairs = max_weight_perfect_matching_general(6, [(i, i + 1, 1) for i in range(5)])
+    pairs = matching_on_edges(6, [(i, i + 1, 1) for i in range(5)])
     assert pairs == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -127,9 +136,9 @@ def test_blossom_matches_networkx(kind):
         graph.add_weighted_edges_from((u, v, weight[frozenset((u, v))]) for u, v, _ in edges)
         expect = nx.max_weight_matching(graph, maxcardinality=True)
         if logs:
-            got = max_weight_perfect_matching_general(nv, edges)
+            got = matching_on_edges(nv, edges)
         else:
-            mate, check = max_weight_perfect_matching(nv, edges)
+            mate, check = blossom_on_edges(nv, edges)
             got = None
             if mate is not None:
                 check()
@@ -198,7 +207,7 @@ def test_int_blossom_matches_enumeration(graph):
     and None-ness.  Each perfect result passes the returned check of the
     final duals, and no half_slack parity assertion fires."""
     nv, edges = graph
-    mate, check = max_weight_perfect_matching(nv, edges)
+    mate, check = blossom_on_edges(nv, edges)
     want = max(map(sum, _perfect_matching_weights(nv, edges)), default=None)
     assert (mate is None) == (want is None)
     if mate is not None:
@@ -216,13 +225,86 @@ def test_product_matching_matches_enumeration(graph):
     and tie often (2 * 6 == 3 * 4); at these sizes distinct products differ
     in log by far more than 2^-52 rounding can swap."""
     nv, edges = graph
-    pairs = max_weight_perfect_matching_general(nv, edges)
+    pairs = matching_on_edges(nv, edges)
     want = max(map(math.prod, _perfect_matching_weights(nv, edges)), default=None)
     assert (pairs is None) == (want is None)
     if pairs is not None:
         weight = {frozenset((u, v)): x for u, v, x in edges}
         assert sorted(v for p in pairs for v in p) == list(range(nv))
         assert math.prod(weight[frozenset(p)] for p in pairs) == want
+
+
+def _disjoint_union(rng, graphs):
+    """The disjoint union of edge-list graphs [(nv, edges), ...] with their
+    vertices interleaved at random; returns nv, edges and each graph's
+    vertex map."""
+    total = sum(nv for nv, _ in graphs)
+    order = list(range(total))
+    rng.shuffle(order)
+    maps, edges = [], []
+    for nv, part in graphs:
+        ids, order = order[:nv], order[nv:]
+        maps.append(ids)
+        edges += [(ids[u], ids[v], x) for u, v, x in part]
+    return total, edges, maps
+
+
+def test_components_matched_separately():
+    """A disjoint union of two graphs with their vertices interleaved: None
+    iff either part has no perfect matching, else the product of the two
+    parts' products, from pairs that stay inside each part."""
+    rng = random.Random(44)
+    matched = 0
+    for _ in range(300):
+        parts = []
+        for _ in range(2):
+            nv = 2 * rng.randint(1, 4) - (rng.random() < 0.2)
+            parts.append((nv, [(u, v, rng.randint(1, 25)) for u in range(nv)
+                               for v in range(u + 1, nv) if rng.random() < 0.6]))
+        nv, edges, maps = _disjoint_union(rng, parts)
+        got = matching_on_edges(nv, edges)
+        want = [matching_on_edges(*part) for part in parts]
+        if None in want:
+            assert got is None
+            continue
+        matched += 1
+        assert sorted(v for p in got for v in p) == list(range(nv))
+        assert all(any({u, v} <= set(ids) for ids in maps) for u, v in got)
+        part_products = [
+            _product({frozenset((u, v)): x for u, v, x in part}, map(frozenset, pairs))
+            for (_nv, part), pairs in zip(parts, want)]
+        weight = {frozenset((u, v)): x for u, v, x in edges}
+        assert _product(weight, map(frozenset, got)) == math.prod(part_products)
+    assert matched > 100
+
+
+def test_odd_component_returns_before_any_matching(monkeypatch):
+    """A 4-cycle on 0, 3, 6, 9, a triangle on 1, 4, 7 and a path on 2, 5, 8:
+    the odd components answer None before the blossom runs on the 4-cycle,
+    which holds vertex 0."""
+    def no_blossom(*_args):
+        raise AssertionError("a blossom ran")
+
+    monkeypatch.setattr(graphalgs, "max_weight_perfect_matching", no_blossom)
+    edges = [(0, 3, 2), (3, 6, 3), (6, 9, 2), (9, 0, 3),
+             (1, 4, 1), (4, 7, 1), (1, 7, 1),
+             (2, 5, 5), (5, 8, 5)]
+    assert matching_on_edges(10, edges) is None
+
+
+def test_one_component_is_not_relabelled(monkeypatch):
+    """A connected graph reaches the blossom in the caller's own numbering:
+    the same neighbour lists, not copies."""
+    seen = []
+
+    def spy(ids, weights):
+        seen.append(ids)
+        return max_weight_perfect_matching(ids, weights)
+
+    monkeypatch.setattr(graphalgs, "max_weight_perfect_matching", spy)
+    ids, weights = adjacency(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
+    assert matched_pairs(max_weight_perfect_matching_general(ids, weights)) == [(0, 3), (1, 2)]
+    assert len(seen) == 1 and seen[0] is ids
 
 
 def test_check_fails_on_a_corrupted_mate():
@@ -235,7 +317,7 @@ def test_check_fails_on_a_corrupted_mate():
     for _ in range(200):
         nv = 2 * rng.randint(2, 5)
         weight = {(u, v): rng.randint(1, 20) for u in range(nv) for v in range(u + 1, nv)}
-        mate, check = max_weight_perfect_matching(nv, [(u, v, x) for (u, v), x in weight.items()])
+        mate, check = blossom_on_edges(nv, [(u, v, x) for (u, v), x in weight.items()])
         check()
         (a, b), (c, d) = rng.sample([(v, w) for v, w in enumerate(mate) if v < w], 2)
         mate[a], mate[d], mate[c], mate[b] = d, a, b, c

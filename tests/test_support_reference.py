@@ -294,8 +294,8 @@ def test_deg3cap2_gadgets_after_plain_firms_match_reference():
 
 
 def _networkx_perfect_matching(num_vertices, edges):
-    """max_weight_perfect_matching_general's contract from networkx's
-    blossom on float logs: sorted pairs, or None when not perfect."""
+    """matching_on_edges's contract from networkx's blossom on float logs:
+    sorted pairs, or None when not perfect."""
     import networkx as nx  # the test extra's reference implementation
 
     graph = nx.Graph()
@@ -325,7 +325,7 @@ def test_blossom_solves_match_networkx_at_mid_size(algo, build):
     record = run_algo(algo, inst)
     assert record["status"] == "ok"
     with mock.patch.multiple(cli, **REFERENCE_SOLVERS), mock.patch.object(
-            reference_support, "max_weight_perfect_matching_general",
+            reference_support, "matching_on_edges",
             _networkx_perfect_matching):
         want = run_algo(algo, inst)
     assert (want["status"], want["nash_product"]) == ("ok", record["nash_product"])
