@@ -1,7 +1,8 @@
 """Exact Nash-optimal solvers.
 
-- solve_capacity_one: reduction to a max-product perfect matching, on
-  adjacency lists gathered from one scan of each worker and firm row.
+- solve_capacity_one: reduction to a max-product bipartite perfect
+  matching of workers and firms, on adjacency lists gathered from one scan
+  of each worker row.
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer visits only the mask and bundle sizes
   that a full partition can pass through, and the firms' supports come
@@ -55,51 +56,47 @@ def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
 def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     """Nash-optimal matching when every firm has capacity 1.
 
-    Max-product perfect matching of workers and firms on the edges with
-    positive mutual product v_wf * v_fw.  With every capacity 1, a matching
-    that is not perfect leaves some worker or firm at utility 0, so when
-    none exists the optimum is zero; m != n returns that before any edge
-    is built.  Workers are vertices 0..m-1 and firm f is vertex m + f.
+    Max-product perfect matching of workers (left) and firms (right) on the
+    edges with positive mutual product v_wf * v_fw.  With every capacity 1,
+    a matching that is not perfect leaves some worker or firm at utility 0,
+    so when none exists the optimum is zero; m != n returns that before any
+    edge is built.
     """
     m, n = inst.m, inst.n
     if inst.capacities.count(1) != n:
         raise DomainError("solve_capacity_one requires every capacity to be 1")
     if m != n:
         return _zero_result(inst)
-    worker_ids, worker_weights = _positive_products(inst.worker_vals, inst.firm_vals, m)
-    firm_ids, firm_weights = _positive_products(inst.firm_vals, inst.worker_vals, 0)
     mate = max_weight_perfect_matching_general(
-        worker_ids + firm_ids, worker_weights + firm_weights)
+        *_positive_products(inst.worker_vals, inst.firm_vals), n)
     if mate is None:
         return _zero_result(inst)
-    mu = Matching.of([f - m for f in mate[:m]])
+    mu = Matching.of(mate)
     return mu, nash_value(inst, mu)
 
 
-def _positive_products(rows, cols, first: int) -> tuple[list, list]:
+def _positive_products(rows, cols) -> tuple[list, list]:
     """Adjacency lists of the rows' side of the capacity-one graph: for row
-    r, the vertex ids first + c of the columns c with rows[r][c] *
-    cols[c][r] > 0, and those products in the same order.  One C-level scan
-    of the row finds its positive entries; one itemgetter then gathers the
-    row's values, the columns' values at r and the vertex ids."""
+    r, the columns c with rows[r][c] * cols[c][r] > 0, and those products
+    in the same order.  One C-level scan of the row finds its positive
+    entries; one itemgetter then gathers the row's values and the columns'
+    values at r."""
     index = tuple(range(len(cols)))
-    vertex = tuple(range(first, first + len(cols)))
     ids = []
     weights = []
     for r, row in enumerate(rows):
         pos = tuple(compress(index, row))
         if len(pos) > 1:
             get = itemgetter(*pos)
-            near = get(vertex)
             prods = list(map(mul, get(row), map(itemgetter(r), get(cols))))
         else:  # itemgetter of one index returns the item, not a tuple
-            near = [first + c for c in pos]
             prods = [row[c] * cols[c][r] for c in pos]
         if 0 in prods:
             # the other side values this one 0: no edge
-            near = list(compress(near, prods))
+            ids.append(tuple(compress(pos, prods)))
             prods = list(filter(None, prods))
-        ids.append(near)
+        else:
+            ids.append(pos)
         weights.append(prods)
     return ids, weights
 

@@ -5,7 +5,9 @@
   BFS pass, rooted in decreasing load order, finds each best-gain path.
 - solve_degree_two: path/cycle casework when every agent has degree <= 2.
 - solve_degree3_capacity2: firms of degree <= 3 that must each receive
-  exactly two workers; reduces to a max-product perfect matching on workers.
+  exactly two workers; a firm of degree 3 is the worker it leaves out, so
+  this reduces to a max-product bipartite perfect matching of those firms
+  with copies of the workers.
 - solve_single_positive_firm: workers valuing exactly one firm.
 
 The solvers find the pairs they need with one C-level scan of each value
@@ -314,12 +316,15 @@ def solve_degree3_capacity2(
     """Firms of degree at most 3, each required to take exactly 2 workers.
 
     Returns None ("no-instance") when no such matching has positive Nash
-    product.  Firm pairs sharing two neighbors are peeled off first: the
-    four involved workers are forced onto those two firms, so the 6-agent
-    gadget is solved by enumeration and the rest independently.  In the
-    residue any two firms share at most one worker, so pairs of workers
-    determine their common firm uniquely and a max-product perfect matching
-    on the worker graph (weight the firm-bundle value) finds the optimum.
+    product.  A firm takes two of its at most three workers, so a firm
+    with two takes both and a firm with three is fully described by the
+    one worker it leaves out; worker w must be left out by exactly
+    deg(w) - 1 of the firms it values.  That is a bipartite assignment:
+    the firms with three workers on one side, deg(w) - 1 copies of each
+    worker w on the other, and edge (f, copy of w) weighted by f's bundle
+    value without w when that is positive.  A max-product perfect matching
+    of it finds the optimum.  Firm pairs that share two workers are peeled
+    off first and decided by enumeration (see below).
     """
     error = "a firm has degree above 3"
     firm_pos = _positive_rows(inst.firm_vals, 3, error)
@@ -339,9 +344,14 @@ def solve_degree3_capacity2(
     live_firms = set(range(n))
     live_workers = set(range(m))
     assignment: list = [UNMATCHED] * m
-    # the firm pairs that share two workers, in (f, g) order: peeling only
-    # removes workers, so a pair ineligible once stays so, and one pass in
-    # this order peels what restarting the scan after every peel would
+    # Two firms that share two workers draw 2 each from a 4-worker pool, a
+    # 6-agent gadget decided here by enumeration in exact integers.  The
+    # matching below would handle these firms too, but it compares logs
+    # rounded to 2^-52 and decided 2 073 of 3 000 gadget-only near-tie
+    # instances wrong.  The firm pairs that share two workers, in (f, g)
+    # order: peeling only removes workers, so a pair ineligible once stays
+    # so, and one pass in this order peels what restarting the scan after
+    # every peel would.
     sharing: dict[tuple[int, int], list[int]] = {}
     for f in range(n):
         for pair in _pairs_within(nbrs[f]):
@@ -360,8 +370,6 @@ def solve_degree3_capacity2(
             continue
         if len(nf | ng) < 4:
             return None
-        # both firms draw 2 from a 4-worker pool: every split is a
-        # 6-agent gadget independent of the rest
         pool = nf | ng
         best_prod = 0
         best_split = None
@@ -382,41 +390,46 @@ def solve_degree3_capacity2(
             assignment[w] = g
         live_firms -= {f, g}
         live_workers -= pool
-    if any(len(nbrs[f] & live_workers) < 2 for f in live_firms):
-        return None
 
-    firms = sorted(live_firms)
-    workers = sorted(live_workers)
-    if firms:
-        index = {w: i for i, w in enumerate(workers)}
-        # the worker-pair graph as adjacency lists, in local numbering
-        ids: list[list[int]] = [[] for _ in workers]
-        weights: list[list[int]] = [[] for _ in workers]
-        edge_firm = {}
-        for f in firms:
-            pool = sorted(nbrs[f] & live_workers)
-            for a, b in _pairs_within(pool):
-                val = firm_bundle_value(inst, f, (a, b))
+    pools = [(f, sorted(nbrs[f] & live_workers)) for f in sorted(live_firms)]
+    if any(len(pool) < 2 for _f, pool in pools):
+        return None
+    degree = [0] * m
+    for _f, pool in pools:
+        for w in pool:
+            degree[w] += 1
+    # worker w is right vertices first[w] .. first[w] + degree[w] - 2.  As
+    # every live firm takes two, they number the firms with three workers
+    # unless some worker has no firm, which leaves the sides unequal and
+    # the matching without a perfect answer.
+    copies: list[int] = []  # copies[c]: the worker right vertex c stands for
+    first = [0] * m
+    for w in sorted(live_workers):
+        first[w] = len(copies)
+        copies += [w] * (degree[w] - 1)
+    threes = []
+    ids: list[list[int]] = []
+    weights: list[list[int]] = []
+    for f, pool in pools:
+        if len(pool) == 3:
+            near: list[int] = []
+            vals: list[int] = []
+            for w in pool:
+                val = firm_bundle_value(inst, f, [x for x in pool if x != w])
                 if val > 0:
-                    a, b = index[a], index[b]
-                    # firms pairwise share <= 1 worker here, so the common
-                    # firm of a worker pair is unique
-                    if (a, b) in edge_firm:
-                        raise AssertionError(f"workers {workers[a]} and {workers[b]} "
-                                             "share two firms after the peel")
-                    edge_firm[a, b] = f
-                    ids[a].append(b)
-                    weights[a].append(val)
-                    ids[b].append(a)
-                    weights[b].append(val)
-        mate = max_weight_perfect_matching_general(ids, weights)
-        if mate is None:
-            return None
-        for a, b in enumerate(mate):
-            if a < b:
-                f = edge_firm[a, b]
-                assignment[workers[a]] = f
-                assignment[workers[b]] = f
+                    near += range(first[w], first[w] + degree[w] - 1)
+                    vals += [val] * (degree[w] - 1)
+            threes.append(f)
+            ids.append(near)
+            weights.append(vals)
+    mate = max_weight_perfect_matching_general(ids, weights, len(copies))
+    if mate is None:
+        return None
+    left_out = dict(zip(threes, map(copies.__getitem__, mate)))
+    for f, pool in pools:
+        for w in pool:
+            if w != left_out.get(f):
+                assignment[w] = f
     mu = Matching.of(assignment)
     value = nash_value(inst, mu)
     if value.is_zero:

@@ -7,9 +7,10 @@ greedy builds a Fraction for every candidate gain, where
 scans differ: the case analysis after them is the same, and the solvers
 must return the same matchings and products.  Symmetric binary instances
 use `reference_symbin.solve_symmetric_binary`, which takes its domain check
-and its feasibility flow from here.  The dense forms build edge lists,
-which matching_on_edges turns into the adjacency lists that
-`nswmatch.graphalgs` takes.
+and its feasibility flow from here.  The dense forms of `cap1` and
+`deg3cap2` build bipartite edge lists in the order the solvers list their
+edges, which matching_on_edges turns into the adjacency lists that
+`nswmatch.graphalgs` takes, so both reach the same matching.
 """
 
 from __future__ import annotations
@@ -49,30 +50,22 @@ class DegreeProfile:
         return max(max(self.worker_degrees), max(self.firm_degrees))
 
 
-def adjacency(num_vertices: int, edges) -> tuple[list, list]:
-    """The edge list [(u, v, weight), ...] as adjacency lists (ids,
-    weights): each edge at both ends, in edge order."""
-    ids: list[list[int]] = [[] for _ in range(num_vertices)]
-    weights: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v, x in edges:
-        ids[u].append(v)
-        weights[u].append(x)
-        ids[v].append(u)
-        weights[v].append(x)
+def left_adjacency(num_left: int, edges) -> tuple[list, list]:
+    """The bipartite edge list [(l, r, weight), ...] as the left side's
+    adjacency lists (ids, weights), in edge order."""
+    ids: list[list[int]] = [[] for _ in range(num_left)]
+    weights: list[list[int]] = [[] for _ in range(num_left)]
+    for l, r, x in edges:
+        ids[l].append(r)
+        weights[l].append(x)
     return ids, weights
 
 
-def matched_pairs(mate) -> list[tuple[int, int]] | None:
-    """A mate list as its sorted (min, max) pairs; None stays None."""
-    if mate is None:
-        return None
-    return [(v, w) for v, w in enumerate(mate) if v < w]
-
-
-def matching_on_edges(num_vertices: int, edges) -> list[tuple[int, int]] | None:
-    """max_weight_perfect_matching_general on an edge list, as sorted
-    pairs, or None when no perfect matching exists."""
-    return matched_pairs(max_weight_perfect_matching_general(*adjacency(num_vertices, edges)))
+def matching_on_edges(num_left: int, num_right: int, edges) -> list[int] | None:
+    """max_weight_perfect_matching_general on a bipartite edge list: mate,
+    where mate[l] is left vertex l's right partner, or None when no perfect
+    matching exists."""
+    return max_weight_perfect_matching_general(*left_adjacency(num_left, edges), num_right)
 
 
 def degree_profile(inst: Instance) -> DegreeProfile:
@@ -139,14 +132,11 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
         for f in range(n):
             prod = inst.worker_vals[w][f] * inst.firm_vals[f][w]
             if prod > 0:
-                edges.append((w, m + f, prod))
-    pairs = matching_on_edges(m + n, edges)
-    if pairs is None:
+                edges.append((w, f, prod))
+    mate = matching_on_edges(m, n, edges)
+    if mate is None:
         return _zero_result(inst)
-    assignment: list = [UNMATCHED] * m
-    for u, v in pairs:
-        assignment[u] = v - m
-    mu = Matching.of(assignment)
+    mu = Matching.of(mate)
     return mu, nash_value(inst, mu)
 
 
@@ -174,12 +164,13 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     return mu, nash_value(inst, mu)
 
 
-def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValue]]:
-    if max(degree_profile(inst).firm_degrees) > 3:
-        raise DomainError("a firm has degree above 3")
+def peel_shared_pairs(inst: Instance):
+    """deg3cap2's gadget peel, restarting the scan after every peel: each
+    pair of live firms sharing two live workers gets its best split of
+    their 4-worker pool.  Returns (nbrs, assignment, live_firms,
+    live_workers), nbrs[f] being the workers that value f, or None on a
+    no-instance."""
     m, n = inst.m, inst.n
-    if m != 2 * n or any(c < 2 for c in inst.capacities):
-        return None
     nbrs = [frozenset(w for w in range(m) if inst.worker_vals[w][f] > 0) for f in range(n)]
     live_firms = set(range(n))
     live_workers = set(range(m))
@@ -225,29 +216,47 @@ def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValu
                 break
             if changed:
                 break
+    return nbrs, assignment, live_firms, live_workers
 
+
+def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValue]]:
+    """After the peel, each firm with three live workers is a left vertex,
+    worker w is deg(w) - 1 right vertices, and edge (f, copy of w) weighs
+    f's bundle value without w."""
+    if max(degree_profile(inst).firm_degrees) > 3:
+        raise DomainError("a firm has degree above 3")
+    m, n = inst.m, inst.n
+    if m != 2 * n or any(c < 2 for c in inst.capacities):
+        return None
+    peeled = peel_shared_pairs(inst)
+    if peeled is None:
+        return None
+    nbrs, assignment, live_firms, live_workers = peeled
     firms = sorted(live_firms)
-    workers = sorted(live_workers)
-    if firms:
-        index = {w: i for i, w in enumerate(workers)}
-        edges = []
-        edge_firm = {}
-        for f in firms:
-            pool = sorted(nbrs[f] & live_workers)
-            for a, b in _pairs_within(pool):
-                val = firm_bundle_value(inst, f, (a, b))
-                if val > 0:
-                    key = (index[a], index[b])
-                    assert key not in edge_firm
-                    edge_firm[key] = f
-                    edges.append((key[0], key[1], val))
-        pairs = matching_on_edges(len(workers), edges)
-        if pairs is None:
+    copies = []
+    for w in sorted(live_workers):
+        degree = sum(w in nbrs[f] for f in firms)
+        if degree == 0:
             return None
-        for a, b in pairs:
-            f = edge_firm[(a, b)]
-            assignment[workers[a]] = f
-            assignment[workers[b]] = f
+        copies += [w] * (degree - 1)
+    threes = []
+    edges = []
+    for f in firms:
+        pool = sorted(nbrs[f] & live_workers)
+        if len(pool) == 3:
+            for w in pool:
+                val = firm_bundle_value(inst, f, [x for x in pool if x != w])
+                if val > 0:
+                    edges += [(len(threes), c, val) for c, x in enumerate(copies) if x == w]
+            threes.append(f)
+    mate = matching_on_edges(len(threes), len(copies), edges)
+    if mate is None:
+        return None
+    left_out = {f: copies[c] for f, c in zip(threes, mate)}
+    for f in firms:
+        for w in nbrs[f] & live_workers:
+            if w != left_out.get(f):
+                assignment[w] = f
     mu = Matching.of(assignment)
     value = nash_value(inst, mu)
     if value.is_zero:

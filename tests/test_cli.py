@@ -27,7 +27,7 @@ def src_env() -> dict:
 
 
 def test_cli_import_loads_no_networkx():
-    """networkx is only the test reference for the blossom: importing the
+    """networkx is only the test reference for the matcher: importing the
     CLI, and with it every solver module, must not load it."""
     code = "import nswmatch.cli, sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)

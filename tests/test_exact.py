@@ -99,11 +99,17 @@ def test_capacity_one_block_diagonal():
     assert positive > 50
 
 
-@pytest.mark.xfail(strict=True, reason="the blossom compares logs rounded to "
+@pytest.mark.xfail(strict=True, reason="the matcher compares logs rounded to "
                    "2^-52, which cannot tell 10^18 from 10^18 + 1")
 def test_capacity_one_near_tie():
-    inst = Instance.create((1, 1), [[10 ** 18, 10 ** 18 + 1], [1, 1]], [[1, 1], [1, 1]])
-    assert check_optimal(inst, solve_capacity_one).product == 10 ** 18 + 1
+    """Worker 0 values the firms 10^18 and 10^18 + 1, and the firm-swapped
+    mirror: both have the same rounded logs, so a matcher that decides by
+    them returns the same mate on both and is wrong on one, whichever way
+    it breaks the tie."""
+    near = [10 ** 18, 10 ** 18 + 1]
+    for row in (near, near[::-1]):
+        inst = Instance.create((1, 1), [row, [1, 1]], [[1, 1], [1, 1]])
+        assert check_optimal(inst, solve_capacity_one).product == 10 ** 18 + 1
 
 
 def test_dp_crossing():

@@ -5,99 +5,84 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nswmatch import graphalgs
-from nswmatch.graphalgs import (
-    _Dinic,
-    max_weight_perfect_matching,
-    max_weight_perfect_matching_general,
-)
-from reference_support import adjacency, matched_pairs, matching_on_edges
+from nswmatch.graphalgs import _Dinic, max_weight_perfect_matching
+from reference_support import left_adjacency, matching_on_edges
 
 
-def blossom_on_edges(num_vertices, edges):
-    """max_weight_perfect_matching on an edge list of int weights, which it
-    takes doubled."""
-    return max_weight_perfect_matching(
-        *adjacency(num_vertices, [(u, v, 2 * x) for u, v, x in edges]))
+def matcher_on_edges(num_left, num_right, edges):
+    """max_weight_perfect_matching on a bipartite edge list [(l, r, w)] of
+    int weights: (mate, check)."""
+    return max_weight_perfect_matching(*left_adjacency(num_left, edges), num_right)
 
 
-def _product(weights, pairs):
-    return math.prod(weights[p] for p in pairs)
+def _product(weights, mate):
+    return math.prod(weights[l, r] for l, r in enumerate(mate))
 
 
 def test_bipartite_crossing_weights():
     # positive-product edges of the motivating example, weight v*v
-    pairs = matching_on_edges(4, [(0, 3, 4), (1, 2, 4)])
-    assert pairs == [(0, 3), (1, 2)]
+    assert matching_on_edges(2, 2, [(0, 1, 4), (1, 0, 4)]) == [1, 0]
 
 
 def test_bipartite_single_edge():
-    assert matching_on_edges(2, [(0, 1, 5)]) == [(0, 1)]
+    assert matching_on_edges(1, 1, [(0, 0, 5)]) == [0]
 
 
 def test_bipartite_matches_permutation_enumeration():
     rng = random.Random(4)
     for _ in range(100):
         k = 3
-        weights = {(i, k + j): rng.randint(1, 50) for i in range(k) for j in range(k)}
-        pairs = matching_on_edges(
-            2 * k, [(u, v, x) for (u, v), x in weights.items()])
-        best = max(math.prod(weights[(i, k + p[i])] for i in range(k))
+        weights = {(i, j): rng.randint(1, 50) for i in range(k) for j in range(k)}
+        mate = matching_on_edges(k, k, [(l, r, x) for (l, r), x in weights.items()])
+        best = max(math.prod(weights[i, p[i]] for i in range(k))
                    for p in itertools.permutations(range(k)))
-        assert _product(weights, pairs) == best
+        assert _product(weights, mate) == best
 
 
 def test_bipartite_saturation_infeasible():
-    # a star on an even vertex count: 0, 1 and 3 all need vertex 2
-    edges = [(0, 2, 1), (1, 2, 1), (2, 3, 1)]
-    assert matching_on_edges(4, edges) is None
+    # left 0, 1 and 2 all need right vertex 0
+    edges = [(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 1, 1), (2, 2, 1)]
+    assert matching_on_edges(3, 3, edges) is None
 
 
 def test_perfect_matching_four_cycle():
-    weights = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2}
-    pairs = matching_on_edges(
-        4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
-    assert pairs == [(0, 3), (1, 2)]
-    assert _product(weights, pairs) == 4
+    # the cycle 0-1-2-3-0 with left 0, 2 and right 1, 3 as left 0, 1 and
+    # right 0, 1: weights 1 on 0-1 and 2-3, 2 on 1-2 and 3-0
+    weights = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 1}
+    mate = matching_on_edges(2, 2, [(l, r, x) for (l, r), x in weights.items()])
+    assert mate == [1, 0]
+    assert _product(weights, mate) == 4
 
 
 def test_perfect_matching_odd_infeasible():
-    edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
-    assert matching_on_edges(3, edges) is None
-
-
-def test_perfect_matching_k4_enumeration():
-    rng = random.Random(8)
-    for _ in range(100):
-        w = {(i, j): rng.randint(1, 50) for i in range(4) for j in range(i + 1, 4)}
-        pairs = matching_on_edges(
-            4, [(i, j, x) for (i, j), x in w.items()])
-        best = max(w[(0, 1)] * w[(2, 3)], w[(0, 2)] * w[(1, 3)],
-                   w[(0, 3)] * w[(1, 2)])
-        assert _product(w, pairs) == best
+    # an odd vertex count splits into sides of unequal size
+    assert matching_on_edges(2, 1, [(0, 0, 1), (1, 0, 1)]) is None
+    assert matching_on_edges(1, 2, [(0, 0, 1), (0, 1, 1)]) is None
 
 
 def test_no_stage_without_a_perfect_matching_shape():
-    # an odd vertex count or an isolated vertex returns before any stage
-    assert blossom_on_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
-    assert blossom_on_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]) == (None, None)
-    mate, check = blossom_on_edges(0, [])
+    # unequal sides or a left vertex without an edge return before any
+    # search; the empty graph has the empty perfect matching
+    assert matcher_on_edges(2, 1, [(0, 0, 1), (1, 0, 1)]) == (None, None)
+    assert matcher_on_edges(2, 2, [(0, 0, 1), (0, 1, 1)]) == (None, None)
+    mate, check = matcher_on_edges(0, 0, [])
     assert mate == []
     check()
 
 
 def test_perfect_matching_cardinality():
-    # unweighted path of 6 vertices has exactly one perfect matching
-    pairs = matching_on_edges(6, [(i, i + 1, 1) for i in range(5)])
-    assert pairs == [(0, 1), (2, 3), (4, 5)]
+    # unweighted path of 6 vertices 0-1-...-5, left 0, 2, 4 and right 1, 3,
+    # 5, has exactly one perfect matching
+    edges = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1)]
+    assert matching_on_edges(3, 3, edges) == [0, 1, 2]
 
 
 # Edge weights for the differential test against networkx, all ints.  The
-# int kinds go to the blossom itself, and its optimality check runs on every
+# int kinds go to the matcher itself, and its optimality check runs on every
 # perfect result.  The log kinds go to max_weight_perfect_matching_general,
 # which maximises the product, while networkx maximises the sum of float
 # logs (log(10**18) == log(10**18 + 1) as floats, so ties are common).
-BLOSSOM_WEIGHTS = {
+MATCHER_WEIGHTS = {
     "log_small": lambda rng: rng.randint(1, 5),
     "log_big": lambda rng: rng.choice([1, 7, 10**18, 10**18 + 1]),
     "int_small": lambda rng: rng.randint(1, 5),
@@ -105,73 +90,68 @@ BLOSSOM_WEIGHTS = {
 }
 
 
-def _random_graph(rng):
-    """1-24 vertices, density 0.1-1, some vertices isolated; many have no
-    perfect matching (odd counts, isolated or sparse parts)."""
-    nv = rng.randint(1, 24)
+def _random_bipartite(rng):
+    """0-12 left vertices and as many right ones, or one fewer or more in a
+    fifth of the graphs; density 0.1-1, some vertices on either side
+    isolated, so many graphs have no perfect matching."""
+    nl = rng.randint(0, 12)
+    nr = nl + rng.choice([0, 0, 0, 0, -1, 1]) if nl else 0
     density = rng.uniform(0.1, 1.0)
-    isolated = set(rng.sample(range(nv), rng.randint(0, nv // 4)))
-    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)
-             if u not in isolated and v not in isolated and rng.random() < density]
+    isolated_left = set(rng.sample(range(nl), rng.randint(0, nl // 6)))
+    isolated_right = set(rng.sample(range(nr), rng.randint(0, nr // 6)))
+    pairs = [(l, r) for l in range(nl) for r in range(nr)
+             if l not in isolated_left and r not in isolated_right
+             and rng.random() < density]
     rng.shuffle(pairs)
-    return nv, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+    return nl, nr, pairs
 
 
-@pytest.mark.parametrize("kind", sorted(BLOSSOM_WEIGHTS))
+@pytest.mark.parametrize("kind", sorted(MATCHER_WEIGHTS))
 def test_blossom_matches_networkx(kind):
-    """None exactly when networkx's maximum-cardinality matching is not
-    perfect, else the same total weight: equal for ints, within 1e-9 in log
-    for products.  The mates may differ among equal-weight perfect
-    matchings, since the search starts from a seeded matching."""
+    """The bipartite matcher against networkx's blossom on 600 random
+    bipartite graphs per kind: None exactly when networkx's
+    maximum-cardinality matching is not perfect, else the same total
+    weight, equal for ints and within 1e-9 in log for products.  Every
+    perfect int result passes check().  The mates may differ among
+    equal-weight perfect matchings."""
     import networkx as nx  # the test extra's reference implementation
 
     logs = kind.startswith("log")
-    rng = random.Random(f"blossom-{kind}")
+    rng = random.Random(f"bipartite-{kind}")
     for _ in range(600):
-        nv, pairs = _random_graph(rng)
-        edges = [(u, v, BLOSSOM_WEIGHTS[kind](rng)) for u, v in pairs]
-        weight = {frozenset((u, v)): math.log(x) if logs else x for u, v, x in edges}
+        nl, nr, pairs = _random_bipartite(rng)
+        edges = [(l, r, MATCHER_WEIGHTS[kind](rng)) for l, r in pairs]
+        weight = {(l, r): math.log(x) if logs else x for l, r, x in edges}
         graph = nx.Graph()
-        graph.add_nodes_from(range(nv))
-        graph.add_weighted_edges_from((u, v, weight[frozenset((u, v))]) for u, v, _ in edges)
+        graph.add_nodes_from(range(nl + nr))
+        graph.add_weighted_edges_from((l, nl + r, weight[l, r]) for l, r, _ in edges)
         expect = nx.max_weight_matching(graph, maxcardinality=True)
         if logs:
-            got = matching_on_edges(nv, edges)
+            got = matching_on_edges(nl, nr, edges)
         else:
-            mate, check = blossom_on_edges(nv, edges)
-            got = None
-            if mate is not None:
+            got, check = matcher_on_edges(nl, nr, edges)
+            if got is not None:
                 check()
-                got = [(v, w) for v, w in enumerate(mate) if v < w]
-        if 2 * len(expect) < nv:
+        if 2 * len(expect) < nl + nr:
             assert got is None, edges
             continue
-        assert got is not None and sorted(v for p in got for v in p) == list(range(nv)), edges
-        got_weight = sum(weight[frozenset(p)] for p in got)
-        want = sum(weight[frozenset(e)] for e in expect)
+        assert got is not None and sorted(got) == list(range(nr)), edges
+        got_weight = sum(weight[l, r] for l, r in enumerate(got))
+        want = sum(weight[min(e), max(e) - nl] for e in expect)
         if logs:
             assert abs(got_weight - want) <= 1e-9, edges
         else:
             assert got_weight == want, edges
 
 
-def _perfect_matching_weights(nv, edges):
+def _perfect_matching_weights(nl, nr, edges):
     """The edge weights of each perfect matching, by enumeration."""
-    weight = {}
-    for u, v, x in edges:
-        weight[u, v] = weight[v, u] = x
-
-    def matchings(rest):
-        if not rest:
-            yield []
-            return
-        v, others = rest[0], rest[1:]
-        for i, w in enumerate(others):
-            if (v, w) in weight:
-                for sub in matchings(others[:i] + others[i + 1:]):
-                    yield [weight[v, w], *sub]
-
-    return matchings(tuple(range(nv)))
+    weight = {(l, r): x for l, r, x in edges}
+    if nl != nr:
+        return
+    for perm in itertools.permutations(range(nr)):
+        if all(pair in weight for pair in enumerate(perm)):
+            yield [weight[pair] for pair in enumerate(perm)]
 
 
 # near-ties of 10**18 against 10**18 + 1, small values and values to 10**30
@@ -181,40 +161,39 @@ INT_WEIGHTS = st.one_of(st.integers(1, 5), st.sampled_from([10**18, 10**18 + 1])
 
 @st.composite
 def int_graphs(draw, weights=INT_WEIGHTS):
-    """0-10 vertices, a quarter of them odd counts, in one to three
-    components (vertex v is in part (v // 2) % parts, and parts share no
-    edge); a fifth have one isolated vertex."""
-    nv = 2 * draw(st.integers(0, 5))
-    if nv and draw(st.integers(0, 3)) == 0:
-        nv -= 1
-    parts = draw(st.integers(1, 3))
-    isolated = draw(st.integers(0, nv - 1)) if nv and draw(st.integers(0, 4)) == 0 else -1
+    """0-6 left vertices and as many right ones, or one fewer or more in a
+    fifth of them; a fifth have one left or right vertex isolated."""
+    nl = draw(st.integers(0, 6))
+    nr = nl
+    if nl and draw(st.integers(0, 4)) == 0:
+        nr += draw(st.sampled_from([-1, 1]))
+    isolated = (draw(st.sampled_from(["l", "r"])), draw(st.integers(0, max(nl, nr)))) \
+        if draw(st.integers(0, 4)) == 0 else None
     density = draw(st.integers(1, 4))
     edges = []
-    for u in range(nv):
-        for v in range(u + 1, nv):
-            if ((u // 2 - v // 2) % parts == 0 and isolated not in (u, v)
+    for l in range(nl):
+        for r in range(nr):
+            if (isolated not in (("l", l), ("r", r))
                     and draw(st.integers(0, 3)) < density):
-                x = draw(weights)
-                edges.append((u, v, x) if draw(st.booleans()) else (v, u, x))
-    return nv, edges
+                edges.append((l, r, draw(weights)))
+    return nl, nr, edges
 
 
 @settings(max_examples=400, deadline=None)
 @given(int_graphs())
 def test_int_blossom_matches_enumeration(graph):
-    """The blossom against every perfect matching: the same optimum weight
+    """The matcher against every perfect matching: the same optimum weight
     and None-ness.  Each perfect result passes the returned check of the
-    final duals, and no half_slack parity assertion fires."""
-    nv, edges = graph
-    mate, check = blossom_on_edges(nv, edges)
-    want = max(map(sum, _perfect_matching_weights(nv, edges)), default=None)
+    final potentials."""
+    nl, nr, edges = graph
+    mate, check = matcher_on_edges(nl, nr, edges)
+    want = max(map(sum, _perfect_matching_weights(nl, nr, edges)), default=None)
     assert (mate is None) == (want is None)
     if mate is not None:
         check()
-        weight = {frozenset((u, v)): x for u, v, x in edges}
-        assert all(mate[w] == v for v, w in enumerate(mate))
-        assert sum(weight[frozenset((v, w))] for v, w in enumerate(mate) if v < w) == want
+        weight = {(l, r): x for l, r, x in edges}
+        assert sorted(mate) == list(range(nr))
+        assert sum(weight[pair] for pair in enumerate(mate)) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -224,110 +203,90 @@ def test_product_matching_matches_enumeration(graph):
     the same None-ness and the same largest product.  Weights 1..25 repeat
     and tie often (2 * 6 == 3 * 4); at these sizes distinct products differ
     in log by far more than 2^-52 rounding can swap."""
-    nv, edges = graph
-    pairs = matching_on_edges(nv, edges)
-    want = max(map(math.prod, _perfect_matching_weights(nv, edges)), default=None)
-    assert (pairs is None) == (want is None)
-    if pairs is not None:
-        weight = {frozenset((u, v)): x for u, v, x in edges}
-        assert sorted(v for p in pairs for v in p) == list(range(nv))
-        assert math.prod(weight[frozenset(p)] for p in pairs) == want
+    nl, nr, edges = graph
+    mate = matching_on_edges(nl, nr, edges)
+    want = max(map(math.prod, _perfect_matching_weights(nl, nr, edges)), default=None)
+    assert (mate is None) == (want is None)
+    if mate is not None:
+        weight = {(l, r): x for l, r, x in edges}
+        assert sorted(mate) == list(range(nr))
+        assert _product(weight, mate) == want
 
 
 def _disjoint_union(rng, graphs):
-    """The disjoint union of edge-list graphs [(nv, edges), ...] with their
-    vertices interleaved at random; returns nv, edges and each graph's
-    vertex map."""
-    total = sum(nv for nv, _ in graphs)
-    order = list(range(total))
-    rng.shuffle(order)
+    """The disjoint union of bipartite edge-list graphs [(nl, nr, edges),
+    ...] with the vertices of each side interleaved at random; returns nl,
+    nr, edges and each graph's (left map, right map)."""
+    left = list(range(sum(nl for nl, _, _ in graphs)))
+    right = list(range(sum(nr for _, nr, _ in graphs)))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    nl, nr = len(left), len(right)
     maps, edges = [], []
-    for nv, part in graphs:
-        ids, order = order[:nv], order[nv:]
-        maps.append(ids)
-        edges += [(ids[u], ids[v], x) for u, v, x in part]
-    return total, edges, maps
+    for part_nl, part_nr, part in graphs:
+        lmap, left = left[:part_nl], left[part_nl:]
+        rmap, right = right[:part_nr], right[part_nr:]
+        maps.append((lmap, rmap))
+        edges += [(lmap[l], rmap[r], x) for l, r, x in part]
+    return nl, nr, edges, maps
 
 
 def test_components_matched_separately():
-    """A disjoint union of two graphs with their vertices interleaved: None
-    iff either part has no perfect matching, else the product of the two
-    parts' products, from pairs that stay inside each part."""
+    """A disjoint union of two bipartite graphs with their vertices
+    interleaved: None iff either part has no perfect matching, else the
+    product of the two parts' products, from pairs that stay inside each
+    part."""
     rng = random.Random(44)
     matched = 0
     for _ in range(300):
         parts = []
         for _ in range(2):
-            nv = 2 * rng.randint(1, 4) - (rng.random() < 0.2)
-            parts.append((nv, [(u, v, rng.randint(1, 25)) for u in range(nv)
-                               for v in range(u + 1, nv) if rng.random() < 0.6]))
-        nv, edges, maps = _disjoint_union(rng, parts)
-        got = matching_on_edges(nv, edges)
+            nl = rng.randint(1, 4)
+            nr = nl - (rng.random() < 0.1)
+            parts.append((nl, nr, [(l, r, rng.randint(1, 25)) for l in range(nl)
+                                   for r in range(nr) if rng.random() < 0.75]))
+        nl, nr, edges, maps = _disjoint_union(rng, parts)
+        got = matching_on_edges(nl, nr, edges)
         want = [matching_on_edges(*part) for part in parts]
         if None in want:
             assert got is None
             continue
         matched += 1
-        assert sorted(v for p in got for v in p) == list(range(nv))
-        assert all(any({u, v} <= set(ids) for ids in maps) for u, v in got)
-        part_products = [
-            _product({frozenset((u, v)): x for u, v, x in part}, map(frozenset, pairs))
-            for (_nv, part), pairs in zip(parts, want)]
-        weight = {frozenset((u, v)): x for u, v, x in edges}
-        assert _product(weight, map(frozenset, got)) == math.prod(part_products)
+        assert sorted(got) == list(range(nr))
+        assert all(any(l in lmap and r in rmap for lmap, rmap in maps)
+                   for l, r in enumerate(got))
+        part_products = [_product({(l, r): x for l, r, x in part}, mate)
+                         for (_nl, _nr, part), mate in zip(parts, want)]
+        weight = {(l, r): x for l, r, x in edges}
+        assert _product(weight, got) == math.prod(part_products)
     assert matched > 100
-
-
-def test_odd_component_returns_before_any_matching(monkeypatch):
-    """A 4-cycle on 0, 3, 6, 9, a triangle on 1, 4, 7 and a path on 2, 5, 8:
-    the odd components answer None before the blossom runs on the 4-cycle,
-    which holds vertex 0."""
-    def no_blossom(*_args):
-        raise AssertionError("a blossom ran")
-
-    monkeypatch.setattr(graphalgs, "max_weight_perfect_matching", no_blossom)
-    edges = [(0, 3, 2), (3, 6, 3), (6, 9, 2), (9, 0, 3),
-             (1, 4, 1), (4, 7, 1), (1, 7, 1),
-             (2, 5, 5), (5, 8, 5)]
-    assert matching_on_edges(10, edges) is None
-
-
-def test_one_component_is_not_relabelled(monkeypatch):
-    """A connected graph reaches the blossom in the caller's own numbering:
-    the same neighbour lists, not copies."""
-    seen = []
-
-    def spy(ids, weights):
-        seen.append(ids)
-        return max_weight_perfect_matching(ids, weights)
-
-    monkeypatch.setattr(graphalgs, "max_weight_perfect_matching", spy)
-    ids, weights = adjacency(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)])
-    assert matched_pairs(max_weight_perfect_matching_general(ids, weights)) == [(0, 3), (1, 2)]
-    assert len(seen) == 1 and seen[0] is ids
 
 
 def test_check_fails_on_a_corrupted_mate():
     """The returned check reads the returned mate list: swapping the
-    partners of two matched pairs for a lighter perfect matching leaves a
-    matched edge that is not tight, and check() must raise, also under
-    python -O."""
+    partners of two left vertices for a lighter perfect matching leaves a
+    matched edge that is not tight, and mapping two left vertices to one
+    right vertex is no perfect matching; check() must raise on both, also
+    under python -O."""
     rng = random.Random(31)
     fired = 0
     for _ in range(200):
-        nv = 2 * rng.randint(2, 5)
-        weight = {(u, v): rng.randint(1, 20) for u in range(nv) for v in range(u + 1, nv)}
-        mate, check = blossom_on_edges(nv, [(u, v, x) for (u, v), x in weight.items()])
+        k = rng.randint(2, 5)
+        weight = {(l, r): rng.randint(1, 20) for l in range(k) for r in range(k)}
+        mate, check = matcher_on_edges(k, k, [(l, r, x) for (l, r), x in weight.items()])
         check()
-        (a, b), (c, d) = rng.sample([(v, w) for v, w in enumerate(mate) if v < w], 2)
-        mate[a], mate[d], mate[c], mate[b] = d, a, b, c
-        lost = (weight[a, b] + weight[c, d]
-                - weight[min(a, d), max(a, d)] - weight[min(b, c), max(b, c)])
+        a, b = rng.sample(range(k), 2)
+        ra, rb = mate[a], mate[b]
+        mate[a], mate[b] = rb, ra
+        lost = weight[a, ra] + weight[b, rb] - weight[a, rb] - weight[b, ra]
         if lost > 0:
             fired += 1
             with pytest.raises(AssertionError):
                 check()
-    assert fired > 100
+        mate[a] = mate[b]
+        with pytest.raises(AssertionError):
+            check()
+    assert fired > 50
 
 
 def _flow_on(dinic, arcs, caps):

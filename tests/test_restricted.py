@@ -283,7 +283,7 @@ def test_cap1_agrees_with_deg2_on_cycles():
             assert value1.product == value2.product > 0, (k, seed)
 
 
-@pytest.mark.xfail(reason="cap1's blossom compares logs rounded to 2^-52, "
+@pytest.mark.xfail(reason="cap1 compares logs rounded to 2^-52, "
                    "which cannot tell 10^18 from 10^18 + 1")
 def test_cap1_and_deg2_match_oracle_on_near_tie_cycles():
     """The same cycles with values 10^18..10^18+3, k = 3..7, against
@@ -381,6 +381,116 @@ def test_deg3cap2_oracle_agreement():
             for f in res[0].assignment:
                 loads[f] += 1
             assert all(x == 2 for x in loads)
+
+
+def _agrees_with_exact_loads(inst):
+    """solve_degree3_capacity2 against the exact-loads brute force: None iff
+    no matching with two workers per firm has a positive product, else the
+    same product from a valid matching with two workers per firm.  Returns
+    the product, 0 for None."""
+    res = solve_degree3_capacity2(inst)
+    ref = best_exact_two(inst)
+    if ref == 0:
+        assert res is None
+        return 0
+    assert res is not None and res[1].product == ref
+    assert validate(inst, res[0]) is None
+    assert sorted(res[0].assignment) == sorted(2 * list(range(inst.n)))
+    return ref
+
+
+def _pools_instance(rng, n, pools, unvalued=()):
+    """m = 2n workers, capacities 2; the workers of pools[f] and firm f
+    value each other 1..5, except that f values the (f, w) in unvalued 0."""
+    m = 2 * n
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
+    for f, pool in enumerate(pools):
+        for w in pool:
+            worker_vals[w][f] = rng.randint(1, 5)
+            firm_vals[f][w] = 0 if (f, w) in unvalued else rng.randint(1, 5)
+    return Instance.create([2] * n, worker_vals, firm_vals)
+
+
+def _planted_pools(rng, n):
+    """Each firm's planted pair, from a random permutation of the 2n
+    workers."""
+    perm = rng.sample(range(2 * n), 2 * n)
+    return [{perm[2 * f], perm[2 * f + 1]} for f in range(n)]
+
+
+def test_deg3cap2_worker_left_out_by_several_firms():
+    """A hub worker valued by 4-6 firms (3-5 right copies) besides planted
+    pairs, m <= 12."""
+    rng = random.Random(401)
+    positive = 0
+    for _ in range(120):
+        n = rng.randint(4, 6)
+        pools = _planted_pools(rng, n)
+        hub = rng.randrange(2 * n)
+        for f in rng.sample([f for f in range(n) if hub not in pools[f]],
+                            rng.randint(3, n - 1)):
+            pools[f].add(hub)
+        assert sum(hub in pool for pool in pools) >= 4
+        positive += _agrees_with_exact_loads(_pools_instance(rng, n, pools)) > 0
+    assert positive > 60
+
+
+def test_deg3cap2_gadgets_among_plain_firms():
+    """One or two gadget pairs (two firms sharing two workers, each with
+    one more) mixed with plain firms of degree 2 or 3, m <= 12."""
+    rng = random.Random(402)
+    positive = 0
+    for _ in range(120):
+        n = rng.randint(3, 6)
+        perm = rng.sample(range(2 * n), 2 * n)
+        pools = []
+        for _ in range(rng.randint(1, n // 2)):
+            a, b, c, d = perm[:4]
+            perm = perm[4:]
+            pools += [{a, b, c}, {a, b, d}]
+        while len(pools) < n:
+            pools.append({perm.pop(), perm.pop()})
+            if rng.random() < 0.6:
+                pools[-1].add(rng.randrange(2 * n))
+        rng.shuffle(pools)
+        positive += _agrees_with_exact_loads(_pools_instance(rng, n, pools)) > 0
+    assert positive > 60
+
+
+def test_deg3cap2_zero_pairs_and_exclusions():
+    """Firm-side zeros, m <= 12: a degree-2 firm that values neither of
+    its workers makes every answer zero, and a degree-3 firm that values
+    only some of its workers has exclusions worth 0, which are no edges."""
+    rng = random.Random(403)
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        pools = _planted_pools(rng, n)
+        for pool in pools:
+            if rng.random() < 0.7:
+                pool.add(rng.randrange(2 * n))
+        unvalued = {(f, w) for f, pool in enumerate(pools) for w in pool
+                    if rng.random() < 0.3}
+        _agrees_with_exact_loads(_pools_instance(rng, n, pools, unvalued))
+    # firm 0's only pair is worth 0; firm 1 must leave out worker 1
+    inst = _pools_instance(rng, 2, [{0, 1}, {1, 2, 3}], {(0, 0), (0, 1)})
+    assert _agrees_with_exact_loads(inst) == 0
+    # firm 0 values only worker 0, so leaving 0 out is worth 0 and firm 0
+    # leaves out worker 1, which firm 2 takes; firm 1 leaves out worker 0
+    inst = _pools_instance(rng, 3, [{0, 1, 2}, {0, 3, 4}, {1, 5}], {(0, 1), (0, 2)})
+    assert _agrees_with_exact_loads(inst) > 0
+    assert solve_degree3_capacity2(inst)[0].assignment == (0, 2, 0, 1, 1, 2)
+
+
+def test_deg3cap2_worker_no_firm_can_take():
+    """A worker that values no firm cannot be placed: None, also when a
+    firm values that worker."""
+    inst = Instance.create((2, 2), [[1, 1], [1, 1], [1, 0], [0, 0]],
+                           [[1, 1, 1, 0], [1, 1, 0, 0]])
+    assert _agrees_with_exact_loads(inst) == 0
+    inst = Instance.create((2, 2), [[1, 1], [1, 1], [1, 0], [0, 0]],
+                           [[1, 1, 1, 0], [1, 1, 0, 5]])
+    assert _agrees_with_exact_loads(inst) == 0
 
 
 # --- single positive firm --------------------------------------------------

@@ -1,7 +1,8 @@
 """The positive-entry scans of the polynomial solvers against their dense
 forms (reference_support), the solvers on edge-shaped instances, a count of
 the value reads the scans make, and cap1 and deg3cap2 at mid size against
-their dense forms run on networkx's blossom."""
+networkx's blossom on the dense cap1 graph and on deg3cap2's worker-pair
+graph."""
 
 import json
 import math
@@ -15,7 +16,8 @@ import reference_support
 import reference_symbin
 from nswmatch import cli
 from nswmatch.cli import SOLVERS, main, run_algo
-from nswmatch.core import Instance
+from nswmatch.core import Instance, Matching, firm_bundle_value, nash_value
+from nswmatch.restricted import _pairs_within
 
 # cli looks each solver up by name at call time, so patching these names
 # makes run_algo record what the dense forms return
@@ -293,18 +295,56 @@ def test_deg3cap2_gadgets_after_plain_firms_match_reference():
         assert run_algo("deg3cap2", inst) == record
 
 
-def _networkx_perfect_matching(num_vertices, edges):
+def _networkx_perfect_matching(num_left, num_right, edges):
     """matching_on_edges's contract from networkx's blossom on float logs:
-    sorted pairs, or None when not perfect."""
+    mate, or None when not perfect.  Right vertex r is node num_left + r."""
     import networkx as nx  # the test extra's reference implementation
 
     graph = nx.Graph()
-    graph.add_nodes_from(range(num_vertices))
-    graph.add_weighted_edges_from((u, v, math.log(w)) for u, v, w in edges)
+    graph.add_nodes_from(range(num_left + num_right))
+    graph.add_weighted_edges_from((l, num_left + r, math.log(w)) for l, r, w in edges)
     pairs = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(pairs) < num_vertices:
+    if 2 * len(pairs) < num_left + num_right:
         return None
-    return sorted(tuple(sorted(p)) for p in pairs)
+    mate = [None] * num_left
+    for a, b in map(sorted, pairs):
+        mate[a] = b - num_left
+    return mate
+
+
+def _networkx_cap1_product(inst):
+    """cap1's dense form with networkx's blossom as its matcher."""
+    with mock.patch.multiple(cli, **REFERENCE_SOLVERS), mock.patch.object(
+            reference_support, "matching_on_edges", _networkx_perfect_matching):
+        record = run_algo("cap1", inst)
+    assert record["status"] == "ok"
+    return record["nash_product"]
+
+
+def _networkx_pair_graph_product(inst):
+    """deg3cap2's optimum by the older worker-pair reduction, matched by
+    networkx's blossom: after the gadget peel any two live firms share at
+    most one worker, so each edge (a, b) of the live workers has one firm
+    f, weighted by f's bundle value of (a, b), and a perfect matching of
+    the live workers gives each live firm one pair."""
+    import networkx as nx  # the test extra's reference implementation
+
+    nbrs, assignment, live_firms, live_workers = reference_support.peel_shared_pairs(inst)
+    firm_of = {}
+    graph = nx.Graph()
+    graph.add_nodes_from(live_workers)
+    for f in live_firms:
+        for a, b in _pairs_within(nbrs[f] & live_workers):
+            val = firm_bundle_value(inst, f, (a, b))
+            if val > 0:
+                assert (a, b) not in firm_of
+                firm_of[a, b] = f
+                graph.add_edge(a, b, weight=math.log(val))
+    pairs = nx.max_weight_matching(graph, maxcardinality=True)
+    assert 2 * len(pairs) == len(live_workers)
+    for a, b in map(sorted, pairs):
+        assignment[a] = assignment[b] = firm_of[a, b]
+    return str(nash_value(inst, Matching.of(assignment)).product)
 
 
 def _dense_capacity_one(rng, k):
@@ -313,19 +353,19 @@ def _dense_capacity_one(rng, k):
     return [1] * k, worker_vals, firm_vals
 
 
+NETWORKX_PRODUCT = {"cap1": _networkx_cap1_product, "deg3cap2": _networkx_pair_graph_product}
+
+
 @pytest.mark.parametrize("algo, build", [
     ("cap1", _dense_capacity_one),
     ("deg3cap2", _sparse_degree3_cap2),
 ])
 def test_blossom_solves_match_networkx_at_mid_size(algo, build):
-    """cap1 at k = 150 and deg3cap2 at n = 150 reach the Nash product of
-    their dense forms run on networkx's blossom, an independent check of
-    the in-tree blossom's seeded search."""
+    """cap1 at k = 150 and deg3cap2 at n = 150 reach the Nash product that
+    networkx's blossom finds, an independent check of the in-tree matcher's
+    seeded search: for cap1 on the dense form's bipartite graph, for
+    deg3cap2 on the worker-pair graph the leave-one-out view replaced."""
     inst = Instance.create(*build(random.Random(150), 150))
     record = run_algo(algo, inst)
     assert record["status"] == "ok"
-    with mock.patch.multiple(cli, **REFERENCE_SOLVERS), mock.patch.object(
-            reference_support, "matching_on_edges",
-            _networkx_perfect_matching):
-        want = run_algo(algo, inst)
-    assert (want["status"], want["nash_product"]) == ("ok", record["nash_product"])
+    assert record["nash_product"] == NETWORKX_PRODUCT[algo](inst)
