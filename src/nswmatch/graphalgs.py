@@ -18,18 +18,12 @@ max_weight_perfect_matching_general maximises the sum of their logs
 rounded to multiples of 2^-52, so a near-tie between two products can
 still be decided by rounding; it is the one place where logs meet the
 matching reductions.
-
-_Dinic is a small max-flow.  A run resumes from the flow the last one left,
-so raising some capacities and running again reaches the larger maximum.
-Its blocking-flow search is iterative, with an explicit stack of path arcs,
-so an augmenting path may be longer than Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 from math import inf
-from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import lt, sub
@@ -171,67 +165,3 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
                 raise AssertionError(f"matched edge ({l}, {r0}) is not tight")
 
     return mate, check
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def max_flow(self, s: int, t: int) -> int:
-        head, to, cap = self.head, self.to, self.cap
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for idx in head[u]:
-                    v = to[idx]
-                    if cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            # blocking flow: walk from s along level-increasing arcs with
-            # a stack of the arcs taken; a dead end retreats one arc and
-            # moves the parent's it pointer on, reaching t pushes the
-            # path's bottleneck and restarts from s
-            it = [0] * self.n
-            path: list[int] = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(1 << 60, *(cap[idx] for idx in path))
-                    for idx in path:
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                    flow += pushed
-                    path.clear()
-                    u = s
-                arcs = head[u]
-                while it[u] < len(arcs):
-                    idx = arcs[it[u]]
-                    if cap[idx] > 0 and level[to[idx]] == level[u] + 1:
-                        path.append(idx)
-                        u = to[idx]
-                        break
-                    it[u] += 1
-                else:
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1

@@ -16,8 +16,9 @@ lists them when they are used more than once) and then index the values
 only at those entries, so past the row scans the work is linear in the
 positive entries, not in m * n.  The degree-bounded solvers check their
 bound on the graph they build: an edge (w, f) survives when either side
-values the other.  The symmetric-binary check compares the transposed
-worker matrix with the firm matrix, also at C level.
+values the other.  The symmetric-binary check compares the two sides'
+counts of positive entries and then their values at each worker's
+positive entries.
 """
 
 from __future__ import annotations
@@ -47,13 +48,18 @@ from .graphalgs import max_weight_perfect_matching_general
 def _check_symmetric_binary(inst: Instance) -> list[tuple[int, ...]]:
     """Raises DomainError unless worker_vals[w][f] == firm_vals[f][w] in
     {0, 1} for every pair; returns each worker's positive firms, which are
-    then also the firms that value it.  Symmetry compares the transposed
-    worker matrix with the firm matrix at C level; a symmetric row is then
-    0/1 iff it sums to its count of positive entries."""
+    then also the firms that value it.  The two sides have as many positive
+    entries, and each worker's positive values come back from its firms, so
+    the zero patterns agree too; a symmetric row is then 0/1 iff it sums to
+    its count of positive entries."""
     error = "valuations must be symmetric and binary"
-    if list(zip(*inst.worker_vals)) != list(map(tuple, inst.firm_vals)):
-        raise DomainError(error)
     worker_pos = positive_entries(inst.worker_vals)
+    if sum(map(len, worker_pos)) != sum(map(len, positive_entries(inst.firm_vals))):
+        raise DomainError(error)
+    firm_vals = inst.firm_vals
+    for w, (row, firms) in enumerate(zip(inst.worker_vals, worker_pos)):
+        if any(firm_vals[f][w] != row[f] for f in firms):
+            raise DomainError(error)
     if list(map(sum, inst.worker_vals)) != list(map(len, worker_pos)):
         raise DomainError(error)
     return worker_pos

@@ -7,14 +7,17 @@ greedy builds a Fraction for every candidate gain, where
 scans differ: the case analysis after them is the same, and the solvers
 must return the same matchings and products.  Symmetric binary instances
 use `reference_symbin.solve_symmetric_binary`, which takes its domain check
-and its feasibility flow from here.  The dense forms of `cap1` and
-`deg3cap2` build bipartite edge lists in the order the solvers list their
-edges, which matching_on_edges turns into the adjacency lists that
+and its feasibility search from here.  nonzero_nash_by_flow answers the
+feasibility question independently, by two max flows (_Dinic) on the
+network whose residual graph the search walks.  The dense forms of `cap1`
+and `deg3cap2` build bipartite edge lists in the order the solvers list
+their edges, which matching_on_edges turns into the adjacency lists that
 `nswmatch.graphalgs` takes, so both reach the same matching.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +32,7 @@ from nswmatch.core import (
     nash_value,
 )
 from nswmatch.exact import _zero_result
-from nswmatch.graphalgs import _Dinic, max_weight_perfect_matching_general
+from nswmatch.graphalgs import max_weight_perfect_matching_general
 from nswmatch.restricted import (
     _best_component_matching,
     _component_order,
@@ -89,6 +92,118 @@ def check_symmetric_binary(inst: Instance) -> None:
 
 
 def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
+    """nswmatch.feasibility's greedy seats, seat paths, greedy placement and
+    displacement paths, in the same order and with the same tie-breaks, but
+    scanning every firm of a worker's row and reading a firm's values for
+    its members each time a step asks."""
+    m, n = inst.m, inst.n
+    caps = inst.capacities
+    if m < n or 0 in caps:
+        return False, None
+
+    def valued(w):
+        return [f for f in range(n) if inst.worker_vals[w][f] > 0]
+
+    def values(f, w):
+        return inst.firm_vals[f][w] > 0
+
+    seat = [-1] * n
+    place = [-1] * m
+    for w in range(m):
+        if -1 not in seat:
+            break
+        for f in valued(w):
+            if values(f, w) and seat[f] == -1:
+                seat[f], place[w] = w, f
+                break
+    for root in range(n):
+        if seat[root] != -1:
+            continue
+        path = seat_path(inst, root, seat, place)
+        if path is None:
+            return False, None
+        for w, f in path:
+            seat[f], place[w] = w, f
+
+    members = [[w] for w in seat]
+    unplaced = []
+    for w in range(m):
+        if place[w] != -1:
+            continue
+        room = [f for f in valued(w) if len(members[f]) < caps[f]]
+        if room:
+            place[w] = room[0]
+            members[room[0]].append(w)
+        else:
+            unplaced.append(w)
+    for root in unplaced:
+        path = displacement_path(inst, root, place, members)
+        if path is None:
+            return False, None
+        for w, f in path:
+            if place[w] != -1:
+                members[place[w]].remove(w)
+            place[w] = f
+            members[f].append(w)
+    return True, Matching.of(place)
+
+
+def seat_path(inst: Instance, root: int, seat, place):
+    """BFS from the empty seat of firm root over firm -> a worker that
+    values it and that it values -> that worker's seat firm, to a seatless
+    worker: the moves [(worker, firm), ...] that shift the seats, or None."""
+    moves_to = {}
+    queue = [root]
+    for f in queue:
+        for w in range(inst.m):
+            if w in moves_to or inst.worker_vals[w][f] == 0 or inst.firm_vals[f][w] == 0:
+                continue
+            moves_to[w] = f
+            if place[w] == -1:
+                path = []
+                while w != -1:
+                    path.append((w, moves_to[w]))
+                    w = seat[moves_to[w]]
+                return path
+            queue.append(place[w])
+    return None
+
+
+def displacement_path(inst: Instance, root: int, place, members):
+    """BFS from the unplaced worker root to a firm with room, where the
+    worker x arriving at firm f may displace any member of f when f values
+    x or holds two members it values, and else any member f does not
+    value: the moves [(worker, firm), ...], from the last arrival back to
+    root, or None."""
+    via = {root: None}  # via[y]: the worker that takes y's place
+    whole = {}
+    queue = [root]
+    for x in queue:
+        for f in range(inst.n):
+            if inst.worker_vals[x][f] == 0 or f == place[x]:
+                continue
+            if len(members[f]) < inst.capacities[f]:
+                path = [(x, f)]
+                while via[x] is not None:
+                    path.append((via[x], place[x]))
+                    x = via[x]
+                return path
+            kept = [y for y in members[f] if inst.firm_vals[f][y] > 0]
+            every = inst.firm_vals[f][x] > 0 or len(kept) > 1
+            if whole.get(f) or (f in whole and not every):
+                continue
+            whole[f] = every
+            for y in members[f]:
+                if y not in via and (every or y not in kept):
+                    via[y] = x
+                    queue.append(y)
+    return None
+
+
+def nonzero_nash_by_flow(inst: Instance) -> bool:
+    """The verdict of two max flows on one network: first a seat per firm,
+    held by a worker that values it and that it values, then every worker,
+    each at a firm it values (see nswmatch.feasibility)."""
     m, n = inst.m, inst.n
     source, sink = 0, 1
     def w_node(w): return 2 + w
@@ -102,25 +217,81 @@ def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
         dinic.add_edge(f_own(f), sink, min(1, c))
         open_arcs.append(dinic.add_edge(f_open(f), sink, 0))
         dinic.add_edge(f_own(f), f_open(f), m)
-    pair_arcs = []
     for w in range(m):
         dinic.add_edge(source, w_node(w), 1)
         for f in range(n):
             if inst.worker_vals[w][f] > 0:
-                node = f_own(f) if inst.firm_vals[f][w] > 0 else f_open(f)
-                pair_arcs.append((dinic.add_edge(w_node(w), node, 1), w, f))
+                dinic.add_edge(w_node(w), f_own(f) if inst.firm_vals[f][w] > 0 else f_open(f), 1)
 
     if dinic.max_flow(source, sink) < n:
-        return False, None
+        return False
     for f in range(n):
         dinic.cap[open_arcs[f]] = inst.capacities[f] - 1
-    if n + dinic.max_flow(source, sink) < m:
-        return False, None
-    assignment: list = [UNMATCHED] * m
-    for idx, w, f in pair_arcs:
-        if dinic.cap[idx] == 0:
-            assignment[w] = f
-    return True, Matching.of(assignment)
+    return n + dinic.max_flow(source, sink) == m
+
+
+class _Dinic:
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, cap: int) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, s: int, t: int) -> int:
+        head, to, cap = self.head, self.to, self.cap
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for idx in head[u]:
+                    v = to[idx]
+                    if cap[idx] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            # blocking flow: walk from s along level-increasing arcs with
+            # a stack of the arcs taken; a dead end retreats one arc and
+            # moves the parent's it pointer on, reaching t pushes the
+            # path's bottleneck and restarts from s
+            it = [0] * self.n
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(1 << 60, *(cap[idx] for idx in path))
+                    for idx in path:
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                    flow += pushed
+                    path.clear()
+                    u = s
+                arcs = head[u]
+                while it[u] < len(arcs):
+                    idx = arcs[it[u]]
+                    if cap[idx] > 0 and level[to[idx]] == level[u] + 1:
+                        path.append(idx)
+                        u = to[idx]
+                        break
+                    it[u] += 1
+                else:
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
 
 def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:

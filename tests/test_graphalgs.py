@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nswmatch.graphalgs import _Dinic, max_weight_perfect_matching
-from reference_support import left_adjacency, matching_on_edges
+from nswmatch.graphalgs import max_weight_perfect_matching
+from reference_support import _Dinic, left_adjacency, matching_on_edges
 
 
 def matcher_on_edges(num_left, num_right, edges):

@@ -41,12 +41,16 @@ def test_symbin_example():
 
 
 def test_symbin_rejects_asymmetric():
-    inst = Instance.create((1,), [[1]], [[0]])
-    with pytest.raises(DomainError):
-        solve_symmetric_binary(inst)
-    nonbinary = Instance.create((1,), [[2]], [[2]])
-    with pytest.raises(DomainError):
-        solve_symmetric_binary(nonbinary)
+    for inst in [
+        Instance.create((1,), [[1]], [[0]]),
+        Instance.create((1,), [[0]], [[1]]),
+        Instance.create((1,), [[2]], [[2]]),
+        # one positive entry a side, at (w0, f1) and (f1, w2): the counts
+        # balance and only the zero patterns differ
+        Instance.create((2, 2), [[0, 1], [0, 0], [0, 0]], [[0, 0, 0], [0, 0, 1]]),
+    ]:
+        with pytest.raises(DomainError, match="^valuations must be symmetric and binary$"):
+            solve_symmetric_binary(inst)
 
 
 def test_symbin_already_optimal_zero_iterations():
