@@ -115,6 +115,17 @@ def assert_zero_fallback(inst, algo, eps=None):
     assert Matching.of(record["matching"]) == zero_fallback(inst)
 
 
+def test_short_capacity_at_m16_returns_zero():
+    """Total capacity 15 < m = 16: the window is empty at every layer, so the
+    solvers return the zero fallback without a subset DP pass."""
+    inst = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
+    mu, value = solve_dp(inst)
+    assert value.product == 0
+    assert validate(inst, mu) is None and mu == zero_fallback(inst)
+    assert_zero_fallback(inst, "dp2")
+    assert_zero_fallback(inst, "fptas", "1/2")
+
+
 def test_short_capacity_builds_no_tables(monkeypatch):
     """Total capacity below m: dp, dp2 and fptas return the zero fallback
     without building a bundle table, after their budget checks."""
