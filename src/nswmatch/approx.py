@@ -34,7 +34,7 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import DEFAULT_BUCKET_FIRM_BOUND, _best_group_split
+from .exact import _best_group_split, _check_bucket_firms, _signature_groups
 
 DEFAULT_LADDER_BUDGET = 100_000
 
@@ -125,8 +125,7 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     gives the welfare guarantee.
     """
     eps = parse_eps(eps)
-    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
-        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
+    _check_bucket_firms(inst)
     values = set().union(*inst.worker_vals, *inst.firm_vals)
     v_max = max(values, default=0)
     num, den = eps.numerator + eps.denominator, eps.denominator
@@ -145,9 +144,5 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     # [1, tau] with (1+eps)^(i-1) <= value < (1+eps)^i; the top bucket also
     # takes the upper boundary
     bucket = {v: min(tau, _level(v, num, den, log_ratio) + 1) if v else 0 for v in values}
-    groups: dict[tuple, list[int]] = {}
-    for w in range(inst.m):
-        sig = tuple((bucket[inst.worker_vals[w][f]], bucket[inst.firm_vals[f][w]])
-                    for f in range(inst.n))
-        groups.setdefault(sig, []).append(w)
+    groups = _signature_groups(inst, bucket)
     return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])

@@ -81,11 +81,6 @@ def _fptas(inst, eps):
     return (*solve_dp(inst), {})
 
 
-def _deg3cap2(inst, eps):
-    result = solve_degree3_capacity2(inst)
-    return (None, NashValue.zero(), {}) if result is None else (*result, {})
-
-
 def _feasible(inst, eps):
     ok, mu = exists_nonzero_nash(inst)
     value = NashValue.zero() if mu is None else nash_value(inst, mu)
@@ -106,7 +101,7 @@ SOLVERS = {
     "fptas": _fptas,
     "symbin": lambda inst, eps: (*solve_symmetric_binary(inst), {}),
     "deg2": lambda inst, eps: (*solve_degree_two(inst), {}),
-    "deg3cap2": _deg3cap2,
+    "deg3cap2": lambda inst, eps: (*solve_degree3_capacity2(inst), {}),
     "singlefirm": lambda inst, eps: (*solve_single_positive_firm(inst), {}),
     "feasible": _feasible,
 }
@@ -139,14 +134,22 @@ def run_algo(name: str, inst: Instance, eps: str | None = None) -> dict:
     if mu is not None:
         record["matching"] = mu.to_json()["assignment"]
     record["nash_product"] = str(value.product)
-    record["nash_welfare"] = _welfare_float(value)
+    record["nash_welfare"] = nash_welfare(value.product, inst.m + inst.n)
     if value.is_zero:
         record["status"] = "zero-optimum"
     return record
 
 
-def _welfare_float(value) -> float:
-    return 0.0 if value.log_welfare is None else math.exp(value.log_welfare)
+def nash_welfare(product: int, agents: int) -> float | None:
+    """The reported Nash welfare, the agents-th root of the exact Nash
+    product, as exp(ln product / agents): 0.0 for a zero product, and None
+    (null in JSON, an empty CSV field) where it exceeds the float range."""
+    if product == 0:
+        return 0.0
+    try:
+        return math.exp(math.log(product) / agents)
+    except OverflowError:
+        return None
 
 
 def _require_eps(eps: str | None) -> str:
@@ -259,7 +262,7 @@ def cmd_verify(args) -> int:
         "ok": True,
         "utilities": all_utilities(inst, mu),
         "nash_product": str(value.product),
-        "nash_welfare": _welfare_float(value),
+        "nash_welfare": nash_welfare(value.product, inst.m + inst.n),
         "utilitarian_welfare": utilitarian_welfare(inst, mu),
     }, None)
     return EXIT_OK
@@ -322,7 +325,7 @@ def cmd_bench(args) -> int:
             record["status"],
             time_field,
             record["nash_product"],
-            repr(record["nash_welfare"]),
+            "" if record["nash_welfare"] is None else repr(record["nash_welfare"]),
             ratio,
         ]))
     text = "\n".join(lines) + "\n"

@@ -2,10 +2,12 @@
 
 Workers and firms carry nonnegative integer valuations for each other.  A
 matching assigns each worker to at most one firm, subject to firm capacities.
-All welfare comparisons are done on the exact integer Nash product; the
-log-domain welfare is reporting-only.  positive_entries lists each value
-row's positive indices, from which the polynomial solvers build their
-graphs and check their own degree bounds.
+Every welfare comparison is on the exact integer Nash product, the one
+thing a NashValue holds; the Nash welfare, the product's (m+n)-th root, is
+a float the CLI reports and nothing compares.  An Instance holds its
+capacities and value matrices, and m and n are their lengths.
+positive_entries lists each value row's positive indices, from which the
+polynomial solvers build their graphs and check their own degree bounds.
 """
 
 from __future__ import annotations
@@ -33,25 +35,22 @@ class Instance:
 
     worker_vals[w][f] is worker w's value for firm f; firm_vals[f][w] is firm
     f's value for worker w.  All values and capacities are nonnegative
-    ints (bool is rejected).
+    ints (bool is rejected).  There are m = len(worker_vals) workers and
+    n = len(capacities) firms.
     """
 
-    num_workers: int
-    num_firms: int
     capacities: tuple[int, ...]
     worker_vals: tuple[tuple[int, ...], ...]
     firm_vals: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m, n = self.num_workers, self.num_firms
+        m, n = self.m, self.n
         if m <= 0 or n <= 0:
             raise ValueError("need at least one worker and one firm")
-        if len(self.capacities) != n:
-            raise ValueError("capacities length must equal num_firms")
         # plain ints only: bool is an int subclass, and a float is no count
         if any(type(c) is not int or c < 0 for c in self.capacities):
             raise ValueError("capacities must be nonnegative integers")
-        if len(self.worker_vals) != m or any(len(r) != n for r in self.worker_vals):
+        if any(len(r) != n for r in self.worker_vals):
             raise ValueError("worker_vals must be an m x n matrix")
         if len(self.firm_vals) != n or any(len(r) != m for r in self.firm_vals):
             raise ValueError("firm_vals must be an n x m matrix")
@@ -64,23 +63,16 @@ class Instance:
     def create(cls, capacities: Sequence[int],
                worker_vals: Sequence[Sequence[int]],
                firm_vals: Sequence[Sequence[int]]) -> "Instance":
-        m = len(worker_vals)
-        n = len(capacities)
-        return cls(
-            num_workers=m,
-            num_firms=n,
-            capacities=tuple(capacities),
-            worker_vals=tuple(tuple(r) for r in worker_vals),
-            firm_vals=tuple(tuple(r) for r in firm_vals),
-        )
+        return cls(tuple(capacities), tuple(tuple(r) for r in worker_vals),
+                   tuple(tuple(r) for r in firm_vals))
 
     @property
     def m(self) -> int:
-        return self.num_workers
+        return len(self.worker_vals)
 
     @property
     def n(self) -> int:
-        return self.num_firms
+        return len(self.capacities)
 
     def to_json(self) -> dict:
         return {
@@ -121,33 +113,18 @@ class Matching:
 
 @dataclass(frozen=True)
 class NashValue:
-    """Exact Nash product paired with a reporting-only log welfare.
-
-    Solutions are compared by the exact integer product; log_welfare is
-    (1/(n+m)) * sum(ln u_i) and is None when the product is zero.
-    """
+    """The exact Nash product: the product of every worker's and every
+    firm's utility.  Solutions are compared by it alone."""
 
     product: int
-    log_welfare: Optional[float]
 
     @property
     def is_zero(self) -> bool:
         return self.product == 0
 
     @classmethod
-    def from_utilities(cls, utilities: Sequence[int]) -> "NashValue":
-        product = 1
-        for u in utilities:
-            product *= u
-            if product == 0:
-                return cls(0, None)
-        num_agents = len(utilities)
-        log_w = sum(math.log(u) for u in utilities) / num_agents
-        return cls(product, log_w)
-
-    @classmethod
     def zero(cls) -> "NashValue":
-        return cls(0, None)
+        return cls(0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +145,7 @@ def all_utilities(inst: Instance, mu: Matching) -> list[int]:
 
 
 def nash_value(inst: Instance, mu: Matching) -> NashValue:
-    return NashValue.from_utilities(all_utilities(inst, mu))
+    return NashValue(math.prod(all_utilities(inst, mu)))
 
 
 def utilitarian_welfare(inst: Instance, mu: Matching) -> int:
@@ -199,6 +176,11 @@ def zero_fallback(inst: Instance) -> Matching:
         else:
             assignment.append(UNMATCHED)
     return Matching.of(assignment)
+
+
+def zero_result(inst: Instance) -> tuple[Matching, NashValue]:
+    """A solver's answer when the optimum is zero: zero_fallback's matching."""
+    return zero_fallback(inst), NashValue.zero()
 
 
 def validate(inst: Instance, mu: Matching) -> Optional[Violation]:

@@ -12,8 +12,10 @@
   optimum meets the FPTAS's (1+eps)^(n+1) window for every eps; both run
   under DEFAULT_DP_BUDGET.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
-  searches assignments of worker-type counts to firms with
-  _best_group_split, the count-split search approx.qptas_bucketing shares.
+  groups the workers by signature with _signature_groups and searches
+  assignments of the groups' counts to firms with _best_group_split.
+  approx.qptas_bucketing shares both and the firm bound, grouping by its
+  buckets where this groups by the values themselves.
   That search is a branch and bound on an exact integer bound from suffix
   tables built once per solve in O(m*n); it drops only subtrees that cannot
   strictly beat the best guess so far, so it returns what scoring every
@@ -37,7 +39,7 @@ from .core import (
     UNMATCHED,
     nash_value,
     positive_entries,
-    zero_fallback,
+    zero_result,
 )
 from .graphalgs import max_weight_perfect_matching_general
 
@@ -46,11 +48,6 @@ DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
 DEFAULT_GUESS_BUDGET = 5_000_000
-
-
-def _zero_result(inst: Instance) -> tuple[Matching, NashValue]:
-    mu = zero_fallback(inst)
-    return mu, NashValue.zero()
 
 
 def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
@@ -66,11 +63,11 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
     if inst.capacities.count(1) != n:
         raise DomainError("solve_capacity_one requires every capacity to be 1")
     if m != n:
-        return _zero_result(inst)
+        return zero_result(inst)
     mate = max_weight_perfect_matching_general(
         *_positive_products(inst.worker_vals, inst.firm_vals), n)
     if mate is None:
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(mate)
     return mu, nash_value(inst, mu)
 
@@ -189,7 +186,7 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     m, n = inst.m, inst.n
     caps, slack = inst.capacities, sum(inst.capacities) - m
     if slack < 0:
-        return _zero_result(inst)
+        return zero_result(inst)
     full = (1 << m) - 1
     popcount = [s.bit_count() for s in range(full + 1)]
     # support[i]: the workers who value firm i; later[i]: those who value a
@@ -224,7 +221,7 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
         table = new
         back.append(ptr)
     if table[full] == 0:
-        return _zero_result(inst)
+        return zero_result(inst)
     assignment: list = [UNMATCHED] * m
     s = full
     for i in range(n - 1, -1, -1):
@@ -340,7 +337,7 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
 
     place(0, 1)
     if best is None:
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(best)
     value = nash_value(inst, mu)
     if value.product != best_product:
@@ -358,15 +355,28 @@ def solve_exact_bucketing(inst: Instance) -> tuple[Matching, NashValue]:
     per-firm value buckets) makes every guess realizable by construction and
     loses no optima, since same-signature workers are interchangeable.
     """
-    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
-        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
-    distinct = {v for row in inst.worker_vals for v in row}
-    distinct |= {v for row in inst.firm_vals for v in row}
+    _check_bucket_firms(inst)
+    distinct = set().union(*inst.worker_vals, *inst.firm_vals)
     if len(distinct) > DEFAULT_BUCKET_VALUE_BOUND:
         raise DomainError(f"{len(distinct)} distinct valuation levels exceed bound "
                           f"{DEFAULT_BUCKET_VALUE_BOUND}")
-    groups: dict[tuple, list[int]] = {}
-    for w in range(inst.m):
-        sig = tuple((inst.worker_vals[w][f], inst.firm_vals[f][w]) for f in range(inst.n))
-        groups.setdefault(sig, []).append(w)
+    groups = _signature_groups(inst, {v: v for v in distinct})
     return _best_group_split(inst, list(groups.values()))
+
+
+def _check_bucket_firms(inst: Instance) -> None:
+    """DomainError past DEFAULT_BUCKET_FIRM_BOUND firms, the bound that
+    buckets and qptas share."""
+    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
+        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
+
+
+def _signature_groups(inst: Instance, level: dict[int, int]) -> dict[tuple, list[int]]:
+    """The workers keyed by their signature, the pairs (level[worker_vals[w][f]],
+    level[firm_vals[f][w]]) over the firms f, in the order each signature
+    first occurs; level maps every value of the instance."""
+    get = level.__getitem__
+    groups: dict[tuple, list[int]] = {}
+    for w, (row, col) in enumerate(zip(inst.worker_vals, zip(*inst.firm_vals))):
+        groups.setdefault(tuple(zip(map(get, row), map(get, col))), []).append(w)
+    return groups

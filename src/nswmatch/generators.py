@@ -251,12 +251,11 @@ def gen_from_rainbow(g: RainbowGraph, family_ok: bool = False,
         raise ValueError("graph is outside the restricted family "
                          "(pass family_ok to relax the degree check)")
     q = len(g.edges)  # == 3r
-    num_firms = q + r
-    num_workers = 2 * r + q
+    m, n = 2 * r + q, q + r
     # workers: X vertices 0..r-1, Y vertices r..2r-1, dummy of edge k at 2r+k
     # firms: main firm of edge k at k, collector of color c at q+c
-    worker_vals = [[0] * num_firms for _ in range(num_workers)]
-    firm_vals = [[0] * num_workers for _ in range(num_firms)]
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
     for k, (x, y, c) in enumerate(g.edges):
         for w in (x, r + y):
             worker_vals[w][k] = 1
@@ -266,7 +265,7 @@ def gen_from_rainbow(g: RainbowGraph, family_ok: bool = False,
         worker_vals[d][k] = 1
         firm_vals[q + c][d] = 2
         worker_vals[d][q + c] = 1
-    inst = Instance.create((2,) * num_firms, worker_vals, firm_vals)
+    inst = Instance.create((2,) * n, worker_vals, firm_vals)
     if certificate is not None:
         colors = {g.edges[k][2] for k in certificate}
         xs = {g.edges[k][0] for k in certificate}

@@ -39,8 +39,8 @@ from .core import (
     firm_bundle_value,
     nash_value,
     positive_entries,
+    zero_result,
 )
-from .exact import _zero_result
 from .feasibility import exists_nonzero_nash
 from .graphalgs import max_weight_perfect_matching_general
 
@@ -94,7 +94,7 @@ def solve_symmetric_binary(
         stats["iterations"] = 0
     ok, mu = exists_nonzero_nash(inst)
     if not ok:
-        return _zero_result(inst)
+        return zero_result(inst)
     assignment = list(mu.assignment)
     liked_by = [sum(1 << f for f in firms) for firms in likes]
     members: list[set[int]] = [set() for _ in range(n)]
@@ -119,7 +119,14 @@ def solve_symmetric_binary(
             members[g].add(w)
             reach[f] = _union(liked_by, members[f])
             reach[g] |= liked_by[w]
-        if math.prod(map(len, members)) <= math.prod(loads):
+        # only the path's firms changed members: the start lost a worker,
+        # the end gained one and each firm between kept its load, so the
+        # product grew iff (a - 1)(b + 1) > ab
+        start, end = firms[0], firms[-1]
+        a, b = loads[start], loads[end]
+        if (len(members[start]) != a - 1 or len(members[end]) != b + 1
+                or any(len(members[f]) != loads[f] for f in firms[1:-1])
+                or (a - 1) * (b + 1) <= a * b):
             raise AssertionError("good path failed to increase the product")
         iterations += 1
         if stats is not None:
@@ -224,7 +231,7 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
             continue
         best = _best_component_matching(inst, *_component_order(adj, seen, start))
         if best is None:
-            return _zero_result(inst)
+            return zero_result(inst)
         for w, f in best.items():
             assignment[w] = f
     mu = Matching.of(assignment)
@@ -316,19 +323,20 @@ def _best_component_matching(inst, order, cycle) -> Optional[dict[int, int]]:
     return best
 
 
-def solve_degree3_capacity2(
-    inst: Instance,
-) -> Optional[tuple[Matching, NashValue]]:
+_NO_INSTANCE: tuple[Optional[Matching], NashValue] = (None, NashValue.zero())
+
+
+def solve_degree3_capacity2(inst: Instance) -> tuple[Optional[Matching], NashValue]:
     """Firms of degree at most 3, each required to take exactly 2 workers.
 
-    Returns None ("no-instance") when no such matching has positive Nash
-    product.  A firm takes two of its at most three workers, so a firm
-    with two takes both and a firm with three is fully described by the
-    one worker it leaves out; worker w must be left out by exactly
-    deg(w) - 1 of the firms it values.  That is a bipartite assignment:
-    the firms with three workers on one side, deg(w) - 1 copies of each
-    worker w on the other, and edge (f, copy of w) weighted by f's bundle
-    value without w when that is positive.  A max-product perfect matching
+    Returns (None, NashValue.zero()) ("no-instance") when no such matching
+    has positive Nash product.  A firm takes two of its at most three
+    workers, so a firm with two takes both and a firm with three is fully
+    described by the one worker it leaves out; worker w must be left out
+    by exactly deg(w) - 1 of the firms it values.  That is a bipartite
+    assignment: the firms with three workers on one side, deg(w) - 1
+    copies of each worker w on the other, and edge (f, copy of w) weighted
+    by f's bundle value without w when that is positive.  A max-product perfect matching
     of it finds the optimum.  Firm pairs that share two workers are peeled
     off first and decided by enumeration (see below).
     """
@@ -346,7 +354,7 @@ def solve_degree3_capacity2(
     if any(len(nb.union(pos)) > 3 for nb, pos in zip(nbrs, firm_pos)):
         raise DomainError(error)
     if m != 2 * n or any(c < 2 for c in inst.capacities):
-        return None
+        return _NO_INSTANCE
     live_firms = set(range(n))
     live_workers = set(range(m))
     assignment: list = [UNMATCHED] * m
@@ -366,7 +374,7 @@ def solve_degree3_capacity2(
                          for i, f in enumerate(firms) for g in firms[i + 1:]})
 
     if any(len(nbrs[f]) < 2 for f in live_firms):
-        return None
+        return _NO_INSTANCE
     for f, g in candidates:
         if f not in live_firms or g not in live_firms:
             continue
@@ -375,7 +383,7 @@ def solve_degree3_capacity2(
         if len(nf & ng) < 2:
             continue
         if len(nf | ng) < 4:
-            return None
+            return _NO_INSTANCE
         pool = nf | ng
         best_prod = 0
         best_split = None
@@ -389,7 +397,7 @@ def solve_degree3_capacity2(
                 best_prod = prod
                 best_split = (bundle_f, sorted(rest))
         if best_prod == 0:
-            return None
+            return _NO_INSTANCE
         for w in best_split[0]:
             assignment[w] = f
         for w in best_split[1]:
@@ -399,7 +407,7 @@ def solve_degree3_capacity2(
 
     pools = [(f, sorted(nbrs[f] & live_workers)) for f in sorted(live_firms)]
     if any(len(pool) < 2 for _f, pool in pools):
-        return None
+        return _NO_INSTANCE
     degree = [0] * m
     for _f, pool in pools:
         for w in pool:
@@ -430,7 +438,7 @@ def solve_degree3_capacity2(
             weights.append(vals)
     mate = max_weight_perfect_matching_general(ids, weights, len(copies))
     if mate is None:
-        return None
+        return _NO_INSTANCE
     left_out = dict(zip(threes, map(copies.__getitem__, mate)))
     for f, pool in pools:
         for w in pool:
@@ -439,7 +447,7 @@ def solve_degree3_capacity2(
     mu = Matching.of(assignment)
     value = nash_value(inst, mu)
     if value.is_zero:
-        return None
+        return _NO_INSTANCE
     return mu, value
 
 
@@ -464,6 +472,6 @@ def solve_single_positive_firm(inst: Instance) -> tuple[Matching, NashValue]:
     for f in targets:
         loads[f] += 1
     if any(load > c for load, c in zip(loads, inst.capacities)):
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(targets)
     return mu, nash_value(inst, mu)

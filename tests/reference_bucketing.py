@@ -22,8 +22,8 @@ from nswmatch.core import (
     NashValue,
     UNMATCHED,
     nash_value,
+    zero_result,
 )
-from nswmatch.exact import _zero_result
 from reference_dp import level
 
 
@@ -123,7 +123,7 @@ def plain_buckets(
 
     place(0, [0] * n, [0] * n, 1, [])
     if best["alloc"] is None:
-        return _zero_result(inst)
+        return zero_result(inst)
     assignment: list = [UNMATCHED] * inst.m
     for sig, row in zip(sigs, best["alloc"]):
         workers = groups[sig]
@@ -233,7 +233,7 @@ def plain_qptas(
 
     place(0, [0] * n, [0] * n, 1)
     if best["assignment"] is None:
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(best["assignment"])
     value = nash_value(inst, mu)
     assert value.product == best["product"]

@@ -30,8 +30,8 @@ from nswmatch.core import (
     UNMATCHED,
     firm_bundle_value,
     nash_value,
+    zero_result,
 )
-from nswmatch.exact import _zero_result
 from nswmatch.graphalgs import max_weight_perfect_matching_general
 from nswmatch.restricted import (
     _best_component_matching,
@@ -306,7 +306,7 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
                 edges.append((w, f, prod))
     mate = matching_on_edges(m, n, edges)
     if mate is None:
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(mate)
     return mu, nash_value(inst, mu)
 
@@ -328,7 +328,7 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
             continue
         best = _best_component_matching(inst, *_component_order(adj, seen, start))
         if best is None:
-            return _zero_result(inst)
+            return zero_result(inst)
         for w, f in best.items():
             assignment[w] = f
     mu = Matching.of(assignment)
@@ -390,7 +390,7 @@ def peel_shared_pairs(inst: Instance):
     return nbrs, assignment, live_firms, live_workers
 
 
-def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValue]]:
+def solve_degree3_capacity2(inst: Instance) -> tuple[Optional[Matching], NashValue]:
     """After the peel, each firm with three live workers is a left vertex,
     worker w is deg(w) - 1 right vertices, and edge (f, copy of w) weighs
     f's bundle value without w."""
@@ -398,17 +398,17 @@ def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValu
         raise DomainError("a firm has degree above 3")
     m, n = inst.m, inst.n
     if m != 2 * n or any(c < 2 for c in inst.capacities):
-        return None
+        return None, NashValue.zero()
     peeled = peel_shared_pairs(inst)
     if peeled is None:
-        return None
+        return None, NashValue.zero()
     nbrs, assignment, live_firms, live_workers = peeled
     firms = sorted(live_firms)
     copies = []
     for w in sorted(live_workers):
         degree = sum(w in nbrs[f] for f in firms)
         if degree == 0:
-            return None
+            return None, NashValue.zero()
         copies += [w] * (degree - 1)
     threes = []
     edges = []
@@ -422,7 +422,7 @@ def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValu
             threes.append(f)
     mate = matching_on_edges(len(threes), len(copies), edges)
     if mate is None:
-        return None
+        return None, NashValue.zero()
     left_out = {f: copies[c] for f, c in zip(threes, mate)}
     for f in firms:
         for w in nbrs[f] & live_workers:
@@ -431,7 +431,7 @@ def solve_degree3_capacity2(inst: Instance) -> Optional[tuple[Matching, NashValu
     mu = Matching.of(assignment)
     value = nash_value(inst, mu)
     if value.is_zero:
-        return None
+        return None, NashValue.zero()
     return mu, value
 
 
@@ -446,7 +446,7 @@ def solve_single_positive_firm(inst: Instance) -> tuple[Matching, NashValue]:
     for f in targets:
         loads[f] += 1
     if any(load > c for load, c in zip(loads, inst.capacities)):
-        return _zero_result(inst)
+        return zero_result(inst)
     mu = Matching.of(targets)
     return mu, nash_value(inst, mu)
 

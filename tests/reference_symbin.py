@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from nswmatch.core import Instance, Matching, NashValue, UNMATCHED, nash_value
-from nswmatch.exact import _zero_result
+from nswmatch.core import Instance, Matching, NashValue, UNMATCHED, nash_value, zero_result
 from reference_support import check_symmetric_binary, exists_nonzero_nash
 
 
@@ -37,7 +36,7 @@ def solve_symmetric_binary(inst: Instance, stats: dict) -> tuple[Matching, NashV
     stats["iterations"] = 0
     ok, mu = exists_nonzero_nash(inst)
     if not ok:
-        return _zero_result(inst)
+        return zero_result(inst)
     assignment = list(mu.assignment)
     while True:
         loads = [0] * n

@@ -199,10 +199,8 @@ def test_criterion_1_oracle_equivalence(suite, oracle_products):
             # reference optimum for the exactly-two-workers-per-firm variant
             ref = solve_bruteforce_exact_loads(inst, (2,) * inst.n)
             res = solve_degree3_capacity2(inst)
-            if ref is None:
-                assert res is None
-            else:
-                assert res is not None and res[1].product == ref[1].product
+            assert res[1].product == (0 if ref is None else ref[1].product)
+            assert (res[0] is None) == (ref is None)
         elif tag == "singlefirm":
             assert solve_single_positive_firm(inst)[1].product == opt
     elapsed = time.perf_counter() - start

@@ -138,7 +138,7 @@ def test_buckets_matches_dp_where_plain_search_is_slow():
 
 def _off_by_one(inst, mu):
     """nash_value with a product one too large."""
-    return NashValue(nash_value(inst, mu).product + 1, None)
+    return NashValue(nash_value(inst, mu).product + 1)
 
 
 def test_branch_and_bound_rescore_check_raises(monkeypatch):

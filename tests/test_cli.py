@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -419,3 +420,60 @@ def test_solve_greedy_with_zero_capacity_firm(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "zero-optimum"
     assert record["matching"] == [0, 0]
+
+
+HUGE = 10 ** 400
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("algo", ["oracle", "dp", "cap1", "greedy"])
+def test_solve_welfare_past_float_range_is_null(tmp_path, capsys, algo):
+    """One worker and one firm that value each other 10^400: the welfare,
+    10^400, exceeds the float range, so it is null and solve exits 0."""
+    path = _write(tmp_path / "huge.json", Instance.create((1,), [[HUGE]], [[HUGE]]).to_json())
+    assert main(["solve", path, "--algo", algo]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["status"] == "ok" and record["nash_product"] == str(HUGE ** 2)
+    assert record["nash_welfare"] is None
+
+
+def test_verify_and_bench_welfare_past_float_range(tmp_path, capsys):
+    """verify reports the 10^400 welfare as null, and bench as an empty
+    CSV field beside an exact ratio of 1.0; both exit 0."""
+    path = _write(tmp_path / "huge.json", Instance.create((1,), [[HUGE]], [[HUGE]]).to_json())
+    assert main(["verify", path, _write(tmp_path / "mu.json", {"assignment": [0]})]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert report["ok"] and report["nash_product"] == str(HUGE ** 2)
+    assert report["nash_welfare"] is None
+    suite = {"instances": [{"id": "huge", "kind": "file", "path": path}],
+             "algos": [{"name": name} for name in ("oracle", "dp", "cap1", "greedy")]}
+    assert main(["bench", _write(tmp_path / "suite.json", suite)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == CSV_HEADER and len(rows) == 5
+    for row in rows[1:]:
+        fields = row.split(",")
+        assert fields[3] == "ok" and fields[5] == str(HUGE ** 2)
+        assert fields[6] == "" and fields[7] == "1.0"
+
+
+def test_equal_products_report_equal_welfare(tmp_path, capsys):
+    """Both perfect matchings here have product 10, from the utilities
+    (2, 5, 1, 1) and (10, 1, 1, 1); the welfare is a function of the
+    product alone, so they report the same one, as does the oracle."""
+    inst = Instance.create((1, 1), [[2, 10], [1, 5]], [[1, 1], [1, 1]])
+    path = _write(tmp_path / "inst.json", inst.to_json())
+    welfare = set()
+    for assignment in ([0, 1], [1, 0]):
+        assert main(["verify", path, _write(tmp_path / "mu.json",
+                                            {"assignment": assignment})]) == 0
+        report = _strict_json(capsys.readouterr().out)
+        assert report["nash_product"] == "10"
+        welfare.add(report["nash_welfare"])
+    welfare.add(run_algo("oracle", inst)["nash_welfare"])
+    assert len(welfare) == 1 and math.isclose(welfare.pop(), 10 ** 0.25)

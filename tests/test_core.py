@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nswmatch.cli import nash_welfare
 from nswmatch.core import (
     Instance,
     Matching,
@@ -52,11 +53,12 @@ def test_nash_value_crossing():
     inst = crossing_example()
     value = nash_value(inst, CROSS)
     assert value.product == 16
-    assert math.isclose(math.exp(value.log_welfare), 2.0, rel_tol=1e-9)
+    assert math.isclose(nash_welfare(value.product, inst.m + inst.n), 2.0, rel_tol=1e-9)
     assert nash_value(inst, Matching.of([UNMATCHED, 0])).is_zero
+    assert nash_welfare(0, inst.m + inst.n) == 0.0
     tiny = Instance.create((1,), [[1]], [[1]])
     tv = nash_value(tiny, Matching.of([0]))
-    assert tv.product == 1 and tv.log_welfare == 0.0
+    assert tv.product == 1 and nash_welfare(tv.product, 2) == 1.0
 
 
 def test_utilitarian_welfare():
@@ -160,4 +162,4 @@ def test_positive_product_implies_all_matched():
                 assert all(u >= 1 for u in utils)
                 # AM-GM: arithmetic mean dominates the geometric mean
                 mean = sum(utils) / len(utils)
-                assert mean >= math.exp(value.log_welfare) - 1e-9
+                assert mean >= nash_welfare(value.product, len(utils)) - 1e-9

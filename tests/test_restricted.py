@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_symbin
+from nswmatch import restricted
 from nswmatch.cli import run_algo
-from nswmatch.core import DomainError, Instance, nash_value, validate
+from nswmatch.core import DomainError, Instance, NashValue, validate
 from nswmatch.exact import solve_capacity_one
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
@@ -70,6 +71,15 @@ def unbalanced_symbin(rng, m, n, p):
     for w, row in enumerate(rows):
         row[w % n] = 1
     return sym([rng.randint(1, m) for _ in range(n)], rows)
+
+
+def test_symbin_rejects_a_non_improving_path(monkeypatch):
+    """The check after each applied good path raises, also under python -O,
+    when the path does not raise the product: the start matching puts one
+    worker at each firm, and the patched path moves firm 0's to firm 1."""
+    monkeypatch.setattr(restricted, "_best_good_path", lambda reach, loads, caps: [0, 1])
+    with pytest.raises(AssertionError, match="failed to increase the product"):
+        solve_symmetric_binary(sym((2, 2), [[1, 1], [1, 1]]))
 
 
 def test_symbin_oracle_agreement_and_cap():
@@ -308,6 +318,11 @@ def best_exact_two(inst):
     return 0 if res is None else res[1].product
 
 
+# what solve_degree3_capacity2 returns when no firm can take two workers
+# with a positive product
+NO_INSTANCE = (None, NashValue.zero())
+
+
 def test_deg3cap2_forced_disjoint_pairs():
     inst = Instance.create(
         (2, 2),
@@ -315,7 +330,7 @@ def test_deg3cap2_forced_disjoint_pairs():
         [[2, 1, 0, 0], [0, 0, 1, 2]],
     )
     res = solve_degree3_capacity2(inst)
-    assert res is not None
+    assert res[0] is not None
     assert res[1].product == best_exact_two(inst)
 
 
@@ -328,7 +343,7 @@ def test_deg3cap2_reduction_rule():
     )
     res = solve_degree3_capacity2(inst)
     ref = best_exact_two(inst)
-    assert res is not None and res[1].product == ref
+    assert res[0] is not None and res[1].product == ref
 
 
 def test_deg3cap2_no_instance_on_shared_three():
@@ -338,7 +353,7 @@ def test_deg3cap2_no_instance_on_shared_three():
         [[1, 1], [1, 1], [1, 1], [0, 0]],
         [[1, 1, 1, 0], [1, 1, 1, 0]],
     )
-    assert solve_degree3_capacity2(inst) is None
+    assert solve_degree3_capacity2(inst) == NO_INSTANCE
     assert best_exact_two(inst) == 0
 
 
@@ -366,7 +381,7 @@ def test_deg3cap2_one_sided_edges_count_toward_degree(third, fourth):
 
 def test_deg3cap2_odd_worker_count_is_no_instance():
     inst = Instance.create((2,), [[1], [1], [1]], [[1, 1, 1]])
-    assert solve_degree3_capacity2(inst) is None
+    assert solve_degree3_capacity2(inst) == NO_INSTANCE
 
 
 def test_deg3cap2_oracle_agreement():
@@ -376,9 +391,9 @@ def test_deg3cap2_oracle_agreement():
         res = solve_degree3_capacity2(inst)
         ref = best_exact_two(inst)
         if ref == 0:
-            assert res is None
+            assert res == NO_INSTANCE
         else:
-            assert res is not None
+            assert res[0] is not None
             assert res[1].product == ref
             assert validate(inst, res[0]) is None
             loads = [0] * inst.n
@@ -388,16 +403,16 @@ def test_deg3cap2_oracle_agreement():
 
 
 def _agrees_with_exact_loads(inst):
-    """solve_degree3_capacity2 against the exact-loads brute force: None iff
-    no matching with two workers per firm has a positive product, else the
-    same product from a valid matching with two workers per firm.  Returns
-    the product, 0 for None."""
+    """solve_degree3_capacity2 against the exact-loads brute force: no
+    matching and a zero product iff no matching with two workers per firm
+    has a positive product, else the same product from a valid matching
+    with two workers per firm.  Returns the product."""
     res = solve_degree3_capacity2(inst)
     ref = best_exact_two(inst)
     if ref == 0:
-        assert res is None
+        assert res == NO_INSTANCE
         return 0
-    assert res is not None and res[1].product == ref
+    assert res[0] is not None and res[1].product == ref
     assert validate(inst, res[0]) is None
     assert sorted(res[0].assignment) == sorted(2 * list(range(inst.n)))
     return ref
@@ -487,8 +502,8 @@ def test_deg3cap2_zero_pairs_and_exclusions():
 
 
 def test_deg3cap2_worker_no_firm_can_take():
-    """A worker that values no firm cannot be placed: None, also when a
-    firm values that worker."""
+    """A worker that values no firm cannot be placed: no matching, also
+    when a firm values that worker."""
     inst = Instance.create((2, 2), [[1, 1], [1, 1], [1, 0], [0, 0]],
                            [[1, 1, 1, 0], [1, 1, 0, 0]])
     assert _agrees_with_exact_loads(inst) == 0

@@ -190,8 +190,7 @@ class CountingRow(tuple):
 
 
 def _counting_instance(caps, worker_vals, firm_vals) -> Instance:
-    return Instance(len(worker_vals), len(caps), tuple(caps),
-                    tuple(CountingRow(r) for r in worker_vals),
+    return Instance(tuple(caps), tuple(CountingRow(r) for r in worker_vals),
                     tuple(CountingRow(r) for r in firm_vals))
 
 
