@@ -5,9 +5,11 @@ matching assigns each worker to at most one firm, subject to firm capacities.
 Every welfare comparison is on the exact integer Nash product, the one
 thing a NashValue holds; the Nash welfare, the product's (m+n)-th root, is
 a float the CLI reports and nothing compares.  An Instance holds its
-capacities and value matrices, and m and n are their lengths.
-positive_entries lists each value row's positive indices, from which the
-polynomial solvers build their graphs and check their own degree bounds.
+capacities and value matrices, and m and n are their lengths.  Its
+valued_firms and valued_workers list each value row's positive indices:
+the graph of positive valuations, the one place that decides which pairs
+are edges.  They are built on first read and kept, so each row is scanned
+once per instance however many solvers read them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Optional, Sequence
 
@@ -74,6 +77,18 @@ class Instance:
     def n(self) -> int:
         return len(self.capacities)
 
+    # cached_property writes the instance's __dict__, which a frozen
+    # dataclass allows and which no field, ==, hash or to_json reads
+    @cached_property
+    def valued_firms(self) -> tuple[tuple[int, ...], ...]:
+        """valued_firms[w]: the firms worker w values, increasing."""
+        return _positive_entries(self.worker_vals, self.n)
+
+    @cached_property
+    def valued_workers(self) -> tuple[tuple[int, ...], ...]:
+        """valued_workers[f]: the workers firm f values, increasing."""
+        return _positive_entries(self.firm_vals, self.m)
+
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -108,7 +123,11 @@ class Matching:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matching":
-        return cls.of(obj["assignment"])
+        assignment = obj["assignment"]
+        # tuple() would read a string's characters or an object's keys
+        if type(assignment) is not list:
+            raise TypeError(f"assignment must be a JSON array, got {assignment!r}")
+        return cls.of(assignment)
 
 
 @dataclass(frozen=True)
@@ -201,14 +220,15 @@ def validate(inst: Instance, mu: Matching) -> Optional[Violation]:
     return None
 
 
-def positive_entries(rows) -> list[tuple[int, ...]]:
-    """For each row, the increasing indices of its positive entries.
+def _positive_entries(rows, width: int) -> tuple[tuple[int, ...], ...]:
+    """For each row of length width, the increasing indices of its
+    positive entries.
 
     Values are nonnegative, so positive means truthy and compress finds
     them in one C-level scan per row, without indexing the row.  The
     indices come from a tuple, which compress walks without making an int
     per entry as a range would."""
-    return list(map(tuple, map(compress, repeat(tuple(range(len(rows[0])))), rows)))
+    return tuple(map(tuple, map(compress, repeat(tuple(range(width))), rows)))
 
 
 def load_instance(path: str) -> Instance:

@@ -1,12 +1,12 @@
 """Exact Nash-optimal solvers.
 
 - solve_capacity_one: reduction to a max-product bipartite perfect
-  matching of workers and firms, on adjacency lists gathered from one scan
-  of each worker row.
+  matching of workers and firms, on adjacency lists gathered from each
+  worker's valued firms (Instance.valued_firms).
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer visits only the mask and bundle sizes
   that a full partition can pass through, and the firms' supports come
-  from one scan of each worker row.  Two registry entries in cli.SOLVERS
+  from the workers' valued firms.  Two registry entries in cli.SOLVERS
   are solve_dp behind a check: the constant-capacity variant dp2 behind
   DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since the exact
   optimum meets the FPTAS's (1+eps)^(n+1) window for every eps; both run
@@ -38,7 +38,6 @@ from .core import (
     NashValue,
     UNMATCHED,
     nash_value,
-    positive_entries,
     zero_result,
 )
 from .graphalgs import max_weight_perfect_matching_general
@@ -64,25 +63,22 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
         raise DomainError("solve_capacity_one requires every capacity to be 1")
     if m != n:
         return zero_result(inst)
-    mate = max_weight_perfect_matching_general(
-        *_positive_products(inst.worker_vals, inst.firm_vals), n)
+    mate = max_weight_perfect_matching_general(*_positive_products(inst), n)
     if mate is None:
         return zero_result(inst)
     mu = Matching.of(mate)
     return mu, nash_value(inst, mu)
 
 
-def _positive_products(rows, cols) -> tuple[list, list]:
-    """Adjacency lists of the rows' side of the capacity-one graph: for row
-    r, the columns c with rows[r][c] * cols[c][r] > 0, and those products
-    in the same order.  One C-level scan of the row finds its positive
-    entries; one itemgetter then gathers the row's values and the columns'
-    values at r."""
-    index = tuple(range(len(cols)))
+def _positive_products(inst: Instance) -> tuple[list, list]:
+    """Adjacency lists of the workers' side of the capacity-one graph: for
+    worker r, the firms c with worker_vals[r][c] * firm_vals[c][r] > 0, and
+    those products in the same order.  One itemgetter gathers the row's
+    values at its valued firms and those firms' values at r."""
+    cols = inst.firm_vals
     ids = []
     weights = []
-    for r, row in enumerate(rows):
-        pos = tuple(compress(index, row))
+    for r, (row, pos) in enumerate(zip(inst.worker_vals, inst.valued_firms)):
         if len(pos) > 1:
             get = itemgetter(*pos)
             prods = list(map(mul, get(row), map(itemgetter(r), get(cols))))
@@ -192,7 +188,7 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     # support[i]: the workers who value firm i; later[i]: those who value a
     # firm after i
     support = [0] * n
-    for w, firms in enumerate(positive_entries(inst.worker_vals)):
+    for w, firms in enumerate(inst.valued_firms):
         for f in firms:
             support[f] |= 1 << w
     later = [0] * n

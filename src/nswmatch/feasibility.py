@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .core import Instance, Matching, positive_entries
+from .core import Instance, Matching
 
 
 def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
@@ -57,7 +57,7 @@ def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
     firm_vals = inst.firm_vals
     # valued[w]: the firms w values, increasing; back[w]: whether each one
     # values w back, in the same order, the only reads of firm_vals
-    valued = positive_entries(inst.worker_vals)
+    valued = inst.valued_firms
     back = [[firm_vals[f][w] > 0 for f in fs] for w, fs in enumerate(valued)]
 
     seat = [-1] * n  # seat[f]: the worker in f's seat

@@ -53,7 +53,7 @@ def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
         raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
     # a complete matching needs room for every worker and a positive option
     # for each; without them the zero completion is the only leaf
-    if sum(inst.capacities) >= inst.m and all(map(any, inst.worker_vals)):
+    if sum(inst.capacities) >= inst.m and all(inst.valued_firms):
         count, best = _enumerate(inst, limit)
     best = zero_fallback(inst) if best is None else Matching.of(best)
     return OracleResult(best, nash_value(inst, best), count)
@@ -65,15 +65,10 @@ def _enumerate(inst: Instance, limit: int) -> tuple[int, list | None]:
     when no leaf is positive)."""
     m, n = inst.m, inst.n
     firm_vals = inst.firm_vals
-    # each worker's positive options (firm, worker value, firm value); a
-    # plain loop, as a nested comprehension costs a call per row on 3.11
-    options = []
-    for w, row in enumerate(inst.worker_vals):
-        row_options = []
-        for f, v in enumerate(row):
-            if v:
-                row_options.append((f, v, firm_vals[f][w]))
-        options.append(row_options)
+    # each worker's positive options (firm, worker value, firm value), read
+    # at the firms it values
+    options = [[(f, row[f], firm_vals[f][w]) for f in firms]
+               for w, (row, firms) in enumerate(zip(inst.worker_vals, inst.valued_firms))]
     slack = list(inst.capacities)
     sums = [0] * n
     assignment: list = [UNMATCHED] * m

@@ -10,15 +10,13 @@
   with copies of the workers.
 - solve_single_positive_firm: workers valuing exactly one firm.
 
-The solvers find the pairs they need with one C-level scan of each value
-row for its positive entries (itertools.compress; core.positive_entries
-lists them when they are used more than once) and then index the values
-only at those entries, so past the row scans the work is linear in the
-positive entries, not in m * n.  The degree-bounded solvers check their
-bound on the graph they build: an edge (w, f) survives when either side
-values the other.  The symmetric-binary check compares the two sides'
-counts of positive entries and then their values at each worker's
-positive entries.
+The solvers read the graph of positive valuations from the instance's
+valued_firms and valued_workers and index the values only at those
+entries, so the work is linear in the positive entries, not in m * n.
+The degree-bounded solvers check their bound on the graph they build: an
+edge (w, f) survives when either side values the other.  The
+symmetric-binary check compares the two sides' counts of positive
+entries and then both sides' values at each worker's positive entries.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from functools import reduce
-from itertools import compress
 from operator import or_
 from typing import Optional
 
@@ -38,30 +35,26 @@ from .core import (
     UNMATCHED,
     firm_bundle_value,
     nash_value,
-    positive_entries,
     zero_result,
 )
 from .feasibility import exists_nonzero_nash
 from .graphalgs import max_weight_perfect_matching_general
 
 
-def _check_symmetric_binary(inst: Instance) -> list[tuple[int, ...]]:
+def _check_symmetric_binary(inst: Instance) -> tuple[tuple[int, ...], ...]:
     """Raises DomainError unless worker_vals[w][f] == firm_vals[f][w] in
     {0, 1} for every pair; returns each worker's positive firms, which are
     then also the firms that value it.  The two sides have as many positive
-    entries, and each worker's positive values come back from its firms, so
-    the zero patterns agree too; a symmetric row is then 0/1 iff it sums to
-    its count of positive entries."""
+    entries, and each one on the worker side reads 1 on both sides, so the
+    zero patterns agree and every positive entry is 1."""
     error = "valuations must be symmetric and binary"
-    worker_pos = positive_entries(inst.worker_vals)
-    if sum(map(len, worker_pos)) != sum(map(len, positive_entries(inst.firm_vals))):
+    worker_pos = inst.valued_firms
+    if sum(map(len, worker_pos)) != sum(map(len, inst.valued_workers)):
         raise DomainError(error)
     firm_vals = inst.firm_vals
     for w, (row, firms) in enumerate(zip(inst.worker_vals, worker_pos)):
-        if any(firm_vals[f][w] != row[f] for f in firms):
+        if any(row[f] != 1 or firm_vals[f][w] != 1 for f in firms):
             raise DomainError(error)
-    if list(map(sum, inst.worker_vals)) != list(map(len, worker_pos)):
-        raise DomainError(error)
     return worker_pos
 
 
@@ -206,18 +199,18 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     error = "an agent has degree above 2"
     # firm rows first: there are only n of them, and on a dense instance
     # they already break the bound
-    firm_pos = _positive_rows(inst.firm_vals, 2, error)
-    worker_pos = _positive_rows(inst.worker_vals, 2, error)
+    if max(map(len, inst.valued_workers)) > 2 or max(map(len, inst.valued_firms)) > 2:
+        raise DomainError(error)
     m, n = inst.m, inst.n
     # vertices: workers 0..m-1, firms m..m+n-1; each list is increasing.
     # An edge survives when either side values the other.
     adj = [[] for _ in range(m + n)]
-    for w, firms in enumerate(worker_pos):
+    for w, firms in enumerate(inst.valued_firms):
         for f in firms:
             adj[w].append(m + f)
             adj[m + f].append(w)
     worker_vals = inst.worker_vals
-    for f, workers in enumerate(firm_pos):
+    for f, workers in enumerate(inst.valued_workers):
         for w in workers:
             if not worker_vals[w][f]:
                 insort(adj[w], m + f)
@@ -236,16 +229,6 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
             assignment[w] = f
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
-
-
-def _positive_rows(rows, bound: int, error: str) -> list[tuple[int, ...]]:
-    """positive_entries(rows); raises DomainError(error) when a row has more
-    than bound positive entries, as its agent's degree is at least that
-    many."""
-    pos = positive_entries(rows)
-    if max(map(len, pos)) > bound:
-        raise DomainError(error)
-    return pos
 
 
 def _component_order(adj, seen, start) -> tuple[list[int], bool]:
@@ -341,12 +324,14 @@ def solve_degree3_capacity2(inst: Instance) -> tuple[Optional[Matching], NashVal
     off first and decided by enumeration (see below).
     """
     error = "a firm has degree above 3"
-    firm_pos = _positive_rows(inst.firm_vals, 3, error)
+    firm_pos = inst.valued_workers
+    if max(map(len, firm_pos)) > 3:
+        raise DomainError(error)
     m, n = inst.m, inst.n
     # workers usable by a firm: the worker must value the firm, or its own
     # utility would be zero
     columns = [[] for _ in range(n)]
-    for w, firms in enumerate(positive_entries(inst.worker_vals)):
+    for w, firms in enumerate(inst.valued_firms):
         for f in firms:
             columns[f].append(w)
     nbrs = [frozenset(workers) for workers in columns]
@@ -461,10 +446,8 @@ def solve_single_positive_firm(inst: Instance) -> tuple[Matching, NashValue]:
     for a nonzero product is the forced assignment.  If it breaks a
     capacity the optimum is zero; if it is feasible its (possibly zero)
     value is optimal."""
-    firms = tuple(range(inst.n))
     targets = []
-    for w, row in enumerate(inst.worker_vals):
-        positive = tuple(compress(firms, row))
+    for w, positive in enumerate(inst.valued_firms):
         if len(positive) != 1:
             raise DomainError(f"worker {w} does not value exactly one firm")
         targets.append(positive[0])

@@ -360,7 +360,8 @@ def _write(path, obj):
 @pytest.mark.parametrize("case", [
     "missing_instance", "invalid_json", "deeply_nested", "missing_keys", "not_an_object",
     "string_capacity", "float_capacity", "bool_valuation", "bool_worker_count",
-    "matching_without_assignment",
+    "matching_without_assignment", "string_assignment", "object_assignment",
+    "digit_string_assignment",
     "missing_suite", "missing_suite_file_instance", "bad_suite_eps",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
@@ -378,6 +379,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "bool_worker_count": {"m": True, "n": 1, "capacities": [1],
                               "worker_vals": [[1]], "firm_vals": [[1]]},
     }
+    # a matching's assignment must be an array, not read element-wise
+    bad_matchings = {
+        "string_assignment": {"assignment": "ab"},
+        "object_assignment": {"assignment": {"0": 1, "1": 0}},
+        "digit_string_assignment": {"assignment": "0"},
+    }
     if case == "missing_instance" or case in bad_instances:
         path = str(tmp_path / "absent.json")
         if case in bad_instances:
@@ -385,6 +392,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         commands = [["solve", path, "--algo", "dp"], ["verify", path, mu]]
     elif case == "matching_without_assignment":
         commands = [["verify", good, _write(tmp_path / "bad.json", {"match": [1, 0]})]]
+    elif case in bad_matchings:
+        commands = [["verify", good, _write(tmp_path / "bad.json", bad_matchings[case])]]
     else:
         instance = {"id": "a", "kind": "file", "path": str(tmp_path / "absent.json")}
         algo = {"name": "fptas", "eps": "0/1" if case == "bad_suite_eps" else "1/1"}

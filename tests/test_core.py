@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -144,6 +145,42 @@ def test_permutation_invariance(seed, data):
     mu = Matching.of(assignment)
     mu_rel = Matching.of([assignment[perm[w]] for w in range(inst.m)])
     assert nash_value(inst, mu).product == nash_value(relabeled, mu_rel).product
+
+
+# zero, small and past 2^53, where a float would lose the value
+_VALUES = st.one_of(st.just(0), st.integers(1, 3), st.integers(2 ** 53, 2 ** 64))
+
+
+@st.composite
+def _instances(draw):
+    """m = 1..5 workers, n = 1..4 firms, capacities from 0 and rows that
+    may be all zero."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def rows(count, width):
+        row = st.one_of(st.just([0] * width), st.lists(_VALUES, min_size=width,
+                                                         max_size=width))
+        return draw(st.lists(row, min_size=count, max_size=count))
+
+    caps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return Instance.create(caps, rows(m, n), rows(n, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_instances())
+def test_valued_views_match_the_dense_rows(inst):
+    fresh = Instance.create(inst.capacities, inst.worker_vals, inst.firm_vals)
+    assert inst.valued_firms == tuple(
+        tuple(f for f in range(inst.n) if inst.worker_vals[w][f] > 0) for w in range(inst.m))
+    assert inst.valued_workers == tuple(
+        tuple(w for w in range(inst.m) if inst.firm_vals[f][w] > 0) for f in range(inst.n))
+    # the cached views are no fields: equality, hash and JSON are unchanged
+    assert inst == fresh and hash(inst) == hash(fresh)
+    assert inst.to_json() == fresh.to_json()
+    assert [field.name for field in dataclasses.fields(Instance)] == [
+        "capacities", "worker_vals", "firm_vals"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.valued_firms = ()
 
 
 def test_positive_product_implies_all_matched():

@@ -21,6 +21,7 @@ from nswmatch.restricted import (
 from conftest import (
     random_degree3_cap2,
     random_degree_two,
+    random_instance,
     random_single_positive_firm,
     random_symmetric_binary,
 )
@@ -548,3 +549,51 @@ def test_singlefirm_oracle_agreement():
         inst = random_single_positive_firm(rng)
         _mu, value = solve_single_positive_firm(inst)
         assert value.product == solve_bruteforce(inst).value.product
+
+
+# --- the positive-value graph is read once per instance --------------------
+
+class _WalkedRow(tuple):
+    """A value row that counts how often it is iterated."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _walked_instance(inst):
+    """inst with counting rows, their counts reset after validation."""
+    rows = [tuple(map(_WalkedRow, inst.worker_vals)),
+            tuple(map(_WalkedRow, inst.firm_vals))]
+    counted = Instance(inst.capacities, *rows)
+    for row in rows[0] + rows[1]:
+        row.walks = 0
+    return counted, rows[0] + rows[1]
+
+
+# greedy, buckets and qptas read every value by design
+_GRAPH_SOLVERS = [("feasible", None), ("singlefirm", None), ("symbin", None),
+                  ("deg2", None), ("deg3cap2", None), ("cap1", None), ("dp", None),
+                  ("dp2", None), ("fptas", "1/2"), ("oracle", None)]
+
+
+@pytest.mark.parametrize("family", ["symbin", "cap1_cycle", "deg3cap2", "singlefirm",
+                                    "general"])
+def test_solvers_walk_each_row_once(family):
+    """The solvers that read the positive-value graph, run in turn on one
+    instance, walk each value row at most once in total.  Counts only
+    grow, so this bounds each solver alone and every subset too."""
+    rng = random.Random(f"walks/{family}")
+    inst = {
+        "symbin": lambda: random_symmetric_binary(rng, m=6, n=3),
+        "cap1_cycle": lambda: capacity_one_cycle(rng, 4, range(1, 6)),
+        "deg3cap2": lambda: random_degree3_cap2(rng),
+        "singlefirm": lambda: random_single_positive_firm(rng),
+        "general": lambda: random_instance(rng, m=6, n=3, density=0.6),
+    }[family]()
+    counted, rows = _walked_instance(inst)
+    for name, eps in _GRAPH_SOLVERS:
+        assert run_algo(name, counted, eps) == run_algo(name, inst, eps), name
+        assert max(row.walks for row in rows) <= 1, name
