@@ -4,13 +4,16 @@
   matching of workers and firms, on adjacency lists gathered from each
   worker's valued firms (Instance.valued_firms).
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
-  big-integer products.  Each layer visits only the mask and bundle sizes
-  that a full partition can pass through, and the firms' supports come
-  from the workers' valued firms.  Two registry entries in cli.SOLVERS
-  are solve_dp behind a check: the constant-capacity variant dp2 behind
-  DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since the exact
-  optimum meets the FPTAS's (1+eps)^(n+1) window for every eps; both run
-  under DEFAULT_DP_BUDGET.
+  big-integer products.  Each layer pushes from the positive states of the
+  last, by the bundles of the sizes a full partition can pass through, and
+  the firms' supports come from the workers' valued firms.  A branch and
+  bound drops every state whose exact upper bound is strictly below
+  greedy_submodular's product; the optimal path, its tie-break and so the
+  matching returned stay those of the full DP.  Two registry entries in
+  cli.SOLVERS are solve_dp behind a check: the constant-capacity variant
+  dp2 behind DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since
+  the exact optimum meets the FPTAS's (1+eps)^(n+1) window for every eps;
+  both run under DEFAULT_DP_BUDGET.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   groups the workers by signature with _signature_groups and searches
   assignments of the groups' counts to firms with _best_group_split.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, compress
 from operator import itemgetter, mul
+from typing import Optional
 
 from .core import (
     BudgetExceededError,
@@ -94,19 +98,19 @@ def _positive_products(inst: Instance) -> tuple[list, list]:
     return ids, weights
 
 
-def _bundle_tables(inst: Instance, f: int, full: int, support: int) -> list[int]:
-    """W_f(S) for every bitmask S, via low-bit recurrences over the submasks
-    of support, the workers who value f; every other S is worth 0."""
-    fv = inst.firm_vals[f]
+def _bundle_tables(inst: Instance, f: int, full: int, support: int, popcount) -> list[int]:
+    """W_f(S) for every bitmask S of 1..c_f bits inside support, the workers
+    who value f, via low-bit recurrences in increasing order; every other
+    S is left at 0."""
+    fv, column = inst.firm_vals[f], [row[f] for row in inst.worker_vals]
     sums = [0] * (full + 1)
     prods = [1] * (full + 1)
     values = [0] * (full + 1)
-    s = 0
-    while s := (s - support) & support:
+    for s in _sized_submasks(support, 1, inst.capacities[f], popcount):
         low = (s & -s).bit_length() - 1
         rest = s & (s - 1)
         sums[s] = sums[rest] + fv[low]
-        prods[s] = prods[rest] * inst.worker_vals[low][f]
+        prods[s] = prods[rest] * column[low]
         values[s] = sums[s] * prods[s]
     return values
 
@@ -133,58 +137,84 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
     return subs
 
 
-def _layer_groups(inst: Instance, f: int, full: int, popcount, support: int, later: int):
-    """The DP layer of firm f: yields (subs, masks) for each t inside f's
-    support and size k in the capacity window: the masks S of k bits with
-    S & support == t, and the bundles of t that f can value and that leave
-    the earlier firms at most their capacity.  Every mask holds all workers
-    outside later, whom no later firm values, as no other can complete a
-    positive product.  The sizes k <= before + 1 all take bundles of
-    1..cap bits, so their masks form one group."""
-    before, cap = sum(inst.capacities[:f]), inst.capacities[f]
-    lo, hi = inst.m - sum(inst.capacities[f + 1:]), before + cap
-    fixed = full ^ later
-    rest = later & ~support
-    # tails[j]: the masks outside the support with j bits of rest
-    tails = [[] for _ in range(popcount[rest] + 1)]
-    for r in _sized_submasks(rest, 0, inst.m, popcount):
-        tails[popcount[r]].append((fixed & ~support) | r)
-    for x in _sized_submasks(later & support, lo - popcount[fixed | rest],
-                             hi - popcount[fixed], popcount):
-        t = (fixed & support) | x
-        k0 = popcount[fixed | x]
-        k_lo, k_hi = max(lo, k0), min(hi, k0 + popcount[rest])
-        if k_lo <= before:
-            top = min(k_hi, before + 1)
-            subs = _sized_submasks(t, 1, cap, popcount)
-            if subs:
-                yield subs, [t | r for k in range(k_lo, top + 1) for r in tails[k - k0]]
-            k_lo = top + 1
-        for k in range(k_lo, k_hi + 1):
-            subs = _sized_submasks(t, k - before, cap, popcount)
-            if subs:
-                yield subs, [t | r for r in tails[k - k0]]
+def _dp_incumbent(inst: Instance) -> int:
+    """The product of greedy_submodular's matching, a lower bound on the
+    optimum, where its domain holds (every value positive, total capacity
+    at least m); otherwise 0."""
+    # approx imports this module, so greedy is looked up at call time
+    from .approx import greedy_submodular
+    try:
+        return greedy_submodular(inst)[1].product
+    except DomainError:
+        return 0
 
 
-def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
+def _subset_products(factors: list[int]) -> list[int]:
+    """The product of factors[j] over the set bits j of x, for every x."""
+    prods = [1]
+    for v in factors:
+        prods += [p * v for p in prods]
+    return prods
+
+
+def _completion_bounds(inst: Instance, i: int) -> tuple[int, list, list]:
+    """Tables for an upper bound on every completion by firms i..n-1 of a
+    state t: lows[t & (2^h - 1)] * highs[t >> h], with h the value returned
+    first, is the product over the workers outside t of their largest value
+    for a firm from i on, times, per firm j >= i, the sum of its c_j largest
+    values.  Each table is indexed by the bits of t, so the workers outside
+    t are its complement's."""
+    m, h = inst.m, inst.m // 2
+    best = [max(row[i:]) for row in inst.worker_vals]
+    sums = math.prod(sum(sorted(inst.firm_vals[j], reverse=True)[:inst.capacities[j]])
+                     for j in range(i, inst.n))
+    lows = _subset_products(best[:h])[::-1]
+    highs = [p * sums for p in reversed(_subset_products(best[h:m]))]
+    return h, lows, highs
+
+
+def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, NashValue]:
     """Subset DP over worker bitmasks: T[i, S] = max over S' of
     W_{f_i}(S') * T[i-1, S \\ S'], over the bundles S' that every member
     values positively, at the sizes of S and S' a full partition can take;
     ties go to the first S' in increasing order.
 
-    Layer i fills only masks of m - (c_{i+1} + ... + c_{n-1}) to c_0 + ...
-    + c_i workers, the sizes a full partition passes through; a bundle it
-    skips leads to a zero predecessor, so values and pointers are the same.
+    The DP pushes.  Layer i starts from the live states t, the masks with
+    T[i-1, t] > 0 in increasing order, and extends each by the bundles S'
+    inside firm i's support and outside t that hold every worker of t's
+    complement whom no later firm values, of as many workers as keep
+    |t | S'| between m - (c_{i+1} + ... + c_{n-1}) and c_0 + ... + c_i.
+    A candidate replaces T[i, t | S'] when it is larger, or equal with a
+    smaller S', so each mask keeps the first maximiser in increasing S'
+    order whichever t reaches it first.
+
+    Branch and bound (Morin and Marsten 1976): before layer i >= 1, a state
+    is dropped when T[i-1, t], times each outside worker's largest value for
+    a firm from i on, times each such firm's sum of its c_j largest values,
+    is strictly below the incumbent, _dp_incumbent's greedy product.  That
+    bound is at least the product of any completion of t, so every dropped
+    candidate is strictly below T[i, S] at each S on an optimal path, and
+    the values and pointers there, and with them the matching returned, are
+    those of the full DP.
+
     With total capacity below m no full partition exists, and it returns
-    the zero result before building any table."""
+    the zero result before building any table or the incumbent.  stats,
+    when given, is filled with the incumbent and, per layer run, the states
+    pushed ("live"), those the bound dropped ("dropped") and the bundles
+    tried ("transitions"); a capacity-short solve leaves it empty.
+    """
     if inst.m > DEFAULT_DP_BUDGET:
         raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
     m, n = inst.m, inst.n
-    caps, slack = inst.capacities, sum(inst.capacities) - m
-    if slack < 0:
+    caps = inst.capacities
+    if sum(caps) < m:
         return zero_result(inst)
+    incumbent = _dp_incumbent(inst)
+    if stats is not None:
+        stats["incumbent"] = incumbent
+        stats["layers"] = []
     full = (1 << m) - 1
-    popcount = [s.bit_count() for s in range(full + 1)]
+    popcount = list(map(int.bit_count, range(full + 1)))
     # support[i]: the workers who value firm i; later[i]: those who value a
     # firm after i
     support = [0] * n
@@ -195,25 +225,52 @@ def solve_dp(inst: Instance) -> tuple[Matching, NashValue]:
     for i in range(n - 2, -1, -1):
         later[i] = later[i + 1] | support[i + 1]
 
-    values = _bundle_tables(inst, 0, full, support[0])
-    lo0, c0 = caps[0] - slack, caps[0]
-    table = [values[s] if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]
-    back: list[list[int]] = [[s if lo0 <= popcount[s] <= c0 else 0 for s in range(full + 1)]]
-    for i in range(1, n):
-        values = _bundle_tables(inst, i, full, support[i])
+    # before firm 0 the one state is the empty mask, worth the empty product
+    table = [0] * (full + 1)
+    table[0] = 1
+    back: list[list[int]] = []
+    # after: the capacity of the firms after i
+    after = sum(caps)
+    for i in range(n):
+        live = list(compress(range(full + 1), table))
+        dropped = 0
+        if incumbent and i:
+            h, lows, highs = _completion_bounds(inst, i)
+            mask = (1 << h) - 1
+            kept = [t for t in live if table[t] * lows[t & mask] * highs[t >> h] >= incumbent]
+            dropped = len(live) - len(kept)
+            live = kept
+        if not live:
+            # a positive optimum's path would be live here, as its states'
+            # bounds are at least the optimum, so the optimum is zero
+            return zero_result(inst)
+        after -= caps[i]
+        cap, sup, fixed = caps[i], support[i], full ^ later[i]
+        values = _bundle_tables(inst, i, full, sup, popcount)
         new = [0] * (full + 1)
         ptr = [0] * (full + 1)
-        for subs, masks in _layer_groups(inst, i, full, popcount, support[i], later[i]):
-            for s in masks:
-                best = 0
-                best_sub = 0
-                for sub in subs:
-                    cand = values[sub] * table[s ^ sub]
-                    if cand > best:
-                        best = cand
-                        best_sub = sub
-                new[s] = best
-                ptr[s] = best_sub
+        transitions = 0
+        for t in live:
+            # the workers of t's complement that only firm i can still take
+            forced = fixed & ~t
+            if forced & ~sup:
+                continue
+            extra = popcount[forced]
+            subs = _sized_submasks((sup & ~t) ^ forced, max(1, m - after - popcount[t]) - extra,
+                                   cap - extra, popcount)
+            if forced:
+                subs = [forced | x for x in subs]
+            transitions += len(subs)
+            base = table[t]
+            for sub in subs:
+                c = values[sub] * base
+                s = t | sub
+                if c > new[s] or c == new[s] and sub < ptr[s]:
+                    new[s] = c
+                    ptr[s] = sub
+        if stats is not None:
+            stats["layers"].append({"live": len(live), "dropped": dropped,
+                                    "transitions": transitions})
         table = new
         back.append(ptr)
     if table[full] == 0:

@@ -15,7 +15,8 @@ import reference_bucketing
 from conftest import crossing_example
 from nswmatch import exact
 from nswmatch.approx import qptas_bucketing
-from nswmatch.core import BudgetExceededError, DomainError, Instance, NashValue, nash_value
+from nswmatch.core import (BudgetExceededError, DomainError, Instance, NashValue, nash_value,
+                           validate)
 from nswmatch.exact import solve_dp, solve_exact_bucketing
 from nswmatch.generators import gen_random
 from reference_bucketing import plain_buckets, plain_qptas
@@ -134,6 +135,21 @@ def test_buckets_matches_dp_where_plain_search_is_slow():
     inst = gen_random(11, 4, [3] * 4, v_max=2, density=1, seed=7).instance
     _, value = solve_exact_bucketing(inst)
     assert value.product == solve_dp(inst)[1].product > 0
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_buckets_agrees_with_dp_past_the_oracle(m):
+    """buckets and dp are both exact, so where their domains overlap they
+    return the same product.  n = 3 and values 1..2 keep the guess space
+    within DEFAULT_GUESS_BUDGET at m = 13 and 14 (3^14 guesses at most),
+    sizes oracle does not reach cheaply."""
+    for seed in range(3):
+        for caps in ([-(-m // 3)] * 3, [m // 3 + (f < m % 3) for f in range(3)]):
+            inst = gen_random(m, 3, caps, v_max=2, density=1, seed=seed).instance
+            mu_b, value_b = solve_exact_bucketing(inst)
+            mu_d, value_d = solve_dp(inst)
+            assert value_b.product == value_d.product > 0, (m, seed, caps)
+            assert validate(inst, mu_b) is None and validate(inst, mu_d) is None
 
 
 def _off_by_one(inst, mu):

@@ -1,11 +1,12 @@
 """dp, dp2 and fptas against the plain recurrence in reference_dp.py.
 
-The solvers skip every bundle that cannot score and every mask whose size no
-full partition passes through, so they must agree with the reference
-exactly: the same assignment (the same tie-break) and product, not just the
-same optimum.
+The solvers skip every bundle that cannot score, every mask whose size no
+full partition passes through and every state the bound shows cannot beat
+the incumbent, so they must agree with the reference exactly: the same
+assignment (the same tie-break) and product, not just the same optimum.
 """
 
+import json
 import random
 
 import pytest
@@ -19,18 +20,22 @@ from reference_dp import naive_dp
 BIG = 2 ** 53
 
 
-def _value(rng: random.Random, hi: int, density: float) -> int:
-    return rng.randint(1, hi) if rng.random() < density else 0
+def _value(rng: random.Random, lo: int, hi: int, density: float) -> int:
+    return rng.randint(lo, hi) if rng.random() < density else 0
 
 
 def make_instance(rng: random.Random, shape: str) -> Instance:
     m = rng.randint(1, 7)
     n = rng.randint(1, 4)
-    hi = 3
+    lo, hi = 1, 3
     density = rng.choice([0.4, 0.7, 1.0])
     caps = [rng.randint(1, 4) for _ in range(n)]
     if shape == "big_values":
         hi = BIG * rng.randint(2, 2 ** 10)
+    elif shape == "near_ties":
+        # every value positive, so greedy's product is the incumbent, and
+        # products a float could not tell apart
+        lo, hi, density = 10 ** 18, 10 ** 18 + 3, 1.0
     elif shape == "m_below_n":
         n = rng.randint(2, 5)
         m = rng.randint(1, n - 1)
@@ -49,8 +54,8 @@ def make_instance(rng: random.Random, shape: str) -> Instance:
         caps = [0] * n
         for _ in range(m + WINDOW_SLACK[shape](rng)):
             caps[rng.choice([f for f in range(n) if caps[f] < 4])] += 1
-    worker_vals = [[_value(rng, hi, density) for _ in range(n)] for _ in range(m)]
-    firm_vals = [[_value(rng, hi, density) for _ in range(m)] for _ in range(n)]
+    worker_vals = [[_value(rng, lo, hi, density) for _ in range(n)] for _ in range(m)]
+    firm_vals = [[_value(rng, lo, hi, density) for _ in range(m)] for _ in range(n)]
     if shape == "unvalued_firm":
         f = rng.randrange(n)
         for row in worker_vals:
@@ -68,8 +73,8 @@ WINDOW_SLACK = {
     "slack_one": lambda rng: 1,
     "short_capacity": lambda rng: -rng.randint(1, 2),
 }
-SHAPES = ["ties", "big_values", "m_below_n", "zero_capacity", "unvalued_firm",
-          "zero_rows", "single_worker", *WINDOW_SLACK]
+SHAPES = ["ties", "big_values", "near_ties", "m_below_n", "zero_capacity",
+          "unvalued_firm", "zero_rows", "single_worker", *WINDOW_SLACK]
 
 
 def _count(shape: str, plain: int) -> int:
@@ -163,3 +168,54 @@ def test_sized_submasks_match_brute_force():
                 if lo > popcount[t] or hi < max(lo, 1):
                     # nothing but the empty mask, and that only when lo <= 0 <= hi
                     assert got == ([0] if lo <= 0 <= hi else []), (t, lo, hi)
+
+
+def _dense(m: int, n: int, slack: int, v_max: int, seed: int) -> Instance:
+    """gen_random at density 1 with capacities summing to m + slack, as
+    even as they go."""
+    caps = [(m + slack) // n + (f < (m + slack) % n) for f in range(n)]
+    return generators.gen_random(m, n, caps, v_max, 1.0, seed).instance
+
+
+# (m, n, slack, v_max): dense shapes past the reference's reach, tight and
+# slack-1 capacities, values 1..2 (many ties) and 1..5
+BOUND_SHAPES = [(12, 3, 0, 2), (12, 4, 1, 5), (13, 3, 1, 5), (13, 4, 0, 2), (14, 3, 0, 5),
+                (14, 4, 1, 2), (15, 3, 0, 2), (15, 4, 0, 5), (16, 4, 0, 5)]
+
+
+def test_bound_changes_no_record(monkeypatch):
+    """The branch and bound drops only states that cannot reach the optimum:
+    with the incumbent forced to 0 nothing is dropped, and dp's record is
+    byte-identical.  On all ones at tight capacities every full partition
+    is optimal and greedy finds one, so the optimal path's bound equals the
+    incumbent; the drop must stay strictly below it."""
+    ones = Instance.create([4, 4, 4], [[1] * 3] * 12, [[1] * 12] * 3)
+    instances = [ones] + [_dense(*shape, seed=k) for k, shape in enumerate(BOUND_SHAPES)]
+    assert all(exact._dp_incumbent(inst) > 0 for inst in instances)
+    bounded = [json.dumps(run_algo("dp", inst)) for inst in instances]
+    assert json.loads(bounded[0])["nash_product"] == str(4 ** 3)
+    monkeypatch.setattr(exact, "_dp_incumbent", lambda inst: 0)
+    for inst, record in zip(instances, bounded):
+        assert json.dumps(run_algo("dp", inst)) == record, inst
+
+
+def test_dp_stats_count_the_work():
+    """stats holds the incumbent and, per layer, the states pushed, dropped
+    and the bundles tried; the counts are the same on every run, and on
+    dense m = 13 the bound drops states."""
+    inst = _dense(13, 3, 0, 5, seed=7)
+    first, second = {}, {}
+    mu, value = solve_dp(inst, first)
+    assert solve_dp(inst, second) == (mu, value)
+    assert first == second
+    assert 0 < first["incumbent"] <= value.product
+    layers = first["layers"]
+    assert len(layers) == 3
+    assert layers[0] == {"live": 1, "dropped": 0, "transitions": layers[0]["transitions"]}
+    assert sum(layer["dropped"] for layer in layers) > 0
+    # the last firm takes every worker left: one bundle per live state
+    assert layers[-1]["transitions"] == layers[-1]["live"]
+    # short capacity returns before the DP, and leaves stats empty
+    short = {}
+    solve_dp(generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance, short)
+    assert short == {}
