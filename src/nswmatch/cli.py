@@ -82,9 +82,9 @@ def _fptas(inst, eps):
 
 
 def _feasible(inst, eps):
-    ok, mu = exists_nonzero_nash(inst)
+    mu = exists_nonzero_nash(inst)
     value = NashValue.zero() if mu is None else nash_value(inst, mu)
-    return mu, value, {"feasible": ok}
+    return mu, value, {"feasible": mu is not None}
 
 
 # name -> (inst, eps) -> (matching or None, NashValue, extra record fields).

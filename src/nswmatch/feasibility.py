@@ -4,167 +4,128 @@ The binarized instance admits a matching with all-positive utilities iff
 every worker can be placed at a firm it values while every firm holds at
 least one worker it values; a firm may absorb further workers it does not
 value (those leave its utility untouched and keep the workers' utilities
-positive).  The test grows a bipartite b-matching greedily and finishes it
-by augmenting paths (Hopcroft and Karp 1973), in two stages.
-
-Seats.  Each firm needs a seat holder: a worker that values the firm and
-that the firm values back.  Each worker, in increasing order, takes the
-first free seat among the firms that value it back; then each empty seat
-roots one BFS over firm -> a worker of that kind -> the firm whose seat
-the worker holds, to a worker without a seat, and the seats shift along
-the path.  A seat no path reaches stays empty whatever the others do
-(Berge), so the answer is no.
-
-Placement.  Each worker left without a seat takes the first firm it values
-that has room; each worker still unplaced roots one BFS for a chain of
-displacements that ends at a firm with room.  The BFS reads its arcs from
-the per-worker lists of valued firms and the per-firm member lists.  A
-firm has two states: *own*, where a worker it values back arrives and from
-which any member it values back may be displaced, and *open*, where any
-other worker arrives and from which a member it does not value may be
-displaced, or one it does value while it holds two such members.  *own*
-also reaches *open*.  So no path takes a firm's last worker it values, and
-the seats stay filled (Mendelsohn and Dulmage 1958).  These are the arcs
-of the residual graph of the flow network
+positive).  That is a flow with lower bounds on the network
 
     source -> worker       1
-    worker -> own_f        1        the worker and firm f value each other
-    worker -> open_f       1        only the worker values f
-    own_f  -> sink         min(1, c_f)   f's seat
-    own_f  -> open_f       m
-    open_f -> sink         c_f - 1
+    worker -> seat_f       1        the worker and firm f value each other
+    worker -> rest_f       1        the worker values f
+    seat_f -> sink         1        f's seat, which must be full
+    rest_f -> sink         c_f - 1
 
-with the seats' flow in place.  A worker no path places proves the
-maximum flow short of m, and the answer is no: the source, the workers
-and the firm states the failed search reached are the source side of a
+(a worker in a mutual pair reaches rest_f directly, where a network with
+an arc seat_f -> rest_f would route it through the seat; both have the
+same flows).  The test finds it as a bipartite b-matching between workers
+and the 2n slots: seat f (slot f) with room 1 and rest f (slot n + f) with
+room c_f - 1.  A nonzero-Nash matching is exactly one that covers every
+worker and every seat; worker w then sits at firm (slot mod n).  The
+matching grows greedily and is finished by augmenting paths (Hopcroft and
+Karp 1973), all found by one BFS, `_augment`, in two stages.
+
+Seats.  Each worker, in increasing order, takes the first empty seat
+among the firms it values that value it back.  Each seat still empty then
+roots one search on the transposed graph, seats on the left and workers
+with room 1 on the right.  A seat no path reaches stays empty whatever the
+others do (Berge), so the answer is no.
+
+Workers.  Each worker left without a seat takes the first rest slot with
+room among the firms it values, and each worker still unplaced roots one
+search.  A path from a worker only moves holders from slot to slot, so no
+seat empties (Mendelsohn and Dulmage 1958).  A worker no path places
+proves the maximum flow short of m, and the answer is no: the source, the
+workers and the slots the failed search reached are the source side of a
 cut of capacity below m.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .core import Instance, Matching
 
 
-def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
-    """True iff some matching gives every agent positive utility; on True a
-    witness matching is returned."""
+def exists_nonzero_nash(inst: Instance) -> Matching | None:
+    """A matching that gives every agent positive utility, or None when
+    none exists."""
     m, n = inst.m, inst.n
     caps = inst.capacities
     if m < n or not all(caps):
-        return False, None
+        return None
     firm_vals = inst.firm_vals
-    # valued[w]: the firms w values, increasing; back[w]: whether each one
-    # values w back, in the same order, the only reads of firm_vals
     valued = inst.valued_firms
-    back = [[firm_vals[f][w] > 0 for f in fs] for w, fs in enumerate(valued)]
-
-    seat = [-1] * n  # seat[f]: the worker in f's seat
-    place = [-1] * m  # place[w]: w's firm
+    holder = [-1] * n  # holder[f]: the worker in f's seat
+    at = [-1] * m  # at[w]: w's slot
     empty = n
     for w in range(m):
-        for f in compress(valued[w], back[w]):
-            if seat[f] == -1:
-                seat[f], place[w] = w, f
+        for f in valued[w]:
+            if holder[f] == -1 and firm_vals[f][w]:
+                holder[f], at[w] = w, f
                 empty -= 1
                 break
         if not empty:
             break
-    if empty and not _fill_seats(valued, back, seat, place):
-        return False, None
+    if empty:
+        takers: list[list[int]] = [[] for _ in range(n)]
+        for w, fs in enumerate(valued):
+            for f in fs:
+                if firm_vals[f][w]:
+                    takers[f].append(w)
+        held = [[] if f == -1 else [f] for f in at]  # held[w]: w's seat, if any
+        room = [1] * m
+        for f in range(n):
+            if holder[f] == -1 and not _augment(f, takers.__getitem__, room, held, holder):
+                return None
+        at = [-1] * m
+        for f, w in enumerate(holder):
+            at[w] = f
 
-    members = [[w] for w in seat]
-    at_mutual = [False] * m  # at_mutual[w]: w's firm values w
-    for w in seat:
-        at_mutual[w] = True
+    # built on each visit, not for every worker up front: the searches
+    # visit few workers, and listing all m costs more than they do
+    def slots(w):
+        """w's slots in firm order, each seat just before its rest."""
+        return [s for f in valued[w] for s in ((f, n + f) if firm_vals[f][w] else (n + f,))]
+
+    members = [[w] for w in holder] + [[] for _ in range(n)]
+    room = [1] * n + [c - 1 for c in caps]
     unplaced = []
     for w in range(m):
-        if place[w] != -1:
+        if at[w] != -1:
             continue
-        for f, b in zip(valued[w], back[w]):
-            if len(members[f]) < caps[f]:
-                place[w] = f
-                members[f].append(w)
-                at_mutual[w] = b
+        for s in map(n.__add__, valued[w]):
+            if len(members[s]) < room[s]:
+                at[w] = s
+                members[s].append(w)
                 break
         else:
             unplaced.append(w)
-
-    for root in unplaced:
-        end = _displacement_path(root, valued, back, caps, place, members, at_mutual)
-        if end is None:
-            return False, None
-        via, x, f, b = end
-        while x != -1:
-            g = place[x]
-            if g != -1:
-                members[g].remove(x)
-            place[x], at_mutual[x] = f, b
-            members[f].append(x)
-            (x, b), f = via[x], g
-    return True, Matching.of(place)
+    for w in unplaced:
+        if not _augment(w, slots, room, members, at):
+            return None
+    return Matching.of([s % n for s in at])
 
 
-def _fill_seats(valued, back, seat, place) -> bool:
-    """Fills each empty seat, in firm order, by one BFS for an augmenting
-    path of mutually valued pairs; False when one stays empty."""
-    # takers[f]: the workers that value f and that f values, increasing
-    takers: list[list[int]] = [[] for _ in seat]
-    for w, (fs, bs) in enumerate(zip(valued, back)):
-        for f in compress(fs, bs):
-            takers[f].append(w)
-    for root in range(len(seat)):
-        if seat[root] != -1:
-            continue
-        moves_to: dict[int, int] = {}  # moves_to[w]: the firm whose seat w takes
-        queue = [root]
-        for f in queue:
-            for w in takers[f]:
-                if w in moves_to:
-                    continue
-                moves_to[w] = f
-                if place[w] == -1:
-                    break
-                queue.append(place[w])
-            else:
-                continue
-            break
-        else:
-            return False
-        while w != -1:
-            f = moves_to[w]
-            seat[f], place[w], w = w, f, seat[f]
-    return True
-
-
-def _displacement_path(root, valued, back, caps, place, members, at_mutual):
-    """BFS from the unplaced worker root: (via, x, f, b) when worker x can
-    move to firm f, which has room, b telling whether f values x; via[y] is
-    (x', b') for the worker x' that takes y's place on the path and
-    whether y's firm values x'.  None when no path exists.
-
-    A firm is reached either whole, when a worker it values arrives or it
-    holds two members it values, or all but its one valued member; the
-    second can later turn into the first."""
-    via = {root: (-1, False)}
-    whole: dict[int, bool] = {}  # whole[f]: every member of f is displaceable
+def _augment(root, adj, room, members, at) -> bool:
+    """BFS from the unplaced left vertex root, over adj(x) (x's right
+    vertices), members[s] (the left vertices at s, at most room[s]) and
+    at[x] (x's right vertex, or -1), to a right vertex with room; moves
+    each left vertex on the path one step along.  False when no path
+    exists."""
+    via = {root: -1}  # via[y]: the left vertex that takes y's place
+    seen = set()
     queue = [root]
     for x in queue:
-        here = place[x]
-        for f, b in zip(valued[x], back[x]):
-            if f == here:
+        for s in adj(x):
+            if s in seen:
                 continue
-            if len(members[f]) < caps[f]:
-                return via, x, f, b
-            seen = whole.get(f)
-            if seen or (seen is False and not b):
-                continue
-            every = b or sum(map(at_mutual.__getitem__, members[f])) > 1
-            whole[f] = every
-            arrival = (x, b)
-            for y in members[f]:
-                if y not in via and (every or not at_mutual[y]):
-                    via[y] = arrival
+            seen.add(s)
+            if len(members[s]) < room[s]:
+                while x != -1:
+                    t = at[x]
+                    if t != -1:
+                        members[t].remove(x)
+                    at[x] = s
+                    members[s].append(x)
+                    x, s = via[x], t
+                return True
+            for y in members[s]:
+                if y not in via:
+                    via[y] = x
                     queue.append(y)
-    return None
+    return False

@@ -223,7 +223,7 @@ def gen_random_3dm(r: int, seed: int) -> tuple[list[tuple[int, int, int]], tuple
             return triples, tuple(triples[:r])
 
 
-def gen_from_rainbow(g: RainbowGraph, family_ok: bool = False,
+def gen_from_rainbow(g: RainbowGraph,
                      certificate: Optional[tuple] = None) -> GeneratedInstance:
     """Matching instance whose optimal Nash product is 2^(4r) exactly when
     the rainbow graph has a rainbow perfect matching.
@@ -235,11 +235,6 @@ def gen_from_rainbow(g: RainbowGraph, family_ok: bool = False,
     other 1; a main firm values its own dummy worker 2 and that dummy
     values it 1; the color's collector firm values each of its dummies 2
     and each such dummy values it 1.
-
-    family_ok relaxes the degree-3 requirement (the threshold equivalence
-    needs only the three-edges-per-color count), which is how no-instances
-    are built: degree-3 graphs with three edges per color always contain a
-    rainbow perfect matching at r = 2.
     """
     r = g.r
     if r < 2:
@@ -247,9 +242,8 @@ def gen_from_rainbow(g: RainbowGraph, family_ok: bool = False,
                          "edges of one color")
     if any(c != 3 for c in g.color_counts()):
         raise ValueError("need exactly three edges of each color")
-    if not family_ok and not g.in_restricted_family():
-        raise ValueError("graph is outside the restricted family "
-                         "(pass family_ok to relax the degree check)")
+    if not g.in_restricted_family():
+        raise ValueError("graph is outside the restricted family")
     q = len(g.edges)  # == 3r
     m, n = 2 * r + q, q + r
     # workers: X vertices 0..r-1, Y vertices r..2r-1, dummy of edge k at 2r+k

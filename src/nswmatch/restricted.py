@@ -85,8 +85,8 @@ def solve_symmetric_binary(
     if stats is not None:
         stats["cap"] = cap
         stats["iterations"] = 0
-    ok, mu = exists_nonzero_nash(inst)
-    if not ok:
+    mu = exists_nonzero_nash(inst)
+    if mu is None:
         return zero_result(inst)
     assignment = list(mu.assignment)
     liked_by = [sum(1 << f for f in firms) for firms in likes]

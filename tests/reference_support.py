@@ -9,10 +9,11 @@ must return the same matchings and products.  Symmetric binary instances
 use `reference_symbin.solve_symmetric_binary`, which takes its domain check
 and its feasibility search from here.  nonzero_nash_by_flow answers the
 feasibility question independently, by two max flows (_Dinic) on the
-network whose residual graph the search walks.  The dense forms of `cap1`
-and `deg3cap2` build bipartite edge lists in the order the solvers list
-their edges, which matching_on_edges turns into the adjacency lists that
-`nswmatch.graphalgs` takes, so both reach the same matching.
+search's network in the form with an arc from each firm's seat to its
+rest.  The dense forms of `cap1` and `deg3cap2` build bipartite edge lists
+in the order the solvers list their edges, which matching_on_edges turns
+into the adjacency lists that `nswmatch.graphalgs` takes, so both reach
+the same matching.
 """
 
 from __future__ import annotations
@@ -91,113 +92,95 @@ def check_symmetric_binary(inst: Instance) -> None:
                 raise DomainError("valuations must be symmetric and binary")
 
 
-def exists_nonzero_nash(inst: Instance) -> tuple[bool, Matching | None]:
-    """nswmatch.feasibility's greedy seats, seat paths, greedy placement and
-    displacement paths, in the same order and with the same tie-breaks, but
-    scanning every firm of a worker's row and reading a firm's values for
-    its members each time a step asks."""
+def exists_nonzero_nash(inst: Instance) -> Matching | None:
+    """nswmatch.feasibility's search on the same slots (seat f and rest
+    n + f of each firm f), with the same greedy passes, the same
+    augmenting-path searches and the same tie-breaks, but building a
+    worker's slots by scanning every firm of its row and reading a firm's
+    value for the worker each time a step asks."""
     m, n = inst.m, inst.n
     caps = inst.capacities
     if m < n or 0 in caps:
-        return False, None
+        return None
 
-    def valued(w):
-        return [f for f in range(n) if inst.worker_vals[w][f] > 0]
+    def slots(w):
+        """w's slots in firm order, each seat just before its rest."""
+        out = []
+        for f in range(n):
+            if inst.worker_vals[w][f] > 0:
+                if inst.firm_vals[f][w] > 0:
+                    out.append(f)
+                out.append(n + f)
+        return out
 
-    def values(f, w):
-        return inst.firm_vals[f][w] > 0
-
-    seat = [-1] * n
-    place = [-1] * m
+    holder = [-1] * n
+    at = [-1] * m
     for w in range(m):
-        if -1 not in seat:
+        if -1 not in holder:
             break
-        for f in valued(w):
-            if values(f, w) and seat[f] == -1:
-                seat[f], place[w] = w, f
+        for s in slots(w):
+            if s < n and holder[s] == -1:
+                holder[s], at[w] = w, s
                 break
-    for root in range(n):
-        if seat[root] != -1:
-            continue
-        path = seat_path(inst, root, seat, place)
-        if path is None:
-            return False, None
-        for w, f in path:
-            seat[f], place[w] = w, f
+    if -1 in holder:
+        def takers(f):
+            return [w for w in range(m) if f in slots(w)]
 
-    members = [[w] for w in seat]
+        held = [[] if s == -1 else [s] for s in at]
+        for f in range(n):
+            if holder[f] == -1 and not augment(f, takers, [1] * m, held, holder):
+                return None
+        at = [-1] * m
+        for f, w in enumerate(holder):
+            at[w] = f
+
+    room = [1] * n + [c - 1 for c in caps]
+    members = [[w] for w in holder] + [[] for _ in range(n)]
     unplaced = []
     for w in range(m):
-        if place[w] != -1:
+        if at[w] != -1:
             continue
-        room = [f for f in valued(w) if len(members[f]) < caps[f]]
-        if room:
-            place[w] = room[0]
-            members[room[0]].append(w)
+        rests = [s for s in slots(w) if s >= n and len(members[s]) < room[s]]
+        if rests:
+            at[w] = rests[0]
+            members[rests[0]].append(w)
         else:
             unplaced.append(w)
-    for root in unplaced:
-        path = displacement_path(inst, root, place, members)
-        if path is None:
-            return False, None
-        for w, f in path:
-            if place[w] != -1:
-                members[place[w]].remove(w)
-            place[w] = f
-            members[f].append(w)
-    return True, Matching.of(place)
+    for w in unplaced:
+        if not augment(w, slots, room, members, at):
+            return None
+    return Matching.of([s % n for s in at])
 
 
-def seat_path(inst: Instance, root: int, seat, place):
-    """BFS from the empty seat of firm root over firm -> a worker that
-    values it and that it values -> that worker's seat firm, to a seatless
-    worker: the moves [(worker, firm), ...] that shift the seats, or None."""
-    moves_to = {}
-    queue = [root]
-    for f in queue:
-        for w in range(inst.m):
-            if w in moves_to or inst.worker_vals[w][f] == 0 or inst.firm_vals[f][w] == 0:
-                continue
-            moves_to[w] = f
-            if place[w] == -1:
-                path = []
-                while w != -1:
-                    path.append((w, moves_to[w]))
-                    w = seat[moves_to[w]]
-                return path
-            queue.append(place[w])
-    return None
-
-
-def displacement_path(inst: Instance, root: int, place, members):
-    """BFS from the unplaced worker root to a firm with room, where the
-    worker x arriving at firm f may displace any member of f when f values
-    x or holds two members it values, and else any member f does not
-    value: the moves [(worker, firm), ...], from the last arrival back to
-    root, or None."""
-    via = {root: None}  # via[y]: the worker that takes y's place
-    whole = {}
+def augment(root, adj, room, members, at) -> bool:
+    """BFS from the unplaced left vertex root to a right vertex with room,
+    over adj(x), the right vertices left vertex x may take, members[s],
+    the left vertices at s, and at[x], x's right vertex or -1: on a path,
+    each left vertex on it moves one step along and True is returned."""
+    via = {root: None}  # via[y]: the left vertex that takes y's place
+    seen = set()
     queue = [root]
     for x in queue:
-        for f in range(inst.n):
-            if inst.worker_vals[x][f] == 0 or f == place[x]:
+        for s in adj(x):
+            if s in seen:
                 continue
-            if len(members[f]) < inst.capacities[f]:
-                path = [(x, f)]
+            seen.add(s)
+            if len(members[s]) < room[s]:
+                path = [(x, s)]
                 while via[x] is not None:
-                    path.append((via[x], place[x]))
+                    path.append((via[x], at[x]))
                     x = via[x]
-                return path
-            kept = [y for y in members[f] if inst.firm_vals[f][y] > 0]
-            every = inst.firm_vals[f][x] > 0 or len(kept) > 1
-            if whole.get(f) or (f in whole and not every):
-                continue
-            whole[f] = every
-            for y in members[f]:
-                if y not in via and (every or y not in kept):
+                for y, t in path:
+                    if at[y] != -1:
+                        members[at[y]].remove(y)
+                    at[y] = t
+                    members[t].append(y)
+                return True
+            for y in members[s]:
+                if y not in via:
                     via[y] = x
                     queue.append(y)
-    return None
+    return False
 
 
 def nonzero_nash_by_flow(inst: Instance) -> bool:

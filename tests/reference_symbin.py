@@ -34,8 +34,8 @@ def solve_symmetric_binary(inst: Instance, stats: dict) -> tuple[Matching, NashV
     check_symmetric_binary(inst)
     n = inst.n
     stats["iterations"] = 0
-    ok, mu = exists_nonzero_nash(inst)
-    if not ok:
+    mu = exists_nonzero_nash(inst)
+    if mu is None:
         return zero_result(inst)
     assignment = list(mu.assignment)
     while True:

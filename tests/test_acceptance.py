@@ -211,9 +211,9 @@ def test_criterion_1_oracle_equivalence(suite, oracle_products):
 def test_criterion_2_feasibility(suite, oracle_products):
     start = time.perf_counter()
     for (_tag, inst), opt in zip(suite, oracle_products):
-        ok, mu = exists_nonzero_nash(inst)
-        assert ok == (opt > 0)
-        if ok:
+        mu = exists_nonzero_nash(inst)
+        assert (mu is not None) == (opt > 0)
+        if mu is not None:
             assert validate(inst, mu) is None
     elapsed = time.perf_counter() - start
     assert elapsed < 10, f"criterion 2 took {elapsed:.1f}s"

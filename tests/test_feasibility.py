@@ -11,14 +11,14 @@ from conftest import binarize, crossing_example, random_instance
 
 
 def test_crossing_feasible():
-    ok, witness = exists_nonzero_nash(crossing_example())
-    assert ok
+    witness = exists_nonzero_nash(crossing_example())
+    assert witness is not None
     assert nash_value(crossing_example(), witness).product >= 1
 
 
 def test_capacity_shortfall_infeasible():
     inst = Instance.create((2,), [[1], [1], [1]], [[1, 1, 1]])
-    assert exists_nonzero_nash(inst) == (False, None)
+    assert exists_nonzero_nash(inst) is None
 
 
 def test_agrees_with_bruteforce():
@@ -26,9 +26,9 @@ def test_agrees_with_bruteforce():
     for _ in range(120):
         inst = random_instance(rng, density=rng.choice([0.3, 0.5, 0.8, 1.0]))
         expect, _w = exists_nonzero_bruteforce(inst)
-        got, witness = exists_nonzero_nash(inst)
-        assert got == expect, inst
-        if got:
+        witness = exists_nonzero_nash(inst)
+        assert (witness is not None) == expect, inst
+        if witness is not None:
             assert validate(inst, witness) is None
             assert nash_value(inst, witness).product >= 1
 
@@ -37,7 +37,7 @@ def test_one_sided_positivity_is_not_enough():
     # the firm values the worker but not vice versa: matching them zeroes
     # the worker, so no nonzero matching exists
     inst = Instance.create((1,), [[0]], [[4]])
-    assert exists_nonzero_nash(inst)[0] is False
+    assert exists_nonzero_nash(inst) is None
 
 
 def test_unvalued_worker_can_pad_a_firm():
@@ -48,8 +48,8 @@ def test_unvalued_worker_can_pad_a_firm():
         [[3, 0], [2, 0], [0, 1]],
         [[1, 0, 0], [0, 0, 2]],
     )
-    ok, witness = exists_nonzero_nash(inst)
-    assert ok
+    witness = exists_nonzero_nash(inst)
+    assert witness is not None
     assert nash_value(inst, witness).product > 0
 
 
@@ -57,7 +57,7 @@ def test_invariant_under_binarize():
     rng = random.Random(23)
     for _ in range(60):
         inst = random_instance(rng, density=0.5)
-        assert exists_nonzero_nash(inst)[0] == exists_nonzero_nash(binarize(inst))[0]
+        assert (exists_nonzero_nash(inst) is None) == (exists_nonzero_nash(binarize(inst)) is None)
 
 
 # positive values small, at 2^53 (where floats stop telling integers apart)
@@ -94,10 +94,9 @@ def edge_shaped(draw):
 @settings(max_examples=400, deadline=None)
 @given(edge_shaped())
 def test_edge_shapes_agree_with_bruteforce(inst):
-    got, witness = exists_nonzero_nash(inst)
-    assert got == exists_nonzero_bruteforce(inst)[0]
-    assert (witness is None) == (not got)
-    if got:
+    witness = exists_nonzero_nash(inst)
+    assert (witness is not None) == exists_nonzero_bruteforce(inst)[0]
+    if witness is not None:
         assert validate(inst, witness) is None
         assert nash_value(inst, witness).product > 0
 
@@ -125,7 +124,7 @@ SEARCH_CASES = {
     "valued-arrival-takes-unvalued": ((2, 2), [[1, 0], [1, 1], [0, 1], [1, 0]],
                                       [[1, 0, 0, 1], [0, 0, 1, 0]], [0, 1, 1, 0]),
     # w3, whom f0 does not value, arrives at f0, which holds two workers it
-    # values; one of them, w1, moves to f1
+    # values: w0 in its seat and w1 in its rest slot, so w1 moves to f1
     "unvalued-arrival-takes-one-of-two": ((2, 2), [[1, 0], [1, 1], [0, 1], [1, 0]],
                                           [[1, 1, 0, 0], [0, 0, 1, 0]], [0, 1, 1, 0]),
 }
@@ -135,7 +134,7 @@ SEARCH_CASES = {
 def test_search_cases(case):
     caps, worker_vals, firm_vals, witness = SEARCH_CASES[case]
     got = exists_nonzero_nash(Instance.create(caps, worker_vals, firm_vals))
-    assert got == ((False, None) if witness is None else (True, Matching.of(witness)))
+    assert got == (None if witness is None else Matching.of(witness))
 
 
 VALUES = (1, 2, 3, 2**53 + 1, 2**64)
@@ -181,9 +180,9 @@ def wide_instances(draw):
 def test_search_agrees_with_flow_verdict(inst):
     """The verdict of the two max flows, and on yes a witness that gives
     everyone positive utility."""
-    got, witness = exists_nonzero_nash(inst)
-    assert got == nonzero_nash_by_flow(inst)
-    if got:
+    witness = exists_nonzero_nash(inst)
+    assert (witness is not None) == nonzero_nash_by_flow(inst)
+    if witness is not None:
         assert validate(inst, witness) is None
         assert nash_value(inst, witness).product > 0
 

@@ -182,7 +182,6 @@ def test_gen_from_rainbow_rejects_r1_and_bad_counts():
                                 (0, 0, 1), (0, 1, 1), (1, 1, 1)))
     with pytest.raises(ValueError):
         gen_from_rainbow(lopsided)  # degrees are not all 3
-    gen_from_rainbow(lopsided, family_ok=True)  # relaxed: only color counts
 
 
 def test_rainbow_yes_hits_threshold():

@@ -1,6 +1,7 @@
-"""Metamorphic relabelling tests: renumbering the workers and the firms of
-an instance changes no exact solver's status or Nash product, nor the
-feasibility verdict.  Neither side needs an oracle, so the relation holds
+"""Metamorphic tests: renumbering the workers and the firms of an instance
+changes no exact solver's status or Nash product, nor the feasibility
+verdict, and multiplying one agent's values by c multiplies a positive
+optimum by exactly c.  Neither side needs an oracle, so the relations hold
 at any size."""
 
 import random
@@ -78,3 +79,37 @@ def test_cap1_relabelling_on_dense_near_ties():
             [[rng.randint(10 ** 18, 10 ** 18 + 3) for _ in range(k)] for _ in range(k)],
             [[rng.randint(10 ** 18, 10 ** 18 + 3) for _ in range(k)] for _ in range(k)])
         assert _answer("cap1", relabel(inst, rng)) == _answer("cap1", inst)
+
+
+def scale_row(inst: Instance, side: str, i: int, c: int) -> Instance:
+    """inst with worker i's values (side "worker") or firm i's values (side
+    "firm") multiplied by c."""
+    worker_vals = [list(row) for row in inst.worker_vals]
+    firm_vals = [list(row) for row in inst.firm_vals]
+    rows = worker_vals if side == "worker" else firm_vals
+    rows[i] = [c * v for v in rows[i]]
+    return Instance.create(inst.capacities, worker_vals, firm_vals)
+
+
+# symbin's domain is 0/1 values, and feasible's verdict is checked below
+SCALED = [algo for algo in DOMAINS if algo not in ("symbin", "feasible")]
+
+
+@pytest.mark.parametrize("algo", SCALED)
+@settings(max_examples=25, deadline=None)
+@given(rng=st.randoms(use_true_random=False), c=st.sampled_from((2, 3, 2 ** 61 + 1)),
+       side=st.sampled_from(("worker", "firm")))
+def test_scaling_a_row_scales_the_optimum(algo, rng, c, side):
+    """A positive matching gives the scaled agent c times its utility, so
+    the optimum is multiplied by exactly c, and a zero optimum stays zero.
+    A pair is skipped when scaling leaves the domain (buckets' distinct
+    values) or a budget.  Values stay small before scaling, clear of the
+    near-ties that cap1's and deg3cap2's rounded logs cannot decide."""
+    inst = DOMAINS[algo](rng)
+    i = rng.randrange(inst.m if side == "worker" else inst.n)
+    scaled = scale_row(inst, side, i, c)
+    before, after = run_algo(algo, inst, "1/2"), run_algo(algo, scaled, "1/2")
+    if {before["status"], after["status"]} & {"infeasible-domain", "budget-exceeded"}:
+        return
+    assert int(after["nash_product"]) == c * int(before["nash_product"])
+    assert run_algo("feasible", scaled)["feasible"] == run_algo("feasible", inst)["feasible"]

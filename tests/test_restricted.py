@@ -8,6 +8,7 @@ from nswmatch import restricted
 from nswmatch.cli import run_algo
 from nswmatch.core import DomainError, Instance, NashValue, validate
 from nswmatch.exact import solve_capacity_one
+from nswmatch.feasibility import exists_nonzero_nash
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
 from nswmatch.restricted import (
@@ -310,6 +311,104 @@ def test_cap1_and_deg2_match_oracle_on_near_tie_cycles():
             want = solve_bruteforce(inst).value.product
             assert solve_degree_two(inst)[1].product == want, (k, seed)
             assert solve_capacity_one(inst)[1].product == want, (k, seed)
+
+
+# --- symbin against cap1, deg2 and singlefirm, past the oracle's reach ------
+
+def symbin_from_edges(caps, m, edges):
+    """Symmetric 0/1 values: worker w and firm f value each other 1 for
+    each (w, f) in edges, and 0 elsewhere."""
+    rows = [[0] * len(caps) for _ in range(m)]
+    for w, f in edges:
+        rows[w][f] = 1
+    return sym(caps, rows)
+
+
+def assert_symbin_agrees(inst, solver):
+    """symbin and solver give equal products and valid matchings, and the
+    product is zero exactly when feasible finds no nonzero-Nash matching;
+    returns whether it is positive."""
+    mu, value = solve_symmetric_binary(inst)
+    other_mu, other = solver(inst)
+    assert validate(inst, mu) is None and validate(inst, other_mu) is None
+    assert value.product == other.product
+    assert (value.product > 0) == (exists_nonzero_nash(inst) is not None)
+    return value.product > 0
+
+
+def test_symbin_agrees_with_cap1_at_scale():
+    """Capacity 1 and m = n = k for k = 100..500: up to two random mutual
+    pairs per worker, and on every other instance a planted perfect
+    matching on top, so both answers occur.  Every value is 0/1, so cap1's
+    rounded logs decide no near-tie."""
+    nonzero = []
+    for k in (100, 200, 300, 500):
+        for seed in range(2):
+            rng = random.Random(f"symbin-cap1/{k}/{seed}")
+            edges = [(w, f) for w in range(k) for f in rng.sample(range(k), rng.randint(0, 2))]
+            if seed:
+                edges += enumerate(rng.sample(range(k), k))
+            inst = symbin_from_edges([1] * k, k, edges)
+            nonzero.append(assert_symbin_agrees(inst, solve_capacity_one))
+    assert any(nonzero) and not all(nonzero)
+
+
+def symbin_paths_and_cycles(rng, agents, balanced):
+    """Disjoint paths and even cycles of 2 to 12 agents, each alternating
+    worker, firm, worker, ..., until there are at least agents agents;
+    symmetric 0/1 values on their edges.  Balanced: every component starts
+    at a worker and every capacity is 2, so a nonzero-Nash matching exists;
+    otherwise either side starts and capacities are 1 or 2."""
+    edges, m, n = [], 0, 0
+    while m + n < agents:
+        length = rng.randint(2, 12)
+        cycle = length >= 4 and length % 2 == 0 and rng.random() < 0.4
+        workers_even = balanced or rng.random() < 0.5
+        chain = []  # (worker, id) or (firm, id) along the component
+        for j in range(length):
+            if (j % 2 == 0) == workers_even:
+                chain.append(("worker", m))
+                m += 1
+            else:
+                chain.append(("firm", n))
+                n += 1
+        links = list(zip(chain, chain[1:])) + ([(chain[-1], chain[0])] if cycle else [])
+        for a, b in links:
+            edges.append((a[1], b[1]) if a[0] == "worker" else (b[1], a[1]))
+    return symbin_from_edges([2 if balanced else rng.randint(1, 2) for _ in range(n)],
+                             m, edges)
+
+
+def test_symbin_agrees_with_deg2_at_scale():
+    """Paths and cycles of 200 to 1000 agents.  No firm holds more than 2
+    workers, so every nonzero-Nash matching has product 2^(m - n): this
+    checks the zero/nonzero answer and both matchings."""
+    nonzero = []
+    for agents in (200, 400, 1000):
+        for seed in range(3):
+            rng = random.Random(f"symbin-deg2/{agents}/{seed}")
+            inst = symbin_paths_and_cycles(rng, agents, balanced=seed > 0)
+            nonzero.append(assert_symbin_agrees(inst, solve_degree_two))
+    assert any(nonzero) and not all(nonzero)
+
+
+def test_symbin_agrees_with_singlefirm_at_scale():
+    """Every worker values exactly one firm, 1 on both sides, with 200 to
+    2000 agents; capacities at the forced loads or above, one of them
+    sometimes a worker short, and a firm left without workers when the
+    draw leaves one, so both answers occur."""
+    nonzero = []
+    for m, n in ((180, 20), (900, 100), (1800, 200)):
+        for seed in range(3):
+            rng = random.Random(f"symbin-singlefirm/{m}/{seed}")
+            targets = [rng.randrange(n) for _ in range(m)]
+            caps = [max(1, targets.count(f)) + rng.randint(0, 1) for f in range(n)]
+            if seed == 1:
+                f = max(range(n), key=targets.count)
+                caps[f] = targets.count(f) - 1
+            inst = symbin_from_edges(caps, m, enumerate(targets))
+            nonzero.append(assert_symbin_agrees(inst, solve_single_positive_firm))
+    assert any(nonzero) and not all(nonzero)
 
 
 # --- degree 3, exactly two workers per firm --------------------------------
