@@ -1,26 +1,52 @@
-"""Brute-force reference solver.
+"""Exact reference solver: a depth-first branch and bound.
 
-This is the ground truth for the test suite, not a scalable solver.  The
-search assigns workers in index order, each to its positively valued firms
-in index order.  Its first node closes a zero-product completion, every
-worker unmatched: any branch whose partial product is zero scores zero, so
-expanding it cannot change the optimum.  Every matching with positive
-worker product is then enumerated explicitly.
+This is the ground truth for the test suite, not a scalable solver, and it
+takes no incumbent from another solver.  The search assigns workers in
+index order, each to its positively valued firms in index order.  Its first
+node closes a zero-product completion, every worker unmatched: any branch
+whose partial product is zero scores zero, so expanding it cannot change
+the optimum.  A complete matching replaces the best so far only when its
+product is strictly larger, so the matching returned is the first maximiser
+in this order, as in exhaustive enumeration.
 
-The search is an explicit-stack loop, so its depth is not bounded by
-Python's recursion limit.  Each firm's sum of its workers' values is kept
-up to date as the search goes down and undone on backtrack, so a leaf costs
-O(n), not an O(m) rescan of the assignment; the last worker's options are
-scored in one loop without a further descent.  The budget counts the zero
-completion and every complete matching with positive worker product, the
-leaves of the recursive form in tests/reference_oracle.py, which rebuilds
-the firm sums at each leaf; the two must agree on matching, product and
-leaf count.
+At a node whose workers 0..u-1 are placed, with worker product P, firm sums
+s_f and free places slack_f, two exact integer upper bounds on every
+completion are checked, and the subtree is cut when one is at most the
+best product so far (Land and Doig 1960).  A cut subtree holds no strictly
+better leaf, so cutting never changes the matching or product returned.
+
+- (a) per firm: P * W_u * prod_f (s_f + the sum of the slack_f largest
+  values f gives to workers u.. that value f), where W_u is the product of
+  each worker u..'s largest value.  The sums come from per-firm suffix
+  tables built once per solve; for a slack of EXACT_SLACK or more they
+  hold the sum of all such values (at most capacity many), which keeps
+  each table to EXACT_SLACK + 1 entries.
+- (b) AM-GM over integers: let F' be the firms with room that some worker
+  u.. values and that value such a worker positively, k = |F'| and S their
+  sum of s_f.  Each worker u.. adds to its firm's sum at most the largest
+  value a firm it values gives it, so F' gains at most R_u, the sum of
+  those.  The k final sums of F' are integers summing to at most
+  T = S + R_u, so their product is at most the balanced split
+  (q + 1)^r * q^(k - r), q, r = divmod(T, k), and the bound is
+  P * W_u * prod_{f not in F'} s_f times that.  It cuts on 0/1 instances
+  with slack capacities, where (a) cuts almost nothing, and is only
+  evaluated where (a) does not cut.
+
+The last worker's options are scored in one loop without a bound.  The
+search is an explicit-stack loop, so its depth is not bounded by Python's
+recursion limit, and each firm's sum is kept up to date as the search goes
+down and undone on backtrack.  The budget counts the nodes the search
+enters: the zero completion, then every partial or complete assignment,
+cut or not.  tests/reference_oracle.py holds the earlier exhaustive
+recursive form; the two must agree on matching and product.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Optional
 
 from .core import (
     BudgetExceededError,
@@ -33,6 +59,11 @@ from .core import (
 )
 
 
+# bound (a) sums a firm's largest values to come exactly for slacks below
+# this, and by their total at or above it, to keep its tables small
+EXACT_SLACK = 16
+
+
 @dataclass(frozen=True)
 class OracleResult:
     best: Matching
@@ -40,49 +71,118 @@ class OracleResult:
     num_enumerated: int
 
 
-def solve_bruteforce(inst: Instance, limit: int = 2_000_000) -> OracleResult:
+def solve_bruteforce(inst: Instance, limit: int = 2_000_000,
+                     stats: Optional[dict] = None) -> OracleResult:
     """Exact maximizer of the Nash product over capacity-feasible matchings;
-    ties go to the first complete matching enumerated.
+    ties go to the first complete matching in the search order.
 
-    Raises BudgetExceededError when more than `limit` complete matchings
-    would be examined.
+    Raises BudgetExceededError when the search would enter more than
+    `limit` nodes.  stats, when given, is filled with the nodes entered
+    ("nodes"), the complete matchings scored ("leaves") and the subtrees
+    cut by bound (a) ("firm_cuts") and by bound (b) ("amgm_cuts"), also
+    when the budget is exceeded.
     """
-    # the zero-product completion at the root is the first leaf
-    count, best = 1, None
-    if count > limit:
+    if stats is not None:
+        stats.update(nodes=1, leaves=0, firm_cuts=0, amgm_cuts=0)
+    # the zero-product completion at the root is the first node
+    nodes, best = 1, None
+    if nodes > limit:
         raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
     # a complete matching needs room for every worker and a positive option
-    # for each; without them the zero completion is the only leaf
+    # for each; without them the zero completion is the only node
     if sum(inst.capacities) >= inst.m and all(inst.valued_firms):
-        count, best = _enumerate(inst, limit)
+        nodes, best = _search(inst, limit, {} if stats is None else stats)
     best = zero_fallback(inst) if best is None else Matching.of(best)
-    return OracleResult(best, nash_value(inst, best), count)
+    return OracleResult(best, nash_value(inst, best), nodes)
 
 
-def _enumerate(inst: Instance, limit: int) -> tuple[int, list | None]:
-    """The search below the root: the leaf count, the zero completion
+def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list]:
+    """Suffix tables for the bounds at a node whose next worker is u:
+    worker_bound[u], the product of each worker u..'s largest value;
+    rest[u], the sum over workers u.. of the largest value a firm the
+    worker values gives it; tops[u][f], None when f gives no worker u..
+    that values it a positive value, else indexed by f's slack s clamped
+    to EXACT_SLACK: the sum of f's s largest such values, at most
+    capacities[f] of them, and at EXACT_SLACK the sum of all of those,
+    which is at least that of any larger slack's.  So a table has at most
+    EXACT_SLACK + 1 entries whatever the capacities.  The search bounds
+    nodes with u >= 1 only, so u = 0 is left out."""
+    m, n = inst.m, inst.n
+    room = inst.capacities
+    width = [min(c, EXACT_SLACK) + 1 for c in room]
+    worker_bound, rest = [1] * (m + 1), [0] * (m + 1)
+    tops: list = [None] * m
+    pools: list = [[] for _ in range(n)]
+    totals = [0] * n
+    row = [None] * n
+    for w in range(m - 1, 0, -1):
+        top_v = top_fv = 0
+        row = row.copy()
+        for f, v, fv in options[w]:
+            if v > top_v:
+                top_v = v
+            if fv:
+                if fv > top_fv:
+                    top_fv = fv
+                pool = pools[f]
+                insort(pool, fv)
+                totals[f] += fv
+                if len(pool) > room[f]:
+                    totals[f] -= pool.pop(0)
+                table = list(accumulate(reversed(pool[-EXACT_SLACK:]), initial=0))
+                del table[width[f] - 1:]
+                row[f] = table + [totals[f]] * (width[f] - len(table))
+        worker_bound[w] = worker_bound[w + 1] * top_v
+        rest[w] = rest[w + 1] + top_fv
+        tops[w] = row
+    return worker_bound, rest, tops
+
+
+def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
+    """The search below the root: the nodes entered, the zero completion
     included, and the first assignment of largest positive product (None
-    when no leaf is positive)."""
+    when no leaf is positive).  Fills stats as it returns or raises.
+
+    Both bounds are kept as running products over the firms: placing
+    worker w at f changes only the terms of f and of the firms whose values
+    to come lose w, so a node divides those terms out of its parent's
+    products (exactly: an expanded node's terms are all positive) and
+    multiplies their new values in."""
     m, n = inst.m, inst.n
     firm_vals = inst.firm_vals
     # each worker's positive options (firm, worker value, firm value), read
     # at the firms it values
     options = [[(f, row[f], firm_vals[f][w]) for f in firms]
                for w, (row, firms) in enumerate(zip(inst.worker_vals, inst.valued_firms))]
+    worker_bound, rest, tops = _bound_tables(inst, options)
+    # the branches below each worker: its options, each with the firms whose
+    # terms placing it there changes, that firm and those whose values to
+    # come lose the worker; None where all n are recomputed: below the root,
+    # which keeps no products, and where that is no dearer
+    every_firm = range(n)
+    branches = [[(f, v, fv, None) for f, v, fv in options[0]]]
+    for opts in options[1:-1]:
+        losing = [g for g, _v, gv in opts if gv]
+        row = []
+        for f, v, fv in opts:
+            firms = losing if fv else losing + [f]
+            row.append((f, v, fv, firms if 2 * len(firms) < n else None))
+        branches.append(row)
     slack = list(inst.capacities)
     sums = [0] * n
     assignment: list = [UNMATCHED] * m
     last = m - 1
     last_options = options[last]
-    count, best_product, best = 1, 0, None
+    nodes, partial, firm_cuts, amgm_cuts = 1, 0, 0, 0
+    best_product, best = 0, None
 
     def score(worker_prod: int):
         # workers 0..last-1 are assigned: each option of the last one is a leaf
-        nonlocal count, best_product, best
+        nonlocal nodes, best_product, best
         for f, v, fv in last_options:
             if slack[f]:
-                count += 1
-                if count > limit:
+                nodes += 1
+                if nodes > limit:
                     raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
                 sums[f] += fv
                 product = worker_prod * v
@@ -93,35 +193,98 @@ def _enumerate(inst: Instance, limit: int) -> tuple[int, list | None]:
                     best_product = product
                     best = assignment[:last] + [f]
 
-    if last == 0:
-        score(1)
-        return count, best
-    # per depth below w: the option iterator and the worker product before
-    # that depth's choice; assignment[w] is the choice itself
-    iters: list = [None] * last
-    prods = [1] * last
-    w, it, worker_prod = 0, iter(options[0]), 1
-    while True:
-        for f, v, fv in it:
-            if slack[f]:
-                break
-        else:
-            w -= 1
-            if w < 0:
-                return count, best
-            f = assignment[w]
-            slack[f] += 1
-            sums[f] -= firm_vals[f][w]
-            it, worker_prod = iters[w], prods[w]
-            continue
-        slack[f] -= 1
-        sums[f] += fv
-        assignment[w] = f
-        if w + 1 == last:
-            score(worker_prod * v)
+    try:
+        if last == 0:
+            score(1)
+            return nodes, best
+        # the node being expanded: its worker product, (a)'s product of firm
+        # terms, and (b)'s count k and sum S of the growable firms and
+        # product of the others' sums; the root's children recompute them
+        w, it, worker_prod = 0, iter(branches[0]), 1
+        firm_prod = grow_k = grow_sum = fixed_prod = None
+        # per depth below w, the same for that depth's node
+        stack: list = [None] * last
+        while True:
+            for f, v, fv, firms in it:
+                if slack[f]:
+                    break
+            else:
+                w -= 1
+                if w < 0:
+                    return nodes, best
+                f = assignment[w]
+                slack[f] += 1
+                sums[f] -= firm_vals[f][w]
+                it, worker_prod, firm_prod, grow_k, grow_sum, fixed_prod = stack[w]
+                continue
+            nodes += 1
+            partial += 1
+            if nodes > limit:
+                raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
+            u = w + 1
+            if u == last:
+                slack[f] -= 1
+                sums[f] += fv
+                assignment[w] = f
+                score(worker_prod * v)
+                slack[f] += 1
+                sums[f] -= fv
+                continue
+            # the terms placing w at f changes are divided out of the node's
+            # products and their new values multiplied in; or all n are
+            # recomputed
+            if firms is None:
+                firms, k, total, keep_a, keep_b = every_firm, 0, 0, 1, 1
+                slack[f] -= 1
+                sums[f] += fv
+            else:
+                k, total = grow_k, grow_sum
+                old_a = old_b = 1
+                top = tops[w]
+                for g in firms:
+                    t, s, x = top[g], slack[g], sums[g]
+                    if s and t:
+                        old_a *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
+                        k -= 1
+                        total -= x
+                    else:
+                        old_a *= x
+                        old_b *= x
+                keep_a, keep_b = firm_prod // old_a, fixed_prod // old_b
+                slack[f] -= 1
+                sums[f] += fv
+            new_a = new_b = 1
+            top = tops[u]
+            for g in firms:
+                t, s, x = top[g], slack[g], sums[g]
+                if s and t:
+                    new_a *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
+                    k += 1
+                    total += x
+                else:
+                    new_a *= x
+                    new_b *= x
+            child_prod = worker_prod * v
+            base = child_prod * worker_bound[u]
+            # (a): each firm at its sum plus its slack largest values to come
+            child_firm = keep_a * new_a
+            if base * child_firm <= best_product:
+                firm_cuts += 1
+            else:
+                # (b): the growable firms' balanced split of all they can gain
+                child_fixed = keep_b * new_b
+                q, r = divmod(total + rest[u], k) if k else (1, 0)
+                if base * child_fixed * (q + 1) ** r * q ** (k - r) <= best_product:
+                    amgm_cuts += 1
+                else:
+                    assignment[w] = f
+                    stack[w] = (it, worker_prod, firm_prod, grow_k, grow_sum, fixed_prod)
+                    w, it = u, iter(branches[u])
+                    worker_prod, firm_prod, grow_k, grow_sum, fixed_prod = (
+                        child_prod, child_firm, k, total, child_fixed)
+                    continue
             slack[f] += 1
             sums[f] -= fv
-        else:
-            iters[w], prods[w] = it, worker_prod
-            w += 1
-            it, worker_prod = iter(options[w]), worker_prod * v
+    finally:
+        stats.update(nodes=nodes, leaves=nodes - 1 - partial,
+                     firm_cuts=firm_cuts, amgm_cuts=amgm_cuts)

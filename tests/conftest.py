@@ -79,6 +79,35 @@ def random_degree_two(rng: random.Random) -> Instance:
     return Instance.create(caps, worker_vals, firm_vals)
 
 
+def planted_degree_two(rng: random.Random) -> Instance:
+    """Every agent of degree at most 2, over a planted matching of mutually
+    positive pairs that gives each firm one or two workers, so the optimum
+    is positive.  Capacities are the planted loads or one more, and the
+    degree left over goes to random extra pairs, as in random_degree_two."""
+    n = rng.randint(1, 4)
+    m = rng.randint(n, 2 * n)
+    planted = list(range(n)) + rng.sample(range(n), m - n)
+    rng.shuffle(planted)
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
+    wd, fd = [1] * m, [planted.count(f) for f in range(n)]
+    caps = [load + rng.randint(0, 1) for load in fd]
+    for w, f in enumerate(planted):
+        worker_vals[w][f] = rng.randint(1, 4)
+        firm_vals[f][w] = rng.randint(1, 4)
+    pairs = [(w, f) for w in range(m) for f in range(n) if f != planted[w]]
+    rng.shuffle(pairs)
+    for w, f in pairs:
+        if wd[w] < 2 and fd[f] < 2 and rng.random() < 0.7:
+            wd[w] += 1
+            fd[f] += 1
+            worker_vals[w][f] = rng.randint(0, 4)
+            firm_vals[f][w] = rng.randint(0, 4)
+            if worker_vals[w][f] == 0 and firm_vals[f][w] == 0:
+                worker_vals[w][f] = 1
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
 def random_degree3_cap2(rng: random.Random) -> Instance:
     """m = 2n, capacities 2, firm degrees <= 3 in the surviving-edge graph."""
     while True:

@@ -188,7 +188,7 @@ def test_rainbow_yes_hits_threshold():
     triples, planted = gen_random_3dm(2, seed=3)
     g = gen_rainbow_from_3dm(triples, 2, planted)
     gi = gen_from_rainbow(g)
-    result = solve_bruteforce(gi.instance, limit=20_000_000)
+    result = solve_bruteforce(gi.instance)
     assert result.value.product == 2 ** 8
     # any feasible nonzero matching of the construction: firms' utilities sum to 8r
     firm_utils = [sum(gi.instance.firm_vals[f][w]
@@ -197,8 +197,17 @@ def test_rainbow_yes_hits_threshold():
     assert sum(firm_utils) == 8 * 2
 
 
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_rainbow_yes_reaches_threshold_at_larger_r(r):
+    """Planted yes-instances of 5r workers and 4r firms reach 2^(4r) under
+    the oracle's default budget."""
+    triples, planted = gen_random_3dm(r, seed=0)
+    gi = gen_from_rainbow(gen_rainbow_from_3dm(triples, r, planted))
+    assert solve_bruteforce(gi.instance).value.product == 2 ** (4 * r)
+
+
 def test_rainbow_no_stays_below_threshold():
     g = gen_rainbow_from_3dm(NO_TRIPLES_R3, 3)
     gi = gen_from_rainbow(g)
-    result = solve_bruteforce(gi.instance, limit=50_000_000)
+    result = solve_bruteforce(gi.instance)
     assert result.value.product < 2 ** 12

@@ -12,7 +12,9 @@ from nswmatch.core import (
     nash_value,
     validate,
 )
-from nswmatch.oracle import solve_bruteforce
+from nswmatch.exact import solve_dp
+from nswmatch.generators import gen_random
+from nswmatch.oracle import EXACT_SLACK, solve_bruteforce
 from conftest import crossing_example, random_instance
 import reference_oracle
 from reference_oracle import exists_nonzero_bruteforce, solve_bruteforce_exact_loads
@@ -70,6 +72,59 @@ def test_budget():
     inst = Instance.create((8,) * 4, [[1] * 4] * 8, [[1] * 8] * 4)
     with pytest.raises(BudgetExceededError):
         solve_bruteforce(inst, limit=3)
+
+
+def test_stats_and_amgm_cut():
+    """A symmetric 0/1 instance with slack capacities: 2.6 million complete
+    matchings, no cut by the per-firm bound (a), and few enough nodes after
+    the AM-GM bound (b)'s cuts to stay far under the default budget."""
+    rows = [(1, 1, 0, 0), (0, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1),
+            (1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 1),
+            (1, 1, 1, 1), (0, 1, 1, 1)]
+    inst = Instance.create((7, 7, 11, 12), rows, list(zip(*rows)))
+    stats = {}
+    result = solve_bruteforce(inst, stats=stats)
+    assert result.value.product == solve_dp(inst)[1].product == 81
+    assert stats["nodes"] == result.num_enumerated < 20_000
+    assert stats["firm_cuts"] == 0 and stats["amgm_cuts"] > 0
+    assert 0 < stats["leaves"] < stats["nodes"]
+    # stats are filled when the budget is exceeded too
+    stats = {}
+    with pytest.raises(BudgetExceededError):
+        solve_bruteforce(inst, limit=100, stats=stats)
+    assert stats["nodes"] == 101
+
+
+def test_capacities_past_exact_slack():
+    """Bound (a) clamps a firm's slack to EXACT_SLACK, where its table holds
+    the firm's whole total: the results stay those of exhaustive search,
+    and of dp where more than EXACT_SLACK workers value a firm."""
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        inst = random_instance(rng, m=rng.randint(2, 8), n=n, density=0.8)
+        inst = Instance.create([rng.randint(EXACT_SLACK - 1, EXACT_SLACK + 4) for _ in range(n)],
+                               inst.worker_vals, inst.firm_vals)
+        ref = reference_oracle.solve_bruteforce(inst)
+        result = solve_bruteforce(inst)
+        assert (result.best, result.value.product) == (ref.best, ref.value.product)
+    m = EXACT_SLACK + 1
+    inst = random_instance(rng, m=m, n=2, density=0.8)
+    inst = Instance.create((m, m + 2), inst.worker_vals, inst.firm_vals)
+    assert solve_bruteforce(inst).value.product == solve_dp(inst)[1].product
+
+
+@pytest.mark.parametrize("m", [16, 18])
+def test_matches_dp_past_exhaustive_reach(m):
+    """Dense n = 3 instances with capacities ceil(m/3), where enumerating
+    every complete matching exceeds the default budget: the oracle agrees
+    with dp.  (Seed 0 is left out only for dp's time, about 5 s at
+    m = 18.)"""
+    for seed in (1, 2):
+        inst = gen_random(m, 3, [-(-m // 3)] * 3, 5, 1.0, seed).instance
+        result = solve_bruteforce(inst)
+        assert validate(inst, result.best) is None
+        assert result.value.product == solve_dp(inst)[1].product
 
 
 def test_exists_nonzero():
@@ -130,12 +185,12 @@ def _outcome(inst, limit):
 @settings(max_examples=400, deadline=None)
 @given(oracle_instances())
 def test_matches_recursive_reference(inst):
-    """The iterative search returns the recursive form's matching, product
-    and leaf count, and trips the budget on the same leaf."""
+    """The branch and bound returns the exhaustive recursive form's matching
+    and product; its budget admits exactly the nodes it reports entering."""
     ref = reference_oracle.solve_bruteforce(inst)
-    leaves = ref.num_enumerated
-    expected = (ref.best, ref.value.product, leaves)
-    assert _outcome(inst, 2_000_000) == expected
-    assert _outcome(inst, leaves) == expected
-    for limit in (leaves - 1, 0):
+    result = solve_bruteforce(inst)
+    assert (result.best, result.value.product) == (ref.best, ref.value.product)
+    nodes = result.num_enumerated
+    assert _outcome(inst, nodes) == (ref.best, ref.value.product, nodes)
+    for limit in (nodes - 1, 0):
         assert _outcome(inst, limit) == f"oracle enumeration budget {limit} exceeded"

@@ -20,6 +20,7 @@ from nswmatch.restricted import (
     symmetric_binary_iteration_cap,
 )
 from conftest import (
+    planted_degree_two,
     random_degree3_cap2,
     random_degree_two,
     random_instance,
@@ -86,8 +87,9 @@ def test_symbin_rejects_a_non_improving_path(monkeypatch):
 
 def test_symbin_oracle_agreement_and_cap():
     """200 small inputs and 150 unbalanced ones, some of which apply paths;
-    one of those (m = 12, n = 4) takes some 2.6 million oracle leaves, past
-    the default budget of 2 million."""
+    one of those (m = 12, n = 4) has some 2.6 million complete matchings,
+    which the oracle's bounds cut to a few hundred nodes under its default
+    budget."""
     rng = random.Random(61)
     instances = [random_symmetric_binary(rng) for _ in range(200)]
     instances += [unbalanced_symbin(rng, rng.randint(4, 12), rng.randint(2, 4),
@@ -98,7 +100,7 @@ def test_symbin_oracle_agreement_and_cap():
         stats = {}
         mu, value = solve_symmetric_binary(inst, stats=stats)
         assert validate(inst, mu) is None
-        oracle = solve_bruteforce(inst, limit=10 ** 7)
+        oracle = solve_bruteforce(inst)
         assert value.product == oracle.value.product
         cap = symmetric_binary_iteration_cap(inst.m, inst.n)
         assert stats["iterations"] <= cap
@@ -265,12 +267,17 @@ def test_deg2_one_sided_edges_count_toward_degree(at_bound, extra):
 
 
 def test_deg2_oracle_agreement():
+    """200 free draws, most of whose optima are zero, and 200 over a
+    planted positive matching."""
     rng = random.Random(67)
-    for _ in range(200):
-        inst = random_degree_two(rng)
+    free = [random_degree_two(rng) for _ in range(200)]
+    planted_rng = random.Random(68)
+    planted = [planted_degree_two(planted_rng) for _ in range(200)]
+    for inst in free + planted:
         mu, value = solve_degree_two(inst)
         assert validate(inst, mu) is None
         assert value.product == solve_bruteforce(inst).value.product
+    assert all(solve_degree_two(inst)[1].product > 0 for inst in planted)
 
 
 # --- cap1 and deg2 on their common domain ---------------------------------
