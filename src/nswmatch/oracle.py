@@ -32,12 +32,14 @@ better leaf, so cutting never changes the matching or product returned.
   with slack capacities, where (a) cuts almost nothing, and is only
   evaluated where (a) does not cut.
 
-The last worker's options are scored in one loop without a bound.  The
-search is an explicit-stack loop, so its depth is not bounded by Python's
-recursion limit, and each firm's sum is kept up to date as the search goes
-down and undone on backtrack.  The budget counts the nodes the search
-enters: the zero completion, then every partial or complete assignment,
-cut or not.  tests/reference_oracle.py holds the earlier exhaustive
+Both bounds are recomputed over all n firms at each node, and the last
+worker's options are scored in one loop without a bound.  The search is an
+explicit-stack loop, so its depth is not bounded by Python's recursion
+limit, and each firm's sum is kept up to date as the search goes down and
+undone on backtrack.  The budget is charged for the nodes the search
+enters (the zero completion, then every partial or complete assignment,
+cut or not), 1 + n // FIRMS_PER_UNIT units each, since each costs O(n).
+tests/reference_oracle.py holds the earlier exhaustive
 recursive form; the two must agree on matching and product.
 """
 
@@ -63,6 +65,11 @@ from .core import (
 # this, and by their total at or above it, to keep its tables small
 EXACT_SLACK = 16
 
+# bounding or scoring a node walks all n firms, so a node is charged one
+# budget unit plus one per this many firms, which keeps the time the budget
+# takes to run out about the same as n grows
+FIRMS_PER_UNIT = 8
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -76,32 +83,34 @@ def solve_bruteforce(inst: Instance, limit: int = 2_000_000,
     """Exact maximizer of the Nash product over capacity-feasible matchings;
     ties go to the first complete matching in the search order.
 
-    Raises BudgetExceededError when the search would enter more than
-    `limit` nodes.  stats, when given, is filled with the nodes entered
-    ("nodes"), the complete matchings scored ("leaves") and the subtrees
+    Each node the search enters costs 1 + n // FIRMS_PER_UNIT budget units,
+    and num_enumerated is the units spent.  Raises BudgetExceededError when
+    they would exceed `limit`.  stats, when given, is filled with the nodes
+    entered ("nodes"), the complete matchings scored ("leaves") and the subtrees
     cut by bound (a) ("firm_cuts") and by bound (b) ("amgm_cuts"), also
     when the budget is exceeded.
     """
     if stats is not None:
         stats.update(nodes=1, leaves=0, firm_cuts=0, amgm_cuts=0)
+    unit = 1 + inst.n // FIRMS_PER_UNIT
     # the zero-product completion at the root is the first node
     nodes, best = 1, None
-    if nodes > limit:
+    if unit > limit:
         raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
     # a complete matching needs room for every worker and a positive option
     # for each; without them the zero completion is the only node
     if sum(inst.capacities) >= inst.m and all(inst.valued_firms):
-        nodes, best = _search(inst, limit, {} if stats is None else stats)
+        nodes, best = _search(inst, limit, limit // unit, {} if stats is None else stats)
     best = zero_fallback(inst) if best is None else Matching.of(best)
-    return OracleResult(best, nash_value(inst, best), nodes)
+    return OracleResult(best, nash_value(inst, best), nodes * unit)
 
 
 def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list]:
     """Suffix tables for the bounds at a node whose next worker is u:
     worker_bound[u], the product of each worker u..'s largest value;
     rest[u], the sum over workers u.. of the largest value a firm the
-    worker values gives it; tops[u][f], None when f gives no worker u..
-    that values it a positive value, else indexed by f's slack s clamped
+    worker values gives it; tops[u][f], None when f has no room or gives
+    no worker u.. that values it a positive value, else indexed by f's slack s clamped
     to EXACT_SLACK: the sum of f's s largest such values, at most
     capacities[f] of them, and at EXACT_SLACK the sum of all of those,
     which is at least that of any larger slack's.  So a table has at most
@@ -117,7 +126,7 @@ def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list]:
     row = [None] * n
     for w in range(m - 1, 0, -1):
         top_v = top_fv = 0
-        row = row.copy()
+        fresh = False
         for f, v, fv in options[w]:
             if v > top_v:
                 top_v = v
@@ -125,29 +134,31 @@ def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list]:
                 if fv > top_fv:
                     top_fv = fv
                 pool = pools[f]
-                insort(pool, fv)
-                totals[f] += fv
-                if len(pool) > room[f]:
-                    totals[f] -= pool.pop(0)
-                table = list(accumulate(reversed(pool[-EXACT_SLACK:]), initial=0))
-                del table[width[f] - 1:]
-                row[f] = table + [totals[f]] * (width[f] - len(table))
+                # f's table changes only where fv enters its largest values;
+                # the row of w + 1 is copied on w's first change and shared
+                # where there is none
+                if len(pool) < room[f] or pool and fv > pool[0]:
+                    if not fresh:
+                        row, fresh = row.copy(), True
+                    insort(pool, fv)
+                    totals[f] += fv
+                    if len(pool) > room[f]:
+                        totals[f] -= pool.pop(0)
+                    table = list(accumulate(reversed(pool[-EXACT_SLACK:]), initial=0))
+                    del table[width[f] - 1:]
+                    row[f] = table + [totals[f]] * (width[f] - len(table))
         worker_bound[w] = worker_bound[w + 1] * top_v
         rest[w] = rest[w + 1] + top_fv
         tops[w] = row
     return worker_bound, rest, tops
 
 
-def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
+def _search(inst: Instance, limit: int, node_limit: int,
+            stats: dict) -> tuple[int, list | None]:
     """The search below the root: the nodes entered, the zero completion
     included, and the first assignment of largest positive product (None
-    when no leaf is positive).  Fills stats as it returns or raises.
-
-    Both bounds are kept as running products over the firms: placing
-    worker w at f changes only the terms of f and of the firms whose values
-    to come lose w, so a node divides those terms out of its parent's
-    products (exactly: an expanded node's terms are all positive) and
-    multiplies their new values in."""
+    when no leaf is positive).  Raises BudgetExceededError, naming limit,
+    past node_limit nodes, and fills stats as it returns or raises."""
     m, n = inst.m, inst.n
     firm_vals = inst.firm_vals
     # each worker's positive options (firm, worker value, firm value), read
@@ -155,19 +166,6 @@ def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
     options = [[(f, row[f], firm_vals[f][w]) for f in firms]
                for w, (row, firms) in enumerate(zip(inst.worker_vals, inst.valued_firms))]
     worker_bound, rest, tops = _bound_tables(inst, options)
-    # the branches below each worker: its options, each with the firms whose
-    # terms placing it there changes, that firm and those whose values to
-    # come lose the worker; None where all n are recomputed: below the root,
-    # which keeps no products, and where that is no dearer
-    every_firm = range(n)
-    branches = [[(f, v, fv, None) for f, v, fv in options[0]]]
-    for opts in options[1:-1]:
-        losing = [g for g, _v, gv in opts if gv]
-        row = []
-        for f, v, fv in opts:
-            firms = losing if fv else losing + [f]
-            row.append((f, v, fv, firms if 2 * len(firms) < n else None))
-        branches.append(row)
     slack = list(inst.capacities)
     sums = [0] * n
     assignment: list = [UNMATCHED] * m
@@ -182,7 +180,7 @@ def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
         for f, v, fv in last_options:
             if slack[f]:
                 nodes += 1
-                if nodes > limit:
+                if nodes > node_limit:
                     raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
                 sums[f] += fv
                 product = worker_prod * v
@@ -197,15 +195,13 @@ def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
         if last == 0:
             score(1)
             return nodes, best
-        # the node being expanded: its worker product, (a)'s product of firm
-        # terms, and (b)'s count k and sum S of the growable firms and
-        # product of the others' sums; the root's children recompute them
-        w, it, worker_prod = 0, iter(branches[0]), 1
-        firm_prod = grow_k = grow_sum = fixed_prod = None
+        # the node being expanded: its next worker w, the iterator over w's
+        # options and the product of the values of workers 0..w-1
+        w, it, worker_prod = 0, iter(options[0]), 1
         # per depth below w, the same for that depth's node
         stack: list = [None] * last
         while True:
-            for f, v, fv, firms in it:
+            for f, v, fv in it:
                 if slack[f]:
                     break
             else:
@@ -215,74 +211,46 @@ def _search(inst: Instance, limit: int, stats: dict) -> tuple[int, list | None]:
                 f = assignment[w]
                 slack[f] += 1
                 sums[f] -= firm_vals[f][w]
-                it, worker_prod, firm_prod, grow_k, grow_sum, fixed_prod = stack[w]
+                it, worker_prod = stack[w]
                 continue
             nodes += 1
             partial += 1
-            if nodes > limit:
+            if nodes > node_limit:
                 raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
+            slack[f] -= 1
+            sums[f] += fv
             u = w + 1
-            if u == last:
-                slack[f] -= 1
-                sums[f] += fv
-                assignment[w] = f
-                score(worker_prod * v)
-                slack[f] += 1
-                sums[f] -= fv
-                continue
-            # the terms placing w at f changes are divided out of the node's
-            # products and their new values multiplied in; or all n are
-            # recomputed
-            if firms is None:
-                firms, k, total, keep_a, keep_b = every_firm, 0, 0, 1, 1
-                slack[f] -= 1
-                sums[f] += fv
-            else:
-                k, total = grow_k, grow_sum
-                old_a = old_b = 1
-                top = tops[w]
-                for g in firms:
-                    t, s, x = top[g], slack[g], sums[g]
-                    if s and t:
-                        old_a *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
-                        k -= 1
-                        total -= x
-                    else:
-                        old_a *= x
-                        old_b *= x
-                keep_a, keep_b = firm_prod // old_a, fixed_prod // old_b
-                slack[f] -= 1
-                sums[f] += fv
-            new_a = new_b = 1
-            top = tops[u]
-            for g in firms:
-                t, s, x = top[g], slack[g], sums[g]
-                if s and t:
-                    new_a *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
-                    k += 1
-                    total += x
-                else:
-                    new_a *= x
-                    new_b *= x
             child_prod = worker_prod * v
-            base = child_prod * worker_bound[u]
-            # (a): each firm at its sum plus its slack largest values to come
-            child_firm = keep_a * new_a
-            if base * child_firm <= best_product:
-                firm_cuts += 1
+            if u == last:
+                assignment[w] = f
+                score(child_prod)
             else:
-                # (b): the growable firms' balanced split of all they can gain
-                child_fixed = keep_b * new_b
-                q, r = divmod(total + rest[u], k) if k else (1, 0)
-                if base * child_fixed * (q + 1) ** r * q ** (k - r) <= best_product:
-                    amgm_cuts += 1
+                # (a)'s product of firm terms; (b)'s count k and sum S of the
+                # growable firms and product of the others' sums
+                firm_prod = fixed_prod = 1
+                k = total = 0
+                for t, s, x in zip(tops[u], slack, sums):
+                    if s and t:
+                        firm_prod *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
+                        k += 1
+                        total += x
+                    else:
+                        firm_prod *= x
+                        fixed_prod *= x
+                base = child_prod * worker_bound[u]
+                # (a): each firm at its sum plus its slack largest values to come
+                if base * firm_prod <= best_product:
+                    firm_cuts += 1
                 else:
-                    assignment[w] = f
-                    stack[w] = (it, worker_prod, firm_prod, grow_k, grow_sum, fixed_prod)
-                    w, it = u, iter(branches[u])
-                    worker_prod, firm_prod, grow_k, grow_sum, fixed_prod = (
-                        child_prod, child_firm, k, total, child_fixed)
-                    continue
+                    # (b): the growable firms' balanced split of all they can gain
+                    q, r = divmod(total + rest[u], k) if k else (1, 0)
+                    if base * fixed_prod * (q + 1) ** r * q ** (k - r) <= best_product:
+                        amgm_cuts += 1
+                    else:
+                        assignment[w] = f
+                        stack[w] = (it, worker_prod)
+                        w, it, worker_prod = u, iter(options[u]), child_prod
+                        continue
             slack[f] += 1
             sums[f] -= fv
     finally:

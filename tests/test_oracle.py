@@ -14,7 +14,7 @@ from nswmatch.core import (
 )
 from nswmatch.exact import solve_dp
 from nswmatch.generators import gen_random
-from nswmatch.oracle import EXACT_SLACK, solve_bruteforce
+from nswmatch.oracle import EXACT_SLACK, FIRMS_PER_UNIT, solve_bruteforce
 from conftest import crossing_example, random_instance
 import reference_oracle
 from reference_oracle import exists_nonzero_bruteforce, solve_bruteforce_exact_loads
@@ -93,6 +93,32 @@ def test_stats_and_amgm_cut():
     with pytest.raises(BudgetExceededError):
         solve_bruteforce(inst, limit=100, stats=stats)
     assert stats["nodes"] == 101
+
+
+def test_budget_charges_wide_nodes():
+    """With n firms a node costs 1 + n // FIRMS_PER_UNIT budget units:
+    num_enumerated is the nodes entered times that, and the budget admits
+    exactly num_enumerated.  Worker w values firms w and w + 1 (mod n), each
+    of capacity 1, and is valued back, so the two rotations are the only
+    positive matchings."""
+    rng = random.Random(13)
+    for n in (FIRMS_PER_UNIT, 2 * FIRMS_PER_UNIT + 1):
+        ring = [(w, f) for w in range(n) for f in (w, (w + 1) % n)]
+        worker_vals = [[0] * n for _ in range(n)]
+        firm_vals = [[0] * n for _ in range(n)]
+        for w, f in ring:
+            worker_vals[w][f], firm_vals[f][w] = rng.randint(1, 5), rng.randint(1, 5)
+        inst = Instance.create((1,) * n, worker_vals, firm_vals)
+        stats = {}
+        result = solve_bruteforce(inst, stats=stats)
+        ref = reference_oracle.solve_bruteforce(inst)
+        assert (result.best, result.value.product) == (ref.best, ref.value.product)
+        assert result.value.product > 0
+        units = result.num_enumerated
+        assert units == (1 + n // FIRMS_PER_UNIT) * stats["nodes"]
+        assert _outcome(inst, units) == (result.best, result.value.product, units)
+        for limit in (units - 1, n // FIRMS_PER_UNIT):
+            assert _outcome(inst, limit) == f"oracle enumeration budget {limit} exceeded"
 
 
 def test_capacities_past_exact_slack():
@@ -186,7 +212,7 @@ def _outcome(inst, limit):
 @given(oracle_instances())
 def test_matches_recursive_reference(inst):
     """The branch and bound returns the exhaustive recursive form's matching
-    and product; its budget admits exactly the nodes it reports entering."""
+    and product; its budget admits exactly the units it reports spending."""
     ref = reference_oracle.solve_bruteforce(inst)
     result = solve_bruteforce(inst)
     assert (result.best, result.value.product) == (ref.best, ref.value.product)
