@@ -10,30 +10,36 @@ product is strictly larger, so the matching returned is the first maximiser
 in this order, as in exhaustive enumeration.
 
 At a node whose workers 0..u-1 are placed, with worker product P, firm sums
-s_f and free places slack_f, two exact integer upper bounds on every
-completion are checked, and the subtree is cut when one is at most the
-best product so far (Land and Doig 1960).  A cut subtree holds no strictly
-better leaf, so cutting never changes the matching or product returned.
+s_f and free places slack_f, the subtree is cut when every completion has
+product zero or an exact integer upper bound on every completion is at most
+the best product so far (Land and Doig 1960).  A cut subtree holds no
+strictly better leaf, so cutting never changes the matching or product
+returned.  A firm is growable when it has room and some worker u.. values
+it and is valued by it in return, that is, when its last such worker is u
+or later.
 
+- Empty firms: a growable firm whose sum is 0 needs one of the m - u
+  workers left, so the node is cut when there are more such firms.
 - (a) per firm: P * W_u * prod_f (s_f + the sum of the slack_f largest
-  values f gives to workers u.. that value f), where W_u is the product of
-  each worker u..'s largest value.  The sums come from per-firm suffix
-  tables built once per solve; for a slack of EXACT_SLACK or more they
-  hold the sum of all such values (at most capacity many), which keeps
-  each table to EXACT_SLACK + 1 entries.
-- (b) AM-GM over integers: let F' be the firms with room that some worker
-  u.. values and that value such a worker positively, k = |F'| and S their
-  sum of s_f.  Each worker u.. adds to its firm's sum at most the largest
-  value a firm it values gives it, so F' gains at most R_u, the sum of
-  those.  The k final sums of F' are integers summing to at most
+  positive values f gives to workers that value it, for a growable f),
+  where W_u is the product of each worker u..'s largest value.  The sums
+  come from one table of prefix sums per firm, built once per solve over
+  all workers, placed ones included, so the bound is looser by the values
+  of workers already placed.  A table has one entry more than the smaller
+  of f's capacity and its number of such workers, and a slack past its end
+  reads its last entry.
+- (b) AM-GM over integers: let F' be the growable firms, k = |F'| and S
+  their sum of s_f.  Each worker u.. adds to its firm's sum at most the
+  largest value a firm it values gives it, so F' gains at most R_u, the sum
+  of those.  The k final sums of F' are integers summing to at most
   T = S + R_u, so their product is at most the balanced split
   (q + 1)^r * q^(k - r), q, r = divmod(T, k), and the bound is
   P * W_u * prod_{f not in F'} s_f times that.  It cuts on 0/1 instances
   with slack capacities, where (a) cuts almost nothing, and is only
   evaluated where (a) does not cut.
 
-Both bounds are recomputed over all n firms at each node, and the last
-worker's options are scored in one loop without a bound.  The search is an
+All three are recomputed over all n firms at each node but a leaf, and a
+complete matching is scored in the same loop.  The search is an
 explicit-stack loop, so its depth is not bounded by Python's recursion
 limit, and each firm's sum is kept up to date as the search goes down and
 undone on backtrack.  The budget is charged for the nodes the search
@@ -45,7 +51,6 @@ recursive form; the two must agree on matching and product.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -60,10 +65,6 @@ from .core import (
     zero_fallback,
 )
 
-
-# bound (a) sums a firm's largest values to come exactly for slacks below
-# this, and by their total at or above it, to keep its tables small
-EXACT_SLACK = 16
 
 # bounding or scoring a node walks all n firms, so a node is charged one
 # budget unit plus one per this many firms, which keeps the time the budget
@@ -87,11 +88,12 @@ def solve_bruteforce(inst: Instance, limit: int = 2_000_000,
     and num_enumerated is the units spent.  Raises BudgetExceededError when
     they would exceed `limit`.  stats, when given, is filled with the nodes
     entered ("nodes"), the complete matchings scored ("leaves") and the subtrees
-    cut by bound (a) ("firm_cuts") and by bound (b) ("amgm_cuts"), also
-    when the budget is exceeded.
+    cut for more empty firms than workers left ("empty_cuts"), by bound (a)
+    ("firm_cuts") and by bound (b) ("amgm_cuts"), also when the budget is
+    exceeded.
     """
     if stats is not None:
-        stats.update(nodes=1, leaves=0, firm_cuts=0, amgm_cuts=0)
+        stats.update(nodes=1, leaves=0, firm_cuts=0, amgm_cuts=0, empty_cuts=0)
     unit = 1 + inst.n // FIRMS_PER_UNIT
     # the zero-product completion at the root is the first node
     nodes, best = 1, None
@@ -105,52 +107,35 @@ def solve_bruteforce(inst: Instance, limit: int = 2_000_000,
     return OracleResult(best, nash_value(inst, best), nodes * unit)
 
 
-def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list]:
-    """Suffix tables for the bounds at a node whose next worker is u:
-    worker_bound[u], the product of each worker u..'s largest value;
-    rest[u], the sum over workers u.. of the largest value a firm the
-    worker values gives it; tops[u][f], None when f has no room or gives
-    no worker u.. that values it a positive value, else indexed by f's slack s clamped
-    to EXACT_SLACK: the sum of f's s largest such values, at most
-    capacities[f] of them, and at EXACT_SLACK the sum of all of those,
-    which is at least that of any larger slack's.  So a table has at most
-    EXACT_SLACK + 1 entries whatever the capacities.  The search bounds
-    nodes with u >= 1 only, so u = 0 is left out."""
+def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list, list]:
+    """The bounds' tables, built once per solve: worker_bound[u], the
+    product of each worker u..'s largest value; rest[u], the sum over
+    workers u.. of the largest value a firm the worker values gives it;
+    tables[f], the prefix sums of the positive values f gives to workers
+    that value it, largest first and at most capacities[f] of them; and
+    lasts[f], the last such worker, -1 when there is none.  A table runs
+    over all workers, so it has at most m + 1 entries whatever the
+    capacities."""
     m, n = inst.m, inst.n
-    room = inst.capacities
-    width = [min(c, EXACT_SLACK) + 1 for c in room]
     worker_bound, rest = [1] * (m + 1), [0] * (m + 1)
-    tops: list = [None] * m
-    pools: list = [[] for _ in range(n)]
-    totals = [0] * n
-    row = [None] * n
-    for w in range(m - 1, 0, -1):
+    values: list = [[] for _ in range(n)]
+    lasts = [-1] * n
+    for w in range(m - 1, -1, -1):
         top_v = top_fv = 0
-        fresh = False
         for f, v, fv in options[w]:
             if v > top_v:
                 top_v = v
             if fv:
                 if fv > top_fv:
                     top_fv = fv
-                pool = pools[f]
-                # f's table changes only where fv enters its largest values;
-                # the row of w + 1 is copied on w's first change and shared
-                # where there is none
-                if len(pool) < room[f] or pool and fv > pool[0]:
-                    if not fresh:
-                        row, fresh = row.copy(), True
-                    insort(pool, fv)
-                    totals[f] += fv
-                    if len(pool) > room[f]:
-                        totals[f] -= pool.pop(0)
-                    table = list(accumulate(reversed(pool[-EXACT_SLACK:]), initial=0))
-                    del table[width[f] - 1:]
-                    row[f] = table + [totals[f]] * (width[f] - len(table))
+                values[f].append(fv)
+                if lasts[f] < 0:
+                    lasts[f] = w
         worker_bound[w] = worker_bound[w + 1] * top_v
         rest[w] = rest[w + 1] + top_fv
-        tops[w] = row
-    return worker_bound, rest, tops
+    tables = [list(accumulate(sorted(vals, reverse=True)[:c], initial=0))
+              for vals, c in zip(values, inst.capacities)]
+    return worker_bound, rest, tables, lasts
 
 
 def _search(inst: Instance, limit: int, node_limit: int,
@@ -159,47 +144,24 @@ def _search(inst: Instance, limit: int, node_limit: int,
     included, and the first assignment of largest positive product (None
     when no leaf is positive).  Raises BudgetExceededError, naming limit,
     past node_limit nodes, and fills stats as it returns or raises."""
-    m, n = inst.m, inst.n
+    m = inst.m
     firm_vals = inst.firm_vals
     # each worker's positive options (firm, worker value, firm value), read
     # at the firms it values
     options = [[(f, row[f], firm_vals[f][w]) for f in firms]
                for w, (row, firms) in enumerate(zip(inst.worker_vals, inst.valued_firms))]
-    worker_bound, rest, tops = _bound_tables(inst, options)
+    worker_bound, rest, tables, lasts = _bound_tables(inst, options)
     slack = list(inst.capacities)
-    sums = [0] * n
+    sums = [0] * inst.n
     assignment: list = [UNMATCHED] * m
-    last = m - 1
-    last_options = options[last]
-    nodes, partial, firm_cuts, amgm_cuts = 1, 0, 0, 0
-    best_product, best = 0, None
-
-    def score(worker_prod: int):
-        # workers 0..last-1 are assigned: each option of the last one is a leaf
-        nonlocal nodes, best_product, best
-        for f, v, fv in last_options:
-            if slack[f]:
-                nodes += 1
-                if nodes > node_limit:
-                    raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
-                sums[f] += fv
-                product = worker_prod * v
-                for s in sums:
-                    product *= s
-                sums[f] -= fv
-                if product > best_product:
-                    best_product = product
-                    best = assignment[:last] + [f]
-
+    nodes, best_product, best = 1, 0, None
+    leaves = firm_cuts = amgm_cuts = empty_cuts = 0
     try:
-        if last == 0:
-            score(1)
-            return nodes, best
         # the node being expanded: its next worker w, the iterator over w's
         # options and the product of the values of workers 0..w-1
         w, it, worker_prod = 0, iter(options[0]), 1
         # per depth below w, the same for that depth's node
-        stack: list = [None] * last
+        stack: list = [None] * m
         while True:
             for f, v, fv in it:
                 if slack[f]:
@@ -214,32 +176,40 @@ def _search(inst: Instance, limit: int, node_limit: int,
                 it, worker_prod = stack[w]
                 continue
             nodes += 1
-            partial += 1
             if nodes > node_limit:
                 raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
             slack[f] -= 1
             sums[f] += fv
             u = w + 1
             child_prod = worker_prod * v
-            if u == last:
-                assignment[w] = f
-                score(child_prod)
+            if u == m:
+                # a complete matching, scored in place
+                leaves += 1
+                for x in sums:
+                    child_prod *= x
+                if child_prod > best_product:
+                    best_product, best = child_prod, assignment[:w] + [f]
             else:
                 # (a)'s product of firm terms; (b)'s count k and sum S of the
-                # growable firms and product of the others' sums
+                # growable firms and product of the others' sums; the
+                # growable firms still empty
                 firm_prod = fixed_prod = 1
-                k = total = 0
-                for t, s, x in zip(tops[u], slack, sums):
-                    if s and t:
-                        firm_prod *= x + t[s if s < EXACT_SLACK else EXACT_SLACK]
+                k = total = empty = 0
+                for t, last, s, x in zip(tables, lasts, slack, sums):
+                    if s and last >= u:
+                        firm_prod *= x + t[s if s < len(t) else -1]
                         k += 1
                         total += x
+                        empty += not x
                     else:
                         firm_prod *= x
                         fixed_prod *= x
                 base = child_prod * worker_bound[u]
-                # (a): each firm at its sum plus its slack largest values to come
-                if base * firm_prod <= best_product:
+                # each empty firm needs one of the m - u workers left
+                if empty > m - u:
+                    empty_cuts += 1
+                # (a): each firm at its sum plus its slack largest values
+                elif base * firm_prod <= best_product:
                     firm_cuts += 1
                 else:
                     # (b): the growable firms' balanced split of all they can gain
@@ -254,5 +224,5 @@ def _search(inst: Instance, limit: int, node_limit: int,
             slack[f] += 1
             sums[f] -= fv
     finally:
-        stats.update(nodes=nodes, leaves=nodes - 1 - partial,
-                     firm_cuts=firm_cuts, amgm_cuts=amgm_cuts)
+        stats.update(nodes=nodes, leaves=leaves, firm_cuts=firm_cuts,
+                     amgm_cuts=amgm_cuts, empty_cuts=empty_cuts)

@@ -14,7 +14,7 @@ from nswmatch.core import (
 )
 from nswmatch.exact import solve_dp
 from nswmatch.generators import gen_random
-from nswmatch.oracle import EXACT_SLACK, FIRMS_PER_UNIT, solve_bruteforce
+from nswmatch.oracle import FIRMS_PER_UNIT, solve_bruteforce
 from conftest import crossing_example, random_instance
 import reference_oracle
 from reference_oracle import exists_nonzero_bruteforce, solve_bruteforce_exact_loads
@@ -86,7 +86,7 @@ def test_stats_and_amgm_cut():
     result = solve_bruteforce(inst, stats=stats)
     assert result.value.product == solve_dp(inst)[1].product == 81
     assert stats["nodes"] == result.num_enumerated < 20_000
-    assert stats["firm_cuts"] == 0 and stats["amgm_cuts"] > 0
+    assert stats["firm_cuts"] == 0 and stats["amgm_cuts"] > 0 and stats["empty_cuts"] > 0
     assert 0 < stats["leaves"] < stats["nodes"]
     # stats are filled when the budget is exceeded too
     stats = {}
@@ -121,23 +121,37 @@ def test_budget_charges_wide_nodes():
             assert _outcome(inst, limit) == f"oracle enumeration budget {limit} exceeded"
 
 
-def test_capacities_past_exact_slack():
-    """Bound (a) clamps a firm's slack to EXACT_SLACK, where its table holds
-    the firm's whole total: the results stay those of exhaustive search,
-    and of dp where more than EXACT_SLACK workers value a firm."""
+def test_capacities_up_to_huge():
+    """A firm's bound table holds at most one entry per worker that values
+    the firm, whatever its capacity, and a slack past its end reads its
+    last entry: capacities from that count of workers up to 10^12 and 2^70
+    give the results of exhaustive search, and of dp at m = 17."""
     rng = random.Random(11)
     for _ in range(30):
         n = rng.randint(1, 3)
         inst = random_instance(rng, m=rng.randint(2, 8), n=n, density=0.8)
-        inst = Instance.create([rng.randint(EXACT_SLACK - 1, EXACT_SLACK + 4) for _ in range(n)],
-                               inst.worker_vals, inst.firm_vals)
+        valuing = [sum(row[f] > 0 for row in inst.worker_vals) for f in range(n)]
+        caps = [rng.choice([k + rng.randint(0, 2), 10 ** 12, 2 ** 70]) for k in valuing]
+        inst = Instance.create(caps, inst.worker_vals, inst.firm_vals)
         ref = reference_oracle.solve_bruteforce(inst)
         result = solve_bruteforce(inst)
         assert (result.best, result.value.product) == (ref.best, ref.value.product)
-    m = EXACT_SLACK + 1
+    m = 17
     inst = random_instance(rng, m=m, n=2, density=0.8)
     inst = Instance.create((m, m + 2), inst.worker_vals, inst.firm_vals)
     assert solve_bruteforce(inst).value.product == solve_dp(inst)[1].product
+
+
+def test_empty_firm_cut():
+    """Dense m = n = 8: a node with more empty firms than workers left has
+    product zero.  Without that cut the search entered 399 862 nodes here,
+    316 265 of them leaves."""
+    inst = random_instance(random.Random(13), m=8, n=8, density=1.0)
+    stats = {}
+    result = solve_bruteforce(inst, stats=stats)
+    assert result.value.product == solve_dp(inst)[1].product > 0
+    assert stats["empty_cuts"] > 0
+    assert stats["nodes"] < 40_000
 
 
 @pytest.mark.parametrize("m", [16, 18])

@@ -1,8 +1,8 @@
 """Metamorphic tests: renumbering the workers and the firms of an instance
 changes no exact solver's status or Nash product, nor the feasibility
-verdict, and multiplying one agent's values by c multiplies a positive
-optimum by exactly c.  Neither side needs an oracle, so the relations hold
-at any size."""
+verdict, multiplying one agent's values by c multiplies a positive optimum
+by exactly c, and raising one value never lowers the optimum.  Neither
+side needs an oracle, so the relations hold at any size."""
 
 import random
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nswmatch.cli import run_algo
 from nswmatch.core import Instance
 from conftest import (
+    planted_degree_two,
     random_degree3_cap2,
     random_degree_two,
     random_instance,
@@ -113,3 +114,40 @@ def test_scaling_a_row_scales_the_optimum(algo, rng, c, side):
         return
     assert int(after["nash_product"]) == c * int(before["nash_product"])
     assert run_algo("feasible", scaled)["feasible"] == run_algo("feasible", inst)["feasible"]
+
+
+# the exact solvers with a domain of their own, and oracle and dp on any
+# instance; deg2 on planted draws, as random_degree_two's optimum is
+# mostly zero
+RAISED = {
+    "oracle": random_instance,
+    "dp": random_instance,
+    "buckets": random_instance,
+    "cap1": _capacity_one,
+    "deg2": planted_degree_two,
+    "deg3cap2": random_degree3_cap2,
+    "singlefirm": random_single_positive_firm,
+}
+
+
+@pytest.mark.parametrize("algo", RAISED)
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), raise_by=st.sampled_from((1, 3, 2 ** 61)),
+       side=st.sampled_from(("worker", "firm")))
+def test_raising_a_value_never_lowers_the_optimum(algo, rng, raise_by, side):
+    """Each matching's product is a product of sums of nonnegative values,
+    so raising one value, zero or not, lowers none of them, and the optimum
+    cannot fall.  A pair is skipped when the raised instance leaves the
+    solver's domain (a new edge past a degree bound, a second positive
+    firm) or a budget."""
+    inst = RAISED[algo](rng)
+    worker_vals = [list(row) for row in inst.worker_vals]
+    firm_vals = [list(row) for row in inst.firm_vals]
+    rows = worker_vals if side == "worker" else firm_vals
+    row = rng.choice(rows)
+    row[rng.randrange(len(row))] += raise_by
+    raised = Instance.create(inst.capacities, worker_vals, firm_vals)
+    before, after = run_algo(algo, inst), run_algo(algo, raised)
+    if {before["status"], after["status"]} & {"infeasible-domain", "budget-exceeded"}:
+        return
+    assert int(after["nash_product"]) >= int(before["nash_product"])

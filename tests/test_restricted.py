@@ -7,7 +7,7 @@ import reference_symbin
 from nswmatch import restricted
 from nswmatch.cli import run_algo
 from nswmatch.core import DomainError, Instance, NashValue, validate
-from nswmatch.exact import solve_capacity_one
+from nswmatch.exact import solve_capacity_one, solve_dp
 from nswmatch.feasibility import exists_nonzero_nash
 from nswmatch.oracle import solve_bruteforce
 from reference_oracle import solve_bruteforce_exact_loads
@@ -617,6 +617,41 @@ def test_deg3cap2_worker_no_firm_can_take():
     inst = Instance.create((2, 2), [[1, 1], [1, 1], [1, 0], [0, 0]],
                            [[1, 1, 1, 0], [1, 1, 0, 5]])
     assert _agrees_with_exact_loads(inst) == 0
+
+
+def test_deg3cap2_agrees_with_dp():
+    """m = 2n <= 16 with capacities 2 and firm degree <= 3, where the
+    general dp also runs: both give the same product, and each matching is
+    valid.  Two draws in three plant a pair at every firm, the others draw
+    2-3 workers per firm; values are 1..4, or 0..4 on the firm side in one
+    draw in four."""
+    rng = random.Random(404)
+    positive = 0
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        m = 2 * n
+        if rng.random() < 2 / 3:
+            pools = _planted_pools(rng, n)
+            for pool in pools:
+                if rng.random() < 0.5:
+                    pool.add(rng.randrange(m))
+        else:
+            pools = [set(rng.sample(range(m), rng.randint(2, min(3, m)))) for _ in range(n)]
+        low = 0 if rng.random() < 0.25 else 1
+        worker_vals = [[0] * n for _ in range(m)]
+        firm_vals = [[0] * m for _ in range(n)]
+        for f, pool in enumerate(pools):
+            for w in pool:
+                worker_vals[w][f] = rng.randint(1, 4)
+                firm_vals[f][w] = rng.randint(low, 4)
+        inst = Instance.create([2] * n, worker_vals, firm_vals)
+        mu, value = solve_degree3_capacity2(inst)
+        dp_mu, dp_value = solve_dp(inst)
+        assert value.product == dp_value.product
+        assert validate(inst, dp_mu) is None
+        assert mu is None if value.is_zero else validate(inst, mu) is None
+        positive += not value.is_zero
+    assert positive > 60
 
 
 # --- single positive firm --------------------------------------------------
