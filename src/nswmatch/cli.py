@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import generators
@@ -199,11 +200,7 @@ def generate_instance(spec: dict) -> generators.GeneratedInstance:
     if kind == "rainbow":
         r, seed = _field(spec, "r", (int,)), _field(spec, "seed", (int,))
         triples, planted = generators.gen_random_3dm(r, seed)
-        g = generators.gen_rainbow_from_3dm(triples, r, planted)
-        idx = {t: k for k, t in enumerate(triples)}
-        gen = generators.gen_from_rainbow(g, certificate=tuple(idx[t] for t in planted))
-        return generators.GeneratedInstance(gen.instance, gen.kind, gen.theta,
-                                            seed, gen.certificate)
+        return replace(generators.gen_from_rainbow(triples, r, planted), seed=seed)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -347,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--capacities")
-    p_gen.add_argument("--v-max", type=int, default=5)
-    p_gen.add_argument("--density", type=float, default=1.0)
+    p_gen.add_argument("--v-max", type=int)
+    p_gen.add_argument("--density", type=float)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--a", help="comma-separated partition values")
     p_gen.add_argument("--strict", action="store_true")

@@ -30,6 +30,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, compress
 from operator import itemgetter, mul
 from typing import Optional
@@ -290,7 +291,8 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
 def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching, NashValue]:
     """Best matching over all guesses of how many workers of each group go
     to each firm, with every worker matched; BudgetExceededError when the
-    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time.
+    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time, or when the
+    search would nest deeper than half the recursion limit.
 
     Per group, count vectors are tried in increasing lexicographic order,
     and firm f takes the group's next k workers; a firm stops taking at a
@@ -316,6 +318,11 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
         space *= math.comb(len(workers) + n - 1, n - 1)
         if space > DEFAULT_GUESS_BUDGET:
             raise BudgetExceededError("bucket guess space exceeds budget")
+    # place and split nest n + 1 frames per group
+    depth = len(groups) * (n + 1)
+    if 2 * depth > sys.getrecursionlimit():
+        raise BudgetExceededError(f"group search would nest {depth} frames, past half "
+                                  f"the recursion limit {sys.getrecursionlimit()}")
 
     caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
     # suffix tables over the workers in reverse search order: with j of

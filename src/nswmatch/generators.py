@@ -5,6 +5,11 @@ optimal Nash product hits a known threshold exactly when a planted
 combinatorial object (balanced partition, rainbow perfect matching) exists.
 Each generator emits metadata: the threshold as an exact (base, num, den)
 triple meaning base^(num/den), and an optional certificate.
+
+The rainbow builder takes a 3-dimensional matching instance directly: its
+triples (x, y, z) are the colored edges (x, y, color z) of a bipartite
+graph, and a 3D perfect matching among them is a rainbow perfect matching.
+gen_random_3dm draws such triples with one planted.
 """
 
 from __future__ import annotations
@@ -39,49 +44,6 @@ class GeneratedInstance:
             "certificate": None if self.certificate is None else list(self.certificate),
         }
         return obj
-
-
-@dataclass(frozen=True)
-class RainbowGraph:
-    """Bipartite multigraph on X, Y (|X| = |Y| = r) with colored edges.
-
-    edges[k] = (x, y, color).  At most one edge of a given color joins a
-    vertex pair.  The restricted family additionally has every vertex of
-    degree 3 and exactly three edges of each color.
-    """
-
-    r: int
-    edges: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for x, y, c in self.edges:
-            if not (0 <= x < self.r and 0 <= y < self.r and 0 <= c < self.r):
-                raise ValueError("edge endpoint or color out of range")
-            if (x, y, c) in seen:
-                raise ValueError("duplicate edge of one color on a vertex pair")
-            seen.add((x, y, c))
-        if not self.edges:
-            raise ValueError("edge set must be nonempty")
-
-    def color_counts(self) -> list[int]:
-        counts = [0] * self.r
-        for _x, _y, c in self.edges:
-            counts[c] += 1
-        return counts
-
-    def degrees(self) -> tuple[list[int], list[int]]:
-        dx = [0] * self.r
-        dy = [0] * self.r
-        for x, y, _c in self.edges:
-            dx[x] += 1
-            dy[y] += 1
-        return dx, dy
-
-    def in_restricted_family(self) -> bool:
-        dx, dy = self.degrees()
-        return (all(d == 3 for d in dx + dy)
-                and all(c == 3 for c in self.color_counts()))
 
 
 def gen_random(m: int, n: int, capacities, v_max: int, density: float,
@@ -168,37 +130,6 @@ def gen_from_partition(a, strict: bool = False) -> GeneratedInstance:
                              theta, None, cert)
 
 
-def gen_rainbow_from_3dm(triples, r: int,
-                         planted: Optional[tuple] = None) -> RainbowGraph:
-    """Project a tripartite 3-dimensional matching instance to a rainbow
-    graph: triple (x, y, z) becomes an edge (x, y) of color z.  Requires
-    every vertex of all three sides to lie in exactly three triples; a
-    planted 3D perfect matching carries over as a rainbow certificate."""
-    triples = [tuple(t) for t in triples]
-    if not triples:
-        raise ValueError("empty triple set")
-    if len(set(triples)) != len(triples):
-        raise ValueError("triples must be distinct")
-    deg = [[0] * r for _ in range(3)]
-    for x, y, z in triples:
-        for side, v in enumerate((x, y, z)):
-            if not 0 <= v < r:
-                raise ValueError("vertex out of range")
-            deg[side][v] += 1
-    if any(d != 3 for side in deg for d in side):
-        raise ValueError("every vertex must lie in exactly three triples")
-    g = RainbowGraph(r, tuple((x, y, z) for x, y, z in triples))
-    if planted is not None:
-        idx = {t: k for k, t in enumerate(triples)}
-        chosen = [idx[tuple(t)] for t in planted]
-        xs = {triples[k][0] for k in chosen}
-        ys = {triples[k][1] for k in chosen}
-        cs = {triples[k][2] for k in chosen}
-        if not (len(chosen) == r and len(xs) == len(ys) == len(cs) == r):
-            raise ValueError("planted certificate is not a 3D perfect matching")
-    return g
-
-
 def gen_random_3dm(r: int, seed: int) -> tuple[list[tuple[int, int, int]], tuple]:
     """Random yes-instance: three pairwise edge-disjoint permutation
     matchings; every vertex lies in exactly three triples.  Returns the
@@ -223,34 +154,55 @@ def gen_random_3dm(r: int, seed: int) -> tuple[list[tuple[int, int, int]], tuple
             return triples, tuple(triples[:r])
 
 
-def gen_from_rainbow(g: RainbowGraph,
-                     certificate: Optional[tuple] = None) -> GeneratedInstance:
+def gen_from_rainbow(edges, r: int, planted: Optional[tuple] = None) -> GeneratedInstance:
     """Matching instance whose optimal Nash product is 2^(4r) exactly when
     the rainbow graph has a rainbow perfect matching.
 
-    Layout for q = len(edges) edges and r colors (q = 3r in the restricted
-    family): one main firm per edge plus one collector firm per color, one
-    main worker per graph vertex plus one dummy worker per edge, all
-    capacities 2.  A main firm and the two endpoints of its edge value each
-    other 1; a main firm values its own dummy worker 2 and that dummy
-    values it 1; the color's collector firm values each of its dummies 2
-    and each such dummy values it 1.
+    The graph joins X to Y (|X| = |Y| = r) by colored edges (x, y, color),
+    which are the triples of a 3DM instance as gen_random_3dm returns
+    them.  It must lie in the restricted family: r >= 2, the edges distinct
+    and in range, and every x, every y and every color on exactly three
+    edges.  `planted`, when given, must be r of the edges with every x, y
+    and color once, a rainbow perfect matching; its edges' indices are the
+    certificate.  ValueError otherwise.
+
+    Layout for q = 3r edges: one main firm per edge plus one collector
+    firm per color, one main worker per graph vertex plus one dummy worker
+    per edge, all capacities 2.  A main firm and the two endpoints of its
+    edge value each other 1; a main firm values its own dummy worker 2 and
+    that dummy values it 1; the color's collector firm values each of its
+    dummies 2 and each such dummy values it 1.
     """
-    r = g.r
     if r < 2:
         raise ValueError("need r >= 2: one vertex pair cannot host three "
                          "edges of one color")
-    if any(c != 3 for c in g.color_counts()):
-        raise ValueError("need exactly three edges of each color")
-    if not g.in_restricted_family():
-        raise ValueError("graph is outside the restricted family")
-    q = len(g.edges)  # == 3r
+    edges = [tuple(e) for e in edges]
+    if len(set(edges)) != len(edges):
+        raise ValueError("edges must be distinct")
+    deg = [[0] * r for _ in range(3)]
+    for x, y, c in edges:
+        for side, v in zip(deg, (x, y, c)):
+            if not 0 <= v < r:
+                raise ValueError("edge endpoint or color out of range")
+            side[v] += 1
+    if any(d != 3 for side in deg for d in side):
+        raise ValueError("every x, y and color must lie on exactly three edges")
+    certificate = None
+    if planted is not None:
+        index = {e: k for k, e in enumerate(edges)}
+        planted = [tuple(e) for e in planted]
+        if any(e not in index for e in planted):
+            raise ValueError("a planted edge is not among the edges")
+        if len(planted) != r or any(len(set(side)) != r for side in zip(*planted)):
+            raise ValueError("planted edges are not a rainbow perfect matching")
+        certificate = tuple(index[e] for e in planted)
+    q = len(edges)  # == 3r
     m, n = 2 * r + q, q + r
     # workers: X vertices 0..r-1, Y vertices r..2r-1, dummy of edge k at 2r+k
     # firms: main firm of edge k at k, collector of color c at q+c
     worker_vals = [[0] * n for _ in range(m)]
     firm_vals = [[0] * m for _ in range(n)]
-    for k, (x, y, c) in enumerate(g.edges):
+    for k, (x, y, c) in enumerate(edges):
         for w in (x, r + y):
             worker_vals[w][k] = 1
             firm_vals[k][w] = 1
@@ -260,10 +212,4 @@ def gen_from_rainbow(g: RainbowGraph,
         firm_vals[q + c][d] = 2
         worker_vals[d][q + c] = 1
     inst = Instance.create((2,) * n, worker_vals, firm_vals)
-    if certificate is not None:
-        colors = {g.edges[k][2] for k in certificate}
-        xs = {g.edges[k][0] for k in certificate}
-        ys = {g.edges[k][1] for k in certificate}
-        if not (len(certificate) == r and len(colors) == len(xs) == len(ys) == r):
-            raise ValueError("certificate is not a rainbow perfect matching")
     return GeneratedInstance(inst, "rainbow", (2, 4, 9), None, certificate)

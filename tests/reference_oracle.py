@@ -7,7 +7,7 @@ its matching, product and leaf count.  The others enumerate assignments
 worker by worker, like the oracle; they answer narrower questions than the
 oracle does (fixed per-firm loads, existence of a positive product) and are
 only used to check solvers in the test suite.  find_rainbow_pm enumerates
-one edge per color of a rainbow graph.
+one edge per color of a rainbow graph given as its colored edges.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from nswmatch.core import (
     nash_value,
     zero_fallback,
 )
-from nswmatch.generators import RainbowGraph
 from nswmatch.oracle import OracleResult
 
 
@@ -145,17 +144,18 @@ def exists_nonzero_bruteforce(inst: Instance) -> tuple[bool, Matching | None]:
     return False, None
 
 
-def find_rainbow_pm(g: RainbowGraph) -> Optional[tuple[int, ...]]:
-    """Exhaustive search for a rainbow perfect matching: one edge per color,
-    jointly a perfect matching of X against Y.  Returns edge indices."""
-    by_color: list[list[int]] = [[] for _ in range(g.r)]
-    for k, (_x, _y, c) in enumerate(g.edges):
+def find_rainbow_pm(edges, r: int) -> Optional[tuple[int, ...]]:
+    """Exhaustive search for a rainbow perfect matching among the colored
+    edges (x, y, color) on r vertices a side and r colors: one edge per
+    color, jointly a perfect matching of X against Y.  Returns edge indices."""
+    by_color: list[list[int]] = [[] for _ in range(r)]
+    for k, (_x, _y, c) in enumerate(edges):
         by_color[c].append(k)
     if any(not lst for lst in by_color):
         return None
     for choice in product(*by_color):
-        xs = {g.edges[k][0] for k in choice}
-        ys = {g.edges[k][1] for k in choice}
-        if len(xs) == g.r and len(ys) == g.r:
+        xs = {edges[k][0] for k in choice}
+        ys = {edges[k][1] for k in choice}
+        if len(xs) == r and len(ys) == r:
             return tuple(choice)
     return None

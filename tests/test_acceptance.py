@@ -22,7 +22,6 @@ from nswmatch.feasibility import exists_nonzero_nash
 from nswmatch.generators import (
     gen_from_partition,
     gen_from_rainbow,
-    gen_rainbow_from_3dm,
     gen_random_3dm,
     has_balanced_partition,
 )
@@ -323,10 +322,9 @@ def test_criterion_8_rainbow_threshold():
     # r = 3; see the NO-triple systems below.)
     for seed in range(5):
         triples, planted = gen_random_3dm(2, seed=seed)
-        g = gen_rainbow_from_3dm(triples, 2, planted)
-        assert g.in_restricted_family()
-        assert find_rainbow_pm(g) is not None
-        gi = gen_from_rainbow(g)
+        # gen_from_rainbow rejects a graph outside the restricted family
+        gi = gen_from_rainbow(triples, 2, planted)
+        assert find_rainbow_pm(triples, 2) is not None
         opt = solve_bruteforce(gi.instance).value.product
         assert opt == 2 ** 8
     # NO side: restricted r = 3 triple systems without a rainbow PM (one
@@ -337,10 +335,8 @@ def test_criterion_8_rainbow_threshold():
         _relabel(NO_TRIPLES_R3, (2, 0, 1), (1, 2, 0), (2, 1, 0)),
     ]
     for triples in no_systems:
-        g = gen_rainbow_from_3dm(triples, 3)
-        assert g.in_restricted_family()
-        assert find_rainbow_pm(g) is None
-        gi = gen_from_rainbow(g)
+        gi = gen_from_rainbow(triples, 3)
+        assert find_rainbow_pm(triples, 3) is None
         opt = solve_bruteforce(gi.instance).value.product
         assert opt < 2 ** 12
     elapsed = time.perf_counter() - start

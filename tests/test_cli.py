@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -49,6 +50,48 @@ def test_generate_random_deterministic(tmp_path):
         assert main(["generate", "--kind", "random", "--m", "6", "--n", "3",
                      "--seed", "7", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `generate`'s output file, pinned so that no change to the
+# generators or to the option defaults alters an instance, its metadata or
+# its bytes
+GENERATE_DIGESTS = {
+    "--kind rainbow --r 2 --seed 0":
+        "4d53b2265c604769310fd64f0a7ee17c5abdd6b14b078666bec8482c8bfdc758",
+    "--kind rainbow --r 2 --seed 1":
+        "8a6ab440d03866fadd290a9f11f5c9867985523d7064b385c4334e0fce6e669e",
+    "--kind rainbow --r 2 --seed 5":
+        "7e75ae1762ad936a3fa1d047ad71a1e243f0a438da4d45a8ef09729a4ed29ff8",
+    "--kind rainbow --r 3 --seed 0":
+        "644ca98b3c3d2e9305f09b6e639d05d0fc22a860a22344a55b386db939950899",
+    "--kind rainbow --r 3 --seed 1":
+        "3a494d8c8d245c68b0749ea198e67ec18fa21e74ba6531f02d8478c5551773bc",
+    "--kind rainbow --r 3 --seed 5":
+        "ac63dcf0c15aaef9476e4d4d26b2e5b7db800c0fa583f4632a960a84bc8bd05a",
+    "--kind rainbow --r 4 --seed 0":
+        "274fd05d05ae093bde78df2f58eb90aa4847fa3258dd2b010cecbcdf20587341",
+    "--kind rainbow --r 4 --seed 1":
+        "d0e280084a645ff2345e54578463715286ab175c6e7da961b9cd9f536465a541",
+    "--kind rainbow --r 4 --seed 5":
+        "6a8fedd9b8b691a52a6661dc9acd3025e26dc07bce33bc2535bb2226a96bb527",
+    "--kind rainbow --r 7 --seed 0":
+        "7d56da56f089cd8d8483abcc189c1d48d44bcbfdcf2d900ef4b1c14d68fb4cd7",
+    "--kind rainbow --r 7 --seed 1":
+        "c2f6bf52a1a1ea3d604aee5e8a637530404b120bc09fffcafad6b4b07bed7c1d",
+    "--kind rainbow --r 7 --seed 5":
+        "7563e0e0ac3de0076a62bc28fc586c75de89419a2600a6ba478c0a2ec9d18183",
+    "--kind random --m 7 --n 3 --seed 2":
+        "3e52fb32c872a875f26c1ed34daa57b6ba006806a1cc89f1e2d44103b2824dd0",
+    "--kind partition --a 1,2,3,4,5,7":
+        "523445683630f9154fec1b907ac754a623118559537f55071d3e025aa542a0e9",
+}
+
+
+@pytest.mark.parametrize("args", GENERATE_DIGESTS)
+def test_generate_output_is_pinned(tmp_path, args):
+    out = tmp_path / "inst.json"
+    assert main(["generate", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_DIGESTS[args]
 
 
 def test_generate_bad_kind(tmp_path):
@@ -130,6 +173,24 @@ def test_solve_oracle_deep_instance(tmp_path):
     record = json.loads(proc.stdout)
     assert record["status"] == "ok"
     assert record["nash_product"] == "1500"
+
+
+def test_solve_qptas_deep_group_search_exits_4(tmp_path):
+    """600 workers of pairwise distinct values at one firm of capacity 600
+    form 600 signature groups, and the group search would nest past
+    Python's recursion limit: the CLI exits 4 with a budget-exceeded
+    record and no traceback."""
+    m = 600
+    path = tmp_path / "distinct.json"
+    path.write_text(json.dumps(Instance.create(
+        (m,), [[2 ** w] for w in range(m)], [[1] * m]).to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nswmatch.cli", "solve", str(path), "--algo", "qptas",
+         "--eps", "1/1"],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["status"] == "budget-exceeded"
 
 
 @pytest.mark.parametrize("algo", ["feasible", "symbin"])
@@ -278,24 +339,28 @@ def test_partition_search_over_budget_exits_4(tmp_path, capsys):
 
 
 def test_bench_entry_and_generate_give_one_instance(tmp_path):
-    """A random suite entry and `generate` with the same parameters build
-    the same instance: the generated file benches row for row alike."""
-    out = tmp_path / "gen.json"
-    assert main(["generate", "--kind", "random", "--m", "6", "--n", "3",
-                 "--capacities", "2,3,2", "--v-max", "7", "--density", "0.6",
-                 "--seed", "5", "--out", str(out)]) == 0
-    entry = {"id": "entry", "kind": "random", "m": 6, "n": 3, "capacities": [2, 3, 2],
-             "v_max": 7, "density": 0.6, "seed": 5}
-    generated = json.loads(out.read_text())
-    del generated["meta"]
-    assert generate_instance(entry).instance.to_json() == generated
-    suite = {"instances": [entry, {"id": "file", "kind": "file", "path": str(out)}],
-             "algos": [{"name": "oracle"}, {"name": "dp"}]}
-    csv = tmp_path / "out.csv"
-    assert main(["bench", _write(tmp_path / "suite.json", suite), "--out", str(csv)]) == 0
-    rows = [line.split(",", 1) for line in csv.read_text().splitlines()[1:]]
-    assert [rest for inst_id, rest in rows if inst_id == "entry"] == \
-        [rest for inst_id, rest in rows if inst_id == "file"]
+    """A random or rainbow suite entry and `generate` with the same
+    parameters build the same instance: the generated file benches row for
+    row alike."""
+    cases = [
+        (["--kind", "random", "--m", "6", "--n", "3", "--capacities", "2,3,2",
+          "--v-max", "7", "--density", "0.6", "--seed", "5"],
+         {"id": "entry", "kind": "random", "m": 6, "n": 3, "capacities": [2, 3, 2],
+          "v_max": 7, "density": 0.6, "seed": 5}),
+        (["--kind", "rainbow", "--r", "3", "--seed", "1"],
+         {"id": "entry", "kind": "rainbow", "r": 3, "seed": 1}),
+    ]
+    for argv, entry in cases:
+        out = tmp_path / "gen.json"
+        assert main(["generate", *argv, "--out", str(out)]) == 0
+        assert generate_instance(entry).to_json() == json.loads(out.read_text())
+        suite = {"instances": [entry, {"id": "file", "kind": "file", "path": str(out)}],
+                 "algos": [{"name": "oracle"}, {"name": "dp"}]}
+        csv = tmp_path / "out.csv"
+        assert main(["bench", _write(tmp_path / "suite.json", suite), "--out", str(csv)]) == 0
+        rows = [line.split(",", 1) for line in csv.read_text().splitlines()[1:]]
+        assert [rest for inst_id, rest in rows if inst_id == "entry"] == \
+            [rest for inst_id, rest in rows if inst_id == "file"]
 
 
 def test_bench_malformed_suite(tmp_path):

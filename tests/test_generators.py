@@ -7,12 +7,10 @@ import pytest
 from nswmatch.core import BudgetExceededError, utilitarian_welfare
 from nswmatch.generators import (
     GeneratedInstance,
-    RainbowGraph,
     gen_from_partition,
     gen_from_rainbow,
     gen_random,
     gen_random_3dm,
-    gen_rainbow_from_3dm,
     has_balanced_partition,
 )
 from nswmatch.oracle import solve_bruteforce
@@ -133,38 +131,45 @@ def test_partition_strict_preserves_optimal_split():
 
 
 def test_rainbow_graph_validation():
-    with pytest.raises(ValueError):
-        RainbowGraph(2, ())
-    with pytest.raises(ValueError):
-        RainbowGraph(2, ((0, 0, 0), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        RainbowGraph(2, ((0, 0, 5),))
+    with pytest.raises(ValueError, match="three edges"):
+        gen_from_rainbow((), 2)
+    with pytest.raises(ValueError, match="distinct"):
+        gen_from_rainbow(((0, 0, 0), (0, 0, 0)), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        gen_from_rainbow(((0, 0, 5),), 2)
 
 
-def test_gen_rainbow_from_3dm_planted():
+def test_gen_from_rainbow_planted():
     triples, planted = gen_random_3dm(3, seed=11)
-    g = gen_rainbow_from_3dm(triples, 3, planted)
-    assert g.in_restricted_family()
-    assert find_rainbow_pm(g) is not None
+    gi = gen_from_rainbow(triples, 3, planted)
+    assert gi.certificate == tuple(range(3))
+    assert [triples[k] for k in gi.certificate] == list(planted)
+    assert find_rainbow_pm(triples, 3) is not None
+    # a planted edge that is not among the edges, too few edges, and three
+    # edges that repeat an x are rejected
+    absent = next((x, y, c) for x in range(3) for y in range(3) for c in range(3)
+                  if (x, y, c) not in triples)
+    not_rainbow = [t for t in triples if t[0] == 0]
+    for bad in ((absent, *planted[1:]), planted[:2], not_rainbow):
+        with pytest.raises(ValueError, match="planted"):
+            gen_from_rainbow(triples, 3, bad)
 
 
-def test_gen_rainbow_from_3dm_rejects_bad_degrees():
+def test_gen_from_rainbow_rejects_bad_degrees():
     with pytest.raises(ValueError):
-        gen_rainbow_from_3dm([(0, 0, 0)], 1)
+        gen_from_rainbow([(0, 0, 0)], 1)
     with pytest.raises(ValueError):
-        gen_rainbow_from_3dm([], 2)
+        gen_from_rainbow([], 2)
 
 
 def test_no_triples_graph_has_no_rainbow_pm():
-    g = gen_rainbow_from_3dm(NO_TRIPLES_R3, 3)
-    assert g.in_restricted_family()
-    assert find_rainbow_pm(g) is None
+    gen_from_rainbow(NO_TRIPLES_R3, 3)  # in the restricted family
+    assert find_rainbow_pm(NO_TRIPLES_R3, 3) is None
 
 
 def test_gen_from_rainbow_shape():
     triples, planted = gen_random_3dm(2, seed=3)
-    g = gen_rainbow_from_3dm(triples, 2, planted)
-    gi = gen_from_rainbow(g)
+    gi = gen_from_rainbow(triples, 2, planted)
     inst = gi.instance
     assert inst.n == 8 and inst.m == 10
     assert set(inst.capacities) == {2}
@@ -176,18 +181,16 @@ def test_gen_from_rainbow_shape():
 
 
 def test_gen_from_rainbow_rejects_r1_and_bad_counts():
-    with pytest.raises(ValueError):
-        gen_from_rainbow(RainbowGraph(1, ((0, 0, 0),)))
-    lopsided = RainbowGraph(2, ((0, 0, 0), (0, 1, 0), (1, 0, 0),
-                                (0, 0, 1), (0, 1, 1), (1, 1, 1)))
-    with pytest.raises(ValueError):
-        gen_from_rainbow(lopsided)  # degrees are not all 3
+    with pytest.raises(ValueError, match="r >= 2"):
+        gen_from_rainbow(((0, 0, 0),), 1)
+    lopsided = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+    with pytest.raises(ValueError, match="three edges"):
+        gen_from_rainbow(lopsided, 2)  # degrees are not all 3
 
 
 def test_rainbow_yes_hits_threshold():
     triples, planted = gen_random_3dm(2, seed=3)
-    g = gen_rainbow_from_3dm(triples, 2, planted)
-    gi = gen_from_rainbow(g)
+    gi = gen_from_rainbow(triples, 2, planted)
     result = solve_bruteforce(gi.instance)
     assert result.value.product == 2 ** 8
     # any feasible nonzero matching of the construction: firms' utilities sum to 8r
@@ -202,12 +205,11 @@ def test_rainbow_yes_reaches_threshold_at_larger_r(r):
     """Planted yes-instances of 5r workers and 4r firms reach 2^(4r) under
     the oracle's default budget."""
     triples, planted = gen_random_3dm(r, seed=0)
-    gi = gen_from_rainbow(gen_rainbow_from_3dm(triples, r, planted))
+    gi = gen_from_rainbow(triples, r, planted)
     assert solve_bruteforce(gi.instance).value.product == 2 ** (4 * r)
 
 
 def test_rainbow_no_stays_below_threshold():
-    g = gen_rainbow_from_3dm(NO_TRIPLES_R3, 3)
-    gi = gen_from_rainbow(g)
+    gi = gen_from_rainbow(NO_TRIPLES_R3, 3)
     result = solve_bruteforce(gi.instance)
     assert result.value.product < 2 ** 12
