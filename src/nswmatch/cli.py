@@ -273,7 +273,8 @@ def cmd_bench(args) -> int:
             inst_id = entry["id"]
             if type(inst_id) is not str or inst_id in instances:
                 raise ValueError(f"instance id {inst_id!r} is not a string or repeats")
-            instances[inst_id] = (load_instance(entry["path"]) if entry["kind"] == "file"
+            instances[inst_id] = (load_instance(_field(entry, "path", (str,)))
+                                  if entry["kind"] == "file"
                                   else generate_instance(entry).instance)
         algos = [(a["name"], a.get("eps")) for a in spec["algos"]]
         for name, eps in algos:

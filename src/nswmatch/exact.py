@@ -19,10 +19,14 @@
   assignments of the groups' counts to firms with _best_group_split.
   approx.qptas_bucketing shares both and the firm bound, grouping by its
   buckets where this groups by the values themselves.
-  That search is a branch and bound on an exact integer bound from suffix
-  tables built once per solve in O(m*n); it drops only subtrees that cannot
-  strictly beat the best guess so far, so it returns what scoring every
-  guess returns.  Its bounds are DEFAULT_BUCKET_* and the search's
+  That search is one explicit-stack loop that places the workers one at a
+  time, group by group, each trying the firms from the last down to the one
+  its group predecessor took; per group this walks the count vectors in
+  increasing lexicographic order.  It is a branch and bound on an exact
+  integer bound from suffix tables built once per solve in O(m*n),
+  evaluated at the root and at each group's first worker; it drops only
+  subtrees that cannot strictly beat the best guess so far, so it returns
+  what scoring every guess returns.  Its bounds are DEFAULT_BUCKET_* and
   DEFAULT_GUESS_BUDGET on the full guess space, checked before the search
   and read at call time.
 """
@@ -30,7 +34,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from itertools import accumulate, compress
 from operator import itemgetter, mul
 from typing import Optional
@@ -291,25 +294,33 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
 def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching, NashValue]:
     """Best matching over all guesses of how many workers of each group go
     to each firm, with every worker matched; BudgetExceededError when the
-    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time, or when the
-    search would nest deeper than half the recursion limit.
+    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time.
 
-    Per group, count vectors are tried in increasing lexicographic order,
-    and firm f takes the group's next k workers; a firm stops taking at a
-    worker who values it at 0.  Guesses are scored exactly and the first
-    strict maximiser wins.
+    The search places one worker at a time: the groups in order, each
+    group's workers in list order.  A worker tries the firms from n - 1
+    down to the one its group predecessor took (firm 0 for a group's first
+    worker), and takes a firm only when it values the firm and the firm has
+    room.  Each group's firms thus run non-decreasing down its list, so
+    every count vector (k_0, ..., k_{n-1}) of the group stands for one firm
+    sequence, firm f taking the next k_f workers.  Of two sequences, the
+    one larger at their first difference gives the same counts to the firms
+    below the smaller firm there and fewer to that firm, so trying firms
+    from the top visits the count vectors in increasing lexicographic
+    order.  A firm's run of a group's workers ends when it is full or at
+    the first worker who values it at 0.  Guesses are scored exactly and
+    the first strict maximiser wins.
 
-    The search is a branch and bound.  Before each group it bounds every
-    completion in exact integers: the product so far, times each unplaced
-    worker's largest value, times, per firm f, firm_sums[f] + free_f * (f's
-    largest value of an unplaced worker), where free_f is the room f has
-    left, capped at the number of unplaced workers.  A subtree is dropped
-    when its bound is at most the best product so far, or when the free_f
-    sum to fewer than the unplaced workers.  None of its guesses can then
-    beat the best strictly, so the first strict maximiser, and with it the
-    matching returned, is the one the full search finds.  The suffix tables
-    behind the bound take O(m*n) per solve; bounding at each firm step as
-    well costs more than it drops.
+    The search is a branch and bound.  At the root and at each group's
+    first worker it bounds every completion in exact integers: the product
+    so far, times each unplaced worker's largest value, times, per firm f,
+    firm_sums[f] + free_f * (f's largest value of an unplaced worker), where
+    free_f is the room f has left, capped at the number of unplaced
+    workers.  A subtree is dropped when its bound is at most the best
+    product so far, or when the free_f sum to fewer than the unplaced
+    workers.  None of its guesses can then beat the best strictly, so the
+    first strict maximiser, and with it the matching returned, is the one
+    the full search finds.  The suffix tables behind the bound take O(m*n)
+    per solve; bounding at every worker costs more than it drops.
     """
     n = inst.n
     # distributions of each group across firms
@@ -318,18 +329,17 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
         space *= math.comb(len(workers) + n - 1, n - 1)
         if space > DEFAULT_GUESS_BUDGET:
             raise BudgetExceededError("bucket guess space exceeds budget")
-    # place and split nest n + 1 frames per group
-    depth = len(groups) * (n + 1)
-    if 2 * depth > sys.getrecursionlimit():
-        raise BudgetExceededError(f"group search would nest {depth} frames, past half "
-                                  f"the recursion limit {sys.getrecursionlimit()}")
 
     caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
+    # the workers in search order, and the positions in it where a group
+    # starts or the search ends
+    seq = [w for workers in groups for w in workers]
+    m = len(seq)
+    starts = set(accumulate(map(len, groups), initial=0))
     # suffix tables over the workers in reverse search order: with j of
     # them left, the product of their largest values top[j], and each
     # firm's largest value of one of them fmax[f][j]
-    order = [w for workers in reversed(groups) for w in workers]
-    unplaced = list(accumulate(map(len, reversed(groups)), initial=0))[::-1]
+    order = seq[::-1]
     top = list(accumulate(map(max, map(worker_vals.__getitem__, order)), mul, initial=1))
     fmax = []
     for fv in firm_vals:
@@ -347,55 +357,56 @@ def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching
     assignment: list = [UNMATCHED] * inst.m
     best_product = 0
     best = None
-
-    def place(t: int, prod: int):
-        nonlocal best_product, best
-        if t == len(groups):
+    # per worker on the search path, [worker, its firm (-1 before its
+    # first), the iterator over the firms it has yet to try, the product
+    # of the values of the workers before it]
+    stack: list = []
+    # the node entered: the product of the placed workers' values and the
+    # lowest firm its worker may take
+    prod, low = 1, 0
+    while True:
+        i = len(stack)
+        if i == m:
+            # a complete matching, scored in place
             for s in firm_sums:
                 prod *= s
             if prod > best_product:
                 best_product = prod
                 best = list(assignment)
-            return
-        left = unplaced[t]
-        room = 0
-        bound = prod * top[left]
-        for cap, load, s, largest in zip(caps, loads, firm_sums, fmax):
-            free = min(left, cap - load)
-            room += free
-            bound *= s + free * largest[left]
-        if room < left or bound <= best_product:
-            return
-        workers = groups[t]
-
-        def split(f: int, pos: int, prod: int):
-            left = len(workers) - pos
-            free = min(left, caps[f] - loads[f])
-            # the last firm takes every worker left, or the guess fails
-            if f == n - 1 and free < left:
-                return
-            k = 0
-            while True:
-                if f < n - 1:
-                    split(f + 1, pos + k, prod)
-                elif k == left:
-                    place(t + 1, prod)
-                if k == free or worker_vals[workers[pos + k]][f] == 0:
-                    break
-                w = workers[pos + k]
-                prod *= worker_vals[w][f]
-                assignment[w] = f
-                loads[f] += 1
-                firm_sums[f] += firm_vals[f][w]
-                k += 1
-            for w in workers[pos:pos + k]:
-                assignment[w] = UNMATCHED
+        elif i not in starts:
+            stack.append([seq[i], -1, iter(range(n - 1, low - 1, -1)), prod])
+        else:
+            left = m - i
+            room = 0
+            bound = prod * top[left]
+            for cap, load, s, largest in zip(caps, loads, firm_sums, fmax):
+                free = min(left, cap - load)
+                room += free
+                bound *= s + free * largest[left]
+            if room >= left and bound > best_product:
+                stack.append([seq[i], -1, iter(range(n - 1, -1, -1)), prod])
+        # the deepest worker on the path with a firm left to try moves to
+        # its next one; the deeper ones, with none left, are dropped
+        while stack:
+            frame = stack[-1]
+            w, f, it, prod = frame
+            if f >= 0:
                 loads[f] -= 1
                 firm_sums[f] -= firm_vals[f][w]
-
-        split(0, 0, prod)
-
-    place(0, 1)
+            row = worker_vals[w]
+            for f in it:
+                if row[f] and loads[f] < caps[f]:
+                    break
+            else:
+                stack.pop()
+                continue
+            frame[1] = assignment[w] = low = f
+            loads[f] += 1
+            firm_sums[f] += firm_vals[f][w]
+            prod *= row[f]
+            break
+        else:
+            break
     if best is None:
         return zero_result(inst)
     mu = Matching.of(best)

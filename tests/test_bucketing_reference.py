@@ -78,6 +78,22 @@ def test_qptas_matches_reference(shape):
         assert _outcome(qptas_bucketing, inst, eps) == _outcome(plain_qptas, inst, eps), inst
 
 
+@pytest.mark.parametrize("m, n, draws", [(12, 2, 40), (10, 3, 20)])
+def test_search_order_across_many_groups(m, n, draws):
+    """Past the m <= 8 of the draws above: values from [0, 1, 1, 2] form
+    groups of one to four workers, so the search crosses many group
+    boundaries, and capacities from m // n to m leave room to split."""
+    rng = random.Random(f"many-groups-{m}-{n}")
+    pool = [0, 1, 1, 2]
+    for _ in range(draws):
+        inst = Instance.create([rng.randint(m // n, m) for _ in range(n)],
+                               [[rng.choice(pool) for _ in range(n)] for _ in range(m)],
+                               [[rng.choice(pool) for _ in range(m)] for _ in range(n)])
+        assert _outcome(solve_exact_bucketing, inst) == _outcome(plain_buckets, inst), inst
+        assert (_outcome(qptas_bucketing, inst, "1/2")
+                == _outcome(plain_qptas, inst, "1/2")), inst
+
+
 def test_guess_budget_matches_reference(monkeypatch):
     inst = Instance.create([6, 6], [[1, 2]] * 6 + [[2, 1]] * 6, [[1] * 12, [2] * 12])
     for budget in (1, 6, 48, 49, 10 ** 6):

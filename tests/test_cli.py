@@ -175,11 +175,11 @@ def test_solve_oracle_deep_instance(tmp_path):
     assert record["nash_product"] == "1500"
 
 
-def test_solve_qptas_deep_group_search_exits_4(tmp_path):
+def test_solve_qptas_many_signature_groups(tmp_path):
     """600 workers of pairwise distinct values at one firm of capacity 600
-    form 600 signature groups, and the group search would nest past
-    Python's recursion limit: the CLI exits 4 with a budget-exceeded
-    record and no traceback."""
+    form 600 signature groups, one worker each: the group search places
+    them one by one on an explicit stack, so its depth is no matter of
+    Python's recursion limit, and the CLI exits 0 with the product."""
     m = 600
     path = tmp_path / "distinct.json"
     path.write_text(json.dumps(Instance.create(
@@ -188,9 +188,20 @@ def test_solve_qptas_deep_group_search_exits_4(tmp_path):
         [sys.executable, "-m", "nswmatch.cli", "solve", str(path), "--algo", "qptas",
          "--eps", "1/1"],
         capture_output=True, text=True, env=src_env(), timeout=120)
-    assert proc.returncode == 4, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["status"] == "budget-exceeded"
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["status"] == "ok"
+    assert record["nash_product"] == str(2 ** (m * (m - 1) // 2) * m)
+
+
+@pytest.mark.parametrize("m", [300, 450])
+def test_qptas_single_firm_distinct_values(m):
+    """m workers of values 1..m at one firm: at eps 1/1000 each value has
+    its own bucket, so m signature groups of one worker."""
+    inst = Instance.create((m,), [[w + 1] for w in range(m)], [[1] * m])
+    record = run_algo("qptas", inst, "1/1000")
+    assert record["status"] == "ok"
+    assert record["nash_product"] == str(math.factorial(m) * m)
 
 
 @pytest.mark.parametrize("algo", ["feasible", "symbin"])
@@ -308,6 +319,19 @@ def test_bench_suite_field_errors_exit_2(tmp_path, capsys, change):
     assert main(["bench", _write(tmp_path / "suite.json", suite)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path", [0, 1, 2, True])
+def test_bench_file_path_must_be_a_string(tmp_path, path):
+    """A file entry's path is read only as a string: an int or bool would
+    reach open() as a file descriptor (stdin, stdout or stderr)."""
+    suite = {"instances": [{"id": "fd", "kind": "file", "path": path}],
+             "algos": [{"name": "oracle"}]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nswmatch.cli", "bench", _write(tmp_path / "suite.json", suite)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "malformed suite spec" in proc.stderr
 
 
 def test_integer_density_is_valid():
