@@ -4,11 +4,11 @@
   the square-root-of-optimum Nash bound is checked empirically by the suite.
 - qptas_bucketing: puts each distinct value on the (1+eps) grid that runs
   up to v_max, groups workers by their bucket signature, and runs the
-  count-split search of exact.solve_exact_bucketing on the groups: it
-  guesses how many workers of each group go to each firm, realizes each
-  guess canonically and scores it exactly, dropping the guesses an exact
-  upper bound shows cannot win.  It shares that solver's firm bound,
-  exact.DEFAULT_BUCKET_FIRM_BOUND, and DEFAULT_LADDER_BUDGET bounds the
+  oracle's search (oracle.solve_bruteforce) with the groups as its twin
+  classes: each guess of how many workers of each group go to each firm
+  is realized once, canonically, and scored exactly, under the oracle's
+  DEFAULT_NODE_BUDGET.  It shares exact.DEFAULT_BUCKET_FIRM_BOUND with
+  exact.solve_exact_bucketing, and DEFAULT_LADDER_BUDGET bounds the
   log(v_max) / log(1+eps) levels its exact tests raise 1+eps to.
 
 The paper's set-polynomial FPTAS has no solver here: its product P must
@@ -34,7 +34,8 @@ from .core import (
     UNMATCHED,
     nash_value,
 )
-from .exact import _best_group_split, _check_bucket_firms, _signature_groups
+from .exact import _check_bucket_firms
+from .oracle import solve_bruteforce
 
 DEFAULT_LADDER_BUDGET = 100_000
 
@@ -116,13 +117,15 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     """Bucketed guessing scheme; Nash welfare at least opt / (1 + eps).
 
     Workers are grouped by their per-firm bucket signature (worker-side and
-    firm-side buckets of both valuations).  The search guesses how many
-    workers of each group go to each firm.  Guessing per signature group is
-    a refinement of guessing raw per-bucket count vectors and every guess is
-    realizable by construction, so no flow check is needed.  Realized
-    matchings are scored exactly and the best exact score wins; the
-    optimum's own guess realizes within one bucket factor per agent, which
-    gives the welfare guarantee.
+    firm-side buckets of both valuations), and the oracle's search runs
+    with the groups as its twin classes, so it tries how many workers of
+    each group go to each firm.  Guessing per signature group is a
+    refinement of guessing raw per-bucket count vectors, and every guess is
+    realizable by construction, since bucket 0 is exactly value 0 and a
+    group's workers value the same firms; no flow check is needed.
+    Realized matchings are scored exactly and the best exact score wins;
+    the optimum's own guess realizes within one bucket factor per agent,
+    which gives the welfare guarantee.
     """
     eps = parse_eps(eps)
     _check_bucket_firms(inst)
@@ -144,5 +147,16 @@ def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:
     # [1, tau] with (1+eps)^(i-1) <= value < (1+eps)^i; the top bucket also
     # takes the upper boundary
     bucket = {v: min(tau, _level(v, num, den, log_ratio) + 1) if v else 0 for v in values}
-    groups = _signature_groups(inst, bucket)
-    return _best_group_split(inst, [groups[sig] for sig in sorted(groups)])
+    result = solve_bruteforce(inst, groups=_signature_groups(inst, bucket))
+    return result.best, result.value
+
+
+def _signature_groups(inst: Instance, level: dict[int, int]) -> list[list[int]]:
+    """The workers grouped by their signature, the pairs (level[worker_vals[w][f]],
+    level[firm_vals[f][w]]) over the firms f, each group in increasing
+    order; level maps every value of the instance."""
+    get = level.__getitem__
+    groups: dict[tuple, list[int]] = {}
+    for w, (row, col) in enumerate(zip(inst.worker_vals, zip(*inst.firm_vals))):
+        groups.setdefault(tuple(zip(map(get, row), map(get, col))), []).append(w)
+    return list(groups.values())

@@ -15,26 +15,16 @@
   the exact optimum meets the FPTAS's (1+eps)^(n+1) window for every eps;
   both run under DEFAULT_DP_BUDGET.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
-  groups the workers by signature with _signature_groups and searches
-  assignments of the groups' counts to firms with _best_group_split.
-  approx.qptas_bucketing shares both and the firm bound, grouping by its
-  buckets where this groups by the values themselves.
-  That search is one explicit-stack loop that places the workers one at a
-  time, group by group, each trying the firms from the last down to the one
-  its group predecessor took; per group this walks the count vectors in
-  increasing lexicographic order.  It is a branch and bound on an exact
-  integer bound from suffix tables built once per solve in O(m*n),
-  evaluated at the root and at each group's first worker; it drops only
-  subtrees that cannot strictly beat the best guess so far, so it returns
-  what scoring every guess returns.  Its bounds are DEFAULT_BUCKET_* and
-  DEFAULT_GUESS_BUDGET on the full guess space, checked before the search
-  and read at call time.
+  after its domain checks it is oracle.solve_bruteforce, whose twin
+  classes search interchangeable workers once, under the oracle's
+  DEFAULT_NODE_BUDGET.  approx.qptas_bucketing shares the firm bound
+  DEFAULT_BUCKET_FIRM_BOUND.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress
+from itertools import compress
 from operator import itemgetter, mul
 from typing import Optional
 
@@ -49,12 +39,12 @@ from .core import (
     zero_result,
 )
 from .graphalgs import max_weight_perfect_matching_general
+from .oracle import solve_bruteforce
 
 DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
 DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
-DEFAULT_GUESS_BUDGET = 5_000_000
 
 
 def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
@@ -291,148 +281,21 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     return mu, nash_value(inst, mu)
 
 
-def _best_group_split(inst: Instance, groups: list[list[int]]) -> tuple[Matching, NashValue]:
-    """Best matching over all guesses of how many workers of each group go
-    to each firm, with every worker matched; BudgetExceededError when the
-    guesses outnumber DEFAULT_GUESS_BUDGET, read at call time.
-
-    The search places one worker at a time: the groups in order, each
-    group's workers in list order.  A worker tries the firms from n - 1
-    down to the one its group predecessor took (firm 0 for a group's first
-    worker), and takes a firm only when it values the firm and the firm has
-    room.  Each group's firms thus run non-decreasing down its list, so
-    every count vector (k_0, ..., k_{n-1}) of the group stands for one firm
-    sequence, firm f taking the next k_f workers.  Of two sequences, the
-    one larger at their first difference gives the same counts to the firms
-    below the smaller firm there and fewer to that firm, so trying firms
-    from the top visits the count vectors in increasing lexicographic
-    order.  A firm's run of a group's workers ends when it is full or at
-    the first worker who values it at 0.  Guesses are scored exactly and
-    the first strict maximiser wins.
-
-    The search is a branch and bound.  At the root and at each group's
-    first worker it bounds every completion in exact integers: the product
-    so far, times each unplaced worker's largest value, times, per firm f,
-    firm_sums[f] + free_f * (f's largest value of an unplaced worker), where
-    free_f is the room f has left, capped at the number of unplaced
-    workers.  A subtree is dropped when its bound is at most the best
-    product so far, or when the free_f sum to fewer than the unplaced
-    workers.  None of its guesses can then beat the best strictly, so the
-    first strict maximiser, and with it the matching returned, is the one
-    the full search finds.  The suffix tables behind the bound take O(m*n)
-    per solve; bounding at every worker costs more than it drops.
-    """
-    n = inst.n
-    # distributions of each group across firms
-    space = 1
-    for workers in groups:
-        space *= math.comb(len(workers) + n - 1, n - 1)
-        if space > DEFAULT_GUESS_BUDGET:
-            raise BudgetExceededError("bucket guess space exceeds budget")
-
-    caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
-    # the workers in search order, and the positions in it where a group
-    # starts or the search ends
-    seq = [w for workers in groups for w in workers]
-    m = len(seq)
-    starts = set(accumulate(map(len, groups), initial=0))
-    # suffix tables over the workers in reverse search order: with j of
-    # them left, the product of their largest values top[j], and each
-    # firm's largest value of one of them fmax[f][j]
-    order = seq[::-1]
-    top = list(accumulate(map(max, map(worker_vals.__getitem__, order)), mul, initial=1))
-    fmax = []
-    for fv in firm_vals:
-        # a plain loop: accumulate(..., max) calls max(a, b) per worker,
-        # several times slower
-        largest = 0
-        col = [0]
-        for w in order:
-            if fv[w] > largest:
-                largest = fv[w]
-            col.append(largest)
-        fmax.append(col)
-    loads = [0] * n
-    firm_sums = [0] * n
-    assignment: list = [UNMATCHED] * inst.m
-    best_product = 0
-    best = None
-    # per worker on the search path, [worker, its firm (-1 before its
-    # first), the iterator over the firms it has yet to try, the product
-    # of the values of the workers before it]
-    stack: list = []
-    # the node entered: the product of the placed workers' values and the
-    # lowest firm its worker may take
-    prod, low = 1, 0
-    while True:
-        i = len(stack)
-        if i == m:
-            # a complete matching, scored in place
-            for s in firm_sums:
-                prod *= s
-            if prod > best_product:
-                best_product = prod
-                best = list(assignment)
-        elif i not in starts:
-            stack.append([seq[i], -1, iter(range(n - 1, low - 1, -1)), prod])
-        else:
-            left = m - i
-            room = 0
-            bound = prod * top[left]
-            for cap, load, s, largest in zip(caps, loads, firm_sums, fmax):
-                free = min(left, cap - load)
-                room += free
-                bound *= s + free * largest[left]
-            if room >= left and bound > best_product:
-                stack.append([seq[i], -1, iter(range(n - 1, -1, -1)), prod])
-        # the deepest worker on the path with a firm left to try moves to
-        # its next one; the deeper ones, with none left, are dropped
-        while stack:
-            frame = stack[-1]
-            w, f, it, prod = frame
-            if f >= 0:
-                loads[f] -= 1
-                firm_sums[f] -= firm_vals[f][w]
-            row = worker_vals[w]
-            for f in it:
-                if row[f] and loads[f] < caps[f]:
-                    break
-            else:
-                stack.pop()
-                continue
-            frame[1] = assignment[w] = low = f
-            loads[f] += 1
-            firm_sums[f] += firm_vals[f][w]
-            prod *= row[f]
-            break
-        else:
-            break
-    if best is None:
-        return zero_result(inst)
-    mu = Matching.of(best)
-    value = nash_value(inst, mu)
-    if value.product != best_product:
-        raise AssertionError(f"the best guess re-scores to {value.product}, "
-                             f"not {best_product}")
-    return mu, value
-
-
 def solve_exact_bucketing(inst: Instance) -> tuple[Matching, NashValue]:
     """Nash-optimal matching for constant firms and few distinct values.
 
-    Workers are grouped by their exact (worker-value, firm-value) signature
-    across all firms, and _best_group_split guesses how many workers of each
-    group go to each firm.  Guessing per signature group (a refinement of
-    per-firm value buckets) makes every guess realizable by construction and
-    loses no optima, since same-signature workers are interchangeable.
+    Workers with the same values are interchangeable, so the oracle's
+    search, which places each class of such twins in one order of firms
+    only, takes the place of guessing how many workers of each signature
+    group go to each firm; its matching and product are the oracle's.
     """
     _check_bucket_firms(inst)
     distinct = set().union(*inst.worker_vals, *inst.firm_vals)
     if len(distinct) > DEFAULT_BUCKET_VALUE_BOUND:
         raise DomainError(f"{len(distinct)} distinct valuation levels exceed bound "
                           f"{DEFAULT_BUCKET_VALUE_BOUND}")
-    groups = _signature_groups(inst, {v: v for v in distinct})
-    return _best_group_split(inst, list(groups.values()))
+    result = solve_bruteforce(inst)
+    return result.best, result.value
 
 
 def _check_bucket_firms(inst: Instance) -> None:
@@ -440,14 +303,3 @@ def _check_bucket_firms(inst: Instance) -> None:
     buckets and qptas share."""
     if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
         raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
-
-
-def _signature_groups(inst: Instance, level: dict[int, int]) -> dict[tuple, list[int]]:
-    """The workers keyed by their signature, the pairs (level[worker_vals[w][f]],
-    level[firm_vals[f][w]]) over the firms f, in the order each signature
-    first occurs; level maps every value of the instance."""
-    get = level.__getitem__
-    groups: dict[tuple, list[int]] = {}
-    for w, (row, col) in enumerate(zip(inst.worker_vals, zip(*inst.firm_vals))):
-        groups.setdefault(tuple(zip(map(get, row), map(get, col))), []).append(w)
-    return groups

@@ -45,12 +45,35 @@ limit, and each firm's sum is kept up to date as the search goes down and
 undone on backtrack.  The budget is charged for the nodes the search
 enters (the zero completion, then every partial or complete assignment,
 cut or not), 1 + n // FIRMS_PER_UNIT units each, since each costs O(n).
-tests/reference_oracle.py holds the earlier exhaustive
-recursive form; the two must agree on matching and product.
+The budget is DEFAULT_NODE_BUDGET units, read at call time, unless the
+caller passes its own.
+
+Twins (symmetry breaking, Margot 2010): the workers fall into classes of
+interchangeable workers, by default those with equal lists of options
+(the same valued firms, with the same worker and firm value at each).  A
+worker's twin is the latest earlier worker of its class, and a worker
+whose twin sits at firm g tries only its options at firms g and later.
+The first maximiser in the full order is the lexicographically least
+maximising assignment; swapping the firms of two twins keeps a matching
+feasible and its product unchanged, so that assignment already has each
+class's firms non-decreasing and stays in the search, and the result is
+the one the search without twins returns.  The bounds and the empty-firm
+cut bound every completion, so they hold on the smaller tree as well.
+
+exact.solve_exact_bucketing is this search with the default classes.
+approx.qptas_bucketing passes its bucket-signature groups as the classes:
+a group's workers share their valued firms, as bucket 0 is exactly value
+0, and with their firms non-decreasing in index order each count vector of
+a group (how many of its workers go to each firm) is searched once, in one
+canonical realisation, and scored exactly.  Both run under the same
+budget.  tests/reference_oracle.py holds the earlier exhaustive recursive
+form, and tests/reference_bucketing.py plain searches over count vectors;
+the solvers must agree with them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -70,6 +93,7 @@ from .core import (
 # budget unit plus one per this many firms, which keeps the time the budget
 # takes to run out about the same as n grows
 FIRMS_PER_UNIT = 8
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -79,32 +103,66 @@ class OracleResult:
     num_enumerated: int
 
 
-def solve_bruteforce(inst: Instance, limit: int = 2_000_000,
-                     stats: Optional[dict] = None) -> OracleResult:
+def solve_bruteforce(inst: Instance, limit: Optional[int] = None,
+                     stats: Optional[dict] = None,
+                     groups: Optional[list] = None) -> OracleResult:
     """Exact maximizer of the Nash product over capacity-feasible matchings;
     ties go to the first complete matching in the search order.
 
     Each node the search enters costs 1 + n // FIRMS_PER_UNIT budget units,
     and num_enumerated is the units spent.  Raises BudgetExceededError when
-    they would exceed `limit`.  stats, when given, is filled with the nodes
-    entered ("nodes"), the complete matchings scored ("leaves") and the subtrees
-    cut for more empty firms than workers left ("empty_cuts"), by bound (a)
-    ("firm_cuts") and by bound (b) ("amgm_cuts"), also when the budget is
-    exceeded.
+    they would exceed `limit`, DEFAULT_NODE_BUDGET when None.  stats, when
+    given, is filled with the nodes entered ("nodes"), the complete
+    matchings scored ("leaves") and the subtrees cut for more empty firms
+    than workers left ("empty_cuts"), by bound (a) ("firm_cuts") and by
+    bound (b) ("amgm_cuts"), also when the budget is exceeded.
+
+    groups, when given, partitions the workers into the twin classes, in
+    place of the default classes of equal options, and the result is the
+    best matching in which each class's firms are non-decreasing in worker
+    order.  The workers of a group must value the same firms, so that each
+    way of splitting a group's workers over the firms is searched.
+
+    The best leaf's product is re-scored with nash_value, and a mismatch
+    raises AssertionError, also under python -O.
     """
+    if limit is None:
+        limit = DEFAULT_NODE_BUDGET
     if stats is not None:
         stats.update(nodes=1, leaves=0, firm_cuts=0, amgm_cuts=0, empty_cuts=0)
     unit = 1 + inst.n // FIRMS_PER_UNIT
     # the zero-product completion at the root is the first node
-    nodes, best = 1, None
+    nodes, best_product, best = 1, 0, None
     if unit > limit:
         raise BudgetExceededError(f"oracle enumeration budget {limit} exceeded")
     # a complete matching needs room for every worker and a positive option
     # for each; without them the zero completion is the only node
     if sum(inst.capacities) >= inst.m and all(inst.valued_firms):
-        nodes, best = _search(inst, limit, limit // unit, {} if stats is None else stats)
+        nodes, best_product, best = _search(inst, limit, limit // unit, groups,
+                                            {} if stats is None else stats)
     best = zero_fallback(inst) if best is None else Matching.of(best)
-    return OracleResult(best, nash_value(inst, best), nodes * unit)
+    value = nash_value(inst, best)
+    if value.product != best_product:
+        raise AssertionError(f"the best leaf re-scores to {value.product}, not {best_product}")
+    return OracleResult(best, value, nodes * unit)
+
+
+def _twins(options: list, groups: Optional[list]) -> list:
+    """twins[w]: the latest earlier worker of w's class, -1 when none; the
+    classes are groups, or else the workers with equal options."""
+    if groups is None:
+        keys: list = list(map(tuple, options))
+    else:
+        keys = [0] * len(options)
+        for i, workers in enumerate(groups):
+            for w in workers:
+                keys[w] = i
+    last: dict = {}
+    twins = []
+    for w, key in enumerate(keys):
+        twins.append(last.get(key, -1))
+        last[key] = w
+    return twins
 
 
 def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list, list]:
@@ -138,12 +196,13 @@ def _bound_tables(inst: Instance, options: list) -> tuple[list, list, list, list
     return worker_bound, rest, tables, lasts
 
 
-def _search(inst: Instance, limit: int, node_limit: int,
-            stats: dict) -> tuple[int, list | None]:
+def _search(inst: Instance, limit: int, node_limit: int, groups: Optional[list],
+            stats: dict) -> tuple[int, int, list | None]:
     """The search below the root: the nodes entered, the zero completion
-    included, and the first assignment of largest positive product (None
-    when no leaf is positive).  Raises BudgetExceededError, naming limit,
-    past node_limit nodes, and fills stats as it returns or raises."""
+    included, the largest positive product of a leaf (0 when none is
+    positive) and the first assignment of it (None when none).  Raises
+    BudgetExceededError, naming limit, past node_limit nodes, and fills
+    stats as it returns or raises."""
     m = inst.m
     firm_vals = inst.firm_vals
     # each worker's positive options (firm, worker value, firm value), read
@@ -151,6 +210,8 @@ def _search(inst: Instance, limit: int, node_limit: int,
     options = [[(f, row[f], firm_vals[f][w]) for f in firms]
                for w, (row, firms) in enumerate(zip(inst.worker_vals, inst.valued_firms))]
     worker_bound, rest, tables, lasts = _bound_tables(inst, options)
+    twins = _twins(options, groups)
+    valued_firms = inst.valued_firms
     slack = list(inst.capacities)
     sums = [0] * inst.n
     assignment: list = [UNMATCHED] * m
@@ -169,7 +230,7 @@ def _search(inst: Instance, limit: int, node_limit: int,
             else:
                 w -= 1
                 if w < 0:
-                    return nodes, best
+                    return nodes, best_product, best
                 f = assignment[w]
                 slack[f] += 1
                 sums[f] -= firm_vals[f][w]
@@ -219,7 +280,12 @@ def _search(inst: Instance, limit: int, node_limit: int,
                     else:
                         assignment[w] = f
                         stack[w] = (it, worker_prod)
-                        w, it, worker_prod = u, iter(options[u]), child_prod
+                        opts = options[u]
+                        t = twins[u]
+                        if t >= 0:
+                            # only the options at the twin's firm and later
+                            opts = opts[bisect_left(valued_firms[u], assignment[t]):]
+                        w, it, worker_prod = u, iter(opts), child_prod
                         continue
             slack[f] += 1
             sums[f] -= fv

@@ -1,12 +1,12 @@
-"""Plain copies of the two count-split searches as they were before they
-were merged into `nswmatch.exact._best_group_split`.
+"""Plain searches over the count vectors of signature groups.
 
 `plain_buckets` groups workers by exact signature in first-seen order and
 splits count vectors per group; `plain_qptas` groups them by bucket
-signature in sorted order and walks each group's workers.  The shared search
-must return the same assignments and products, including which of several
-tied guesses it picks: the first in increasing lexicographic order of the
-count vectors.
+signature in sorted order and walks each group's workers.  Each scores
+every guess, so they are the independent check of `buckets` and `qptas`,
+whose answers must have the same products and domain errors.  Among tied
+guesses they return the first in increasing lexicographic order of the
+count vectors, which the solvers need not match.
 """
 
 from __future__ import annotations

@@ -177,7 +177,7 @@ def test_solve_oracle_deep_instance(tmp_path):
 
 def test_solve_qptas_many_signature_groups(tmp_path):
     """600 workers of pairwise distinct values at one firm of capacity 600
-    form 600 signature groups, one worker each: the group search places
+    form 600 signature groups, one worker each: the oracle's search places
     them one by one on an explicit stack, so its depth is no matter of
     Python's recursion limit, and the CLI exits 0 with the product."""
     m = 600

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -190,9 +191,11 @@ def test_exact_loads_reference():
 def oracle_instances(draw):
     """Small instances for the oracle and its recursive reference: m = 1,
     m < n, zero capacities, total capacity below m, all-zero worker and
-    firm rows, exact ties and values up to 10^30."""
+    firm rows, exact ties and values up to 10^30.  The twins shape copies
+    most workers' value rows and firm-value columns from earlier workers,
+    so twin classes, and ties between twins, are common."""
     n = draw(st.integers(1, 4))
-    shape = draw(st.sampled_from(["any", "m_below_n", "one_worker"]))
+    shape = draw(st.sampled_from(["any", "m_below_n", "one_worker", "twins"]))
     m = {"m_below_n": max(1, n - 1), "one_worker": 1}.get(shape, draw(st.integers(1, 7)))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     base = rng.choice([1, 2, rng.randint(2 ** 53, 10 ** 30)])
@@ -211,6 +214,13 @@ def oracle_instances(draw):
         firm_vals[rng.randrange(n)] = [0] * m
     if rng.random() < 0.2:
         caps[rng.randrange(n)] = 0
+    if shape == "twins":
+        for w in range(1, m):
+            if rng.random() < 0.7:
+                twin = rng.randrange(w)
+                worker_vals[w] = list(worker_vals[twin])
+                for col in firm_vals:
+                    col[w] = col[twin]
     return Instance.create(caps, worker_vals, firm_vals)
 
 
@@ -234,3 +244,21 @@ def test_matches_recursive_reference(inst):
     assert _outcome(inst, nodes) == (ref.best, ref.value.product, nodes)
     for limit in (nodes - 1, 0):
         assert _outcome(inst, limit) == f"oracle enumeration budget {limit} exceeded"
+
+
+@pytest.mark.parametrize("signatures", [1, 2])
+def test_twins_search_each_count_vector_once(signatures):
+    """m = 14 workers of one or two signatures, n = 3, capacities 5: twins
+    take their firms in non-decreasing order, so the leaves are at most
+    the count vectors, C(14 / signatures + 2, 2) per signature, where the
+    assignments number 3^14."""
+    m, n = 14, 3
+    rng = random.Random(f"twins-{signatures}-(5, 5, 5)")
+    rows = [[rng.randint(1, 5) for _ in range(n)] for _ in range(signatures)]
+    cols = [[rng.randint(1, 5) for _ in range(n)] for _ in range(signatures)]
+    inst = Instance.create((5,) * n, [rows[w % signatures] for w in range(m)],
+                           [[cols[w % signatures][f] for w in range(m)] for f in range(n)])
+    stats = {}
+    result = solve_bruteforce(inst, stats=stats)
+    assert 0 < stats["leaves"] <= math.comb(m // signatures + n - 1, n - 1) ** signatures
+    assert result.value.product == solve_dp(inst)[1].product > 0
