@@ -7,9 +7,11 @@
   big-integer products.  Each layer pushes from the positive states of the
   last, by the bundles of the sizes a full partition can pass through, and
   the firms' supports come from the workers' valued firms.  A branch and
-  bound drops every state whose exact upper bound is strictly below
-  greedy_submodular's product; the optimal path, its tie-break and so the
-  matching returned stay those of the full DP.  Two registry entries in
+  bound drops every state whose exact upper bound is strictly below the
+  incumbent: greedy_submodular's matching improved by exact single moves
+  and pairwise swaps.  That is the product of a feasible matching, at most
+  the optimum, so the optimal path, its tie-break and so the matching
+  returned stay those of the full DP.  Two registry entries in
   cli.SOLVERS are solve_dp behind a check: the constant-capacity variant
   dp2 behind DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since
   the exact optimum meets the FPTAS's (1+eps)^(n+1) window for every eps;
@@ -131,16 +133,73 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
     return subs
 
 
-def _dp_incumbent(inst: Instance) -> int:
-    """The product of greedy_submodular's matching, a lower bound on the
-    optimum, where its domain holds (every value positive, total capacity
-    at least m); otherwise 0."""
+def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> int:
+    """A lower bound on the optimum: the product of greedy_submodular's
+    matching improved by _local_search, where greedy's domain holds (every
+    value positive, total capacity at least m); otherwise 0.  It is the
+    product of a feasible matching, so at most the optimum, which is all
+    solve_dp's bound needs.  stats, when given, gets greedy's product
+    ("greedy") and the moves the search applied ("moves")."""
     # approx imports this module, so greedy is looked up at call time
     from .approx import greedy_submodular
     try:
-        return greedy_submodular(inst)[1].product
+        mu, value = greedy_submodular(inst)
     except DomainError:
-        return 0
+        mu, value = None, NashValue.zero()
+    moves = 0
+    if value.product:
+        mu, moves = _local_search(inst, mu)
+    if stats is not None:
+        stats["greedy"], stats["moves"] = value.product, moves
+    return nash_value(inst, mu).product if moves else value.product
+
+
+def _local_search(inst: Instance, mu: Matching) -> tuple[Matching, int]:
+    """First-improvement local search from mu, a matching of every worker
+    with a positive Nash product: the local optimum reached and the number
+    of moves applied.
+
+    Until neither raises the product, it moves one worker to another firm
+    with room that keeps its old firm nonempty, or swaps the firms of two
+    workers, trying workers in increasing order.  A move changes only the
+    workers' values and the two firms' sums, so it is decided by those
+    factors cross-multiplied on exact integers; every firm stays nonempty,
+    so they stay positive.  Each move strictly raises an integer product
+    over a finite set of matchings, so the search stops."""
+    worker_vals, firm_vals, caps = inst.worker_vals, inst.firm_vals, inst.capacities
+    firm = list(mu.assignment)
+    loads = [0] * inst.n
+    sums = [0] * inst.n
+    for w, f in enumerate(firm):
+        loads[f] += 1
+        sums[f] += firm_vals[f][w]
+    moves = 0
+    while True:
+        before = moves
+        for w, row in enumerate(worker_vals):
+            for g in range(inst.n):
+                f = firm[w]
+                if g == f or loads[f] == 1 or loads[g] == caps[g]:
+                    continue
+                sf, sg = sums[f] - firm_vals[f][w], sums[g] + firm_vals[g][w]
+                if row[g] * sf * sg > row[f] * sums[f] * sums[g]:
+                    firm[w] = g
+                    loads[f] -= 1
+                    loads[g] += 1
+                    sums[f], sums[g] = sf, sg
+                    moves += 1
+            for u in range(w + 1, inst.m):
+                f, g = firm[w], firm[u]
+                if f == g:
+                    continue
+                fvf, fvg, other = firm_vals[f], firm_vals[g], worker_vals[u]
+                sf, sg = sums[f] - fvf[w] + fvf[u], sums[g] - fvg[u] + fvg[w]
+                if row[g] * other[f] * sf * sg > row[f] * other[g] * sums[f] * sums[g]:
+                    firm[w], firm[u] = g, f
+                    sums[f], sums[g] = sf, sg
+                    moves += 1
+        if moves == before:
+            return Matching.of(firm), moves
 
 
 def _subset_products(factors: list[int]) -> list[int]:
@@ -185,15 +244,17 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     Branch and bound (Morin and Marsten 1976): before layer i >= 1, a state
     is dropped when T[i-1, t], times each outside worker's largest value for
     a firm from i on, times each such firm's sum of its c_j largest values,
-    is strictly below the incumbent, _dp_incumbent's greedy product.  That
-    bound is at least the product of any completion of t, so every dropped
-    candidate is strictly below T[i, S] at each S on an optimal path, and
-    the values and pointers there, and with them the matching returned, are
-    those of the full DP.
+    is strictly below the incumbent, _dp_incumbent's locally improved
+    greedy product.  That bound is at least the product of any completion
+    of t, and the incumbent is the product of a feasible matching, so at
+    most the optimum; so every dropped candidate is strictly below T[i, S]
+    at each S on an optimal path, and the values and pointers there, and
+    with them the matching returned, are those of the full DP.
 
     With total capacity below m no full partition exists, and it returns
     the zero result before building any table or the incumbent.  stats,
-    when given, is filled with the incumbent and, per layer run, the states
+    when given, is filled with greedy's product ("greedy"), the local
+    search's moves ("moves"), the incumbent and, per layer run, the states
     pushed ("live"), those the bound dropped ("dropped") and the bundles
     tried ("transitions"); a capacity-short solve leaves it empty.
     """
@@ -203,7 +264,9 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     caps = inst.capacities
     if sum(caps) < m:
         return zero_result(inst)
-    incumbent = _dp_incumbent(inst)
+    # stats is passed on only when given, so a one-argument function put in
+    # _dp_incumbent's place (the tests' way to set the incumbent) still works
+    incumbent = _dp_incumbent(inst) if stats is None else _dp_incumbent(inst, stats)
     if stats is not None:
         stats["incumbent"] = incumbent
         stats["layers"] = []

@@ -12,9 +12,12 @@ import random
 import pytest
 
 from nswmatch import exact, generators
+from nswmatch.approx import greedy_submodular
 from nswmatch.cli import run_algo
-from nswmatch.core import BudgetExceededError, Instance, Matching, validate, zero_fallback
+from nswmatch.core import (BudgetExceededError, Instance, Matching, UNMATCHED, nash_value,
+                           validate, zero_fallback)
 from nswmatch.exact import _sized_submasks, solve_dp
+from nswmatch.oracle import solve_bruteforce
 from reference_dp import naive_dp
 
 BIG = 2 ** 53
@@ -200,15 +203,17 @@ def test_bound_changes_no_record(monkeypatch):
 
 
 def test_dp_stats_count_the_work():
-    """stats holds the incumbent and, per layer, the states pushed, dropped
-    and the bundles tried; the counts are the same on every run, and on
-    dense m = 13 the bound drops states."""
+    """stats holds greedy's product, the local search's moves, the
+    incumbent and, per layer, the states pushed, dropped and the bundles
+    tried; the counts are the same on every run, and on dense m = 13 the
+    bound drops states."""
     inst = _dense(13, 3, 0, 5, seed=7)
     first, second = {}, {}
     mu, value = solve_dp(inst, first)
     assert solve_dp(inst, second) == (mu, value)
     assert first == second
-    assert 0 < first["incumbent"] <= value.product
+    assert 0 < first["greedy"] <= first["incumbent"] <= value.product
+    assert (first["moves"] > 0) == (first["incumbent"] > first["greedy"])
     layers = first["layers"]
     assert len(layers) == 3
     assert layers[0] == {"live": 1, "dropped": 0, "transitions": layers[0]["transitions"]}
@@ -219,3 +224,63 @@ def test_dp_stats_count_the_work():
     short = {}
     solve_dp(generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance, short)
     assert short == {}
+
+
+# (lo, hi) value pools of the incumbent tests: small values with many ties,
+# near-ties a float could not tell apart, and values past any float's
+# precision
+INCUMBENT_POOLS = {"small": (1, 5), "near_ties": (10 ** 18, 10 ** 18 + 3),
+                   "huge": (1, 10 ** 30)}
+
+
+@pytest.mark.parametrize("pool", INCUMBENT_POOLS)
+def test_incumbent_is_a_scored_matching(pool):
+    """On dense instances, tight and slack, the local search from greedy's
+    matching ends at a feasible matching of every worker whose product is
+    the incumbent, between greedy's product and the optimum."""
+    lo, hi = INCUMBENT_POOLS[pool]
+    rng = random.Random(f"incumbent-{pool}")
+    moved = 0
+    for k in range(60):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, 9)
+        caps = [1] * n
+        # k even: total capacity exactly m; odd: up to 3 more
+        for _ in range(m - n + (k % 2) * rng.randint(1, 3)):
+            caps[rng.randrange(n)] += 1
+        inst = Instance.create(caps, [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)],
+                               [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
+        start, greedy = greedy_submodular(inst)
+        mu, moves = exact._local_search(inst, start)
+        assert validate(inst, mu) is None and UNMATCHED not in mu.assignment, inst
+        incumbent = exact._dp_incumbent(inst)
+        assert nash_value(inst, mu).product == incumbent
+        assert (moves == 0) == (mu == start)
+        assert 0 < greedy.product <= incumbent <= solve_bruteforce(inst).value.product
+        stats = {}
+        solve_dp(inst, stats)
+        assert (stats["greedy"], stats["moves"], stats["incumbent"]) == (
+            greedy.product, moves, incumbent)
+        moved += moves > 0
+    # the pools leave greedy short of a local optimum often enough to test
+    assert moved >= 5
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7])
+def test_local_search_raises_the_incumbent(monkeypatch, seed):
+    """Dense m = 12 draws where greedy is below the optimum: the search
+    reaches the optimum, and with it the bound does less work than with
+    greedy's product as the incumbent, for the same record."""
+    inst = generators.gen_random(12, 3, [4] * 3, 5, 1.0, seed).instance
+    stats = {}
+    result = solve_dp(inst, stats)
+    optimum = result[1].product
+    assert stats["greedy"] < stats["incumbent"] == optimum
+    monkeypatch.setattr(exact, "_local_search", lambda inst, mu: (mu, 0))
+    greedy_stats = {}
+    assert solve_dp(inst, greedy_stats) == result
+    assert greedy_stats["incumbent"] == stats["greedy"]
+
+    def transitions(st):
+        return sum(layer["transitions"] for layer in st["layers"])
+    assert transitions(stats) < transitions(greedy_stats)
