@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
+from operator import getitem
 from typing import Optional, Sequence
 
 UNMATCHED = None
@@ -154,17 +155,47 @@ class Violation:
 
 def all_utilities(inst: Instance, mu: Matching) -> list[int]:
     """Worker utilities followed by firm utilities."""
+    assignment = mu.assignment
+    firm_vals = inst.firm_vals
     firm_sums = [0] * inst.n
-    worker_utils = [0] * inst.m
-    for w, f in enumerate(mu.assignment):
-        if f is not UNMATCHED:
-            worker_utils[w] = inst.worker_vals[w][f]
-            firm_sums[f] += inst.firm_vals[f][w]
-    return worker_utils + firm_sums
+    if UNMATCHED in assignment:
+        worker_vals = inst.worker_vals
+        worker_utils = [0] * inst.m
+        for w, f in enumerate(assignment):
+            if f is not UNMATCHED:
+                worker_utils[w] = worker_vals[w][f]
+                firm_sums[f] += firm_vals[f][w]
+        return worker_utils + firm_sums
+    # every worker is matched: each worker's utility is one index into its row
+    for w, f in enumerate(assignment):
+        firm_sums[f] += firm_vals[f][w]
+    return list(map(getitem, inst.worker_vals, assignment)) + firm_sums
 
 
 def nash_value(inst: Instance, mu: Matching) -> NashValue:
-    return NashValue(math.prod(all_utilities(inst, mu)))
+    """The exact Nash product of mu: all_utilities multiplied by
+    _product_tree, so the big-int multiplications stay balanced."""
+    return NashValue(_product_tree(all_utilities(inst, mu)))
+
+
+# below this many factors _product_tree is math.prod: each partial product
+# of a short run is still small, so the chain costs no more than the tree
+_PRODUCT_LEAF = 32
+
+
+def _product_tree(factors: Sequence[int]) -> int:
+    """math.prod(factors), with each half of a long sequence multiplied
+    recursively and the two halves' products then multiplied.
+
+    A left-to-right chain multiplies a growing product by each factor, so
+    k factors of d digits cost about k^2 * d digit operations; the tree's
+    multiplications are of balanced operands, which CPython's Karatsuba
+    multiplication makes far cheaper.  Sequences of at most _PRODUCT_LEAF
+    factors go to math.prod directly."""
+    if len(factors) <= _PRODUCT_LEAF:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product_tree(factors[:half]) * _product_tree(factors[half:])
 
 
 def utilitarian_welfare(inst: Instance, mu: Matching) -> int:

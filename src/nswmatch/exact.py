@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -74,14 +74,16 @@ def _positive_products(inst: Instance) -> tuple[list, list]:
     """Adjacency lists of the workers' side of the capacity-one graph: for
     worker r, the firms c with worker_vals[r][c] * firm_vals[c][r] > 0, and
     those products in the same order.  One itemgetter gathers the row's
-    values at its valued firms and those firms' values at r."""
+    values at its valued firms and those firms' rows, and one comprehension
+    reads each gathered row at r: no value row is iterated, and no call is
+    made per edge."""
     cols = inst.firm_vals
     ids = []
     weights = []
     for r, (row, pos) in enumerate(zip(inst.worker_vals, inst.valued_firms)):
         if len(pos) > 1:
             get = itemgetter(*pos)
-            prods = list(map(mul, get(row), map(itemgetter(r), get(cols))))
+            prods = [a * c[r] for a, c in zip(get(row), get(cols))]
         else:  # itemgetter of one index returns the item, not a tuple
             prods = [row[c] * cols[c][r] for c in pos]
         if 0 in prods:
@@ -219,7 +221,10 @@ def _completion_bounds(inst: Instance, i: int) -> tuple[int, list, list]:
     t are its complement's."""
     m, h = inst.m, inst.m // 2
     best = [max(row[i:]) for row in inst.worker_vals]
-    sums = math.prod(sum(sorted(inst.firm_vals[j], reverse=True)[:inst.capacities[j]])
+    # a zero never reaches a top-c_j sum, so only the valued workers' values
+    # are read, by index, and no firm row is walked
+    sums = math.prod(sum(sorted(map(inst.firm_vals[j].__getitem__, inst.valued_workers[j]),
+                                reverse=True)[:inst.capacities[j]])
                      for j in range(i, inst.n))
     lows = _subset_products(best[:h])[::-1]
     highs = [p * sums for p in reversed(_subset_products(best[h:m]))]

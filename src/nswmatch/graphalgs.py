@@ -8,7 +8,9 @@ with a check of the optimum against the final vertex potentials.  Its seed
 follows Jonker and Volgenant (1987): each left vertex's potential is its
 largest weight, a greedy matching takes tight edges, and one pass of tight
 augmenting paths of three edges extends it, so only the left vertices the
-seed leaves single start a search.
+seed leaves single start a search.  Both seed passes find tight edges by
+C-level list.index scans, and the second lists a vertex's tight neighbours
+at most once.
 
 A graph is the left side's adjacency lists: ids[l] lists l's right
 neighbours and weights[l] the weights of those edges in the same order, so
@@ -29,20 +31,29 @@ from itertools import compress
 from operator import lt, sub
 
 
+class _RoundedLogs(dict):
+    """Maps a positive int w to round(log(w) * 2^52), computing each
+    distinct w's log once, the first time it is looked up."""
+
+    def __missing__(self, w):
+        self[w] = log = round(math.log(w) * 2**52)
+        return log
+
+
 def max_weight_perfect_matching_general(ids, weights, num_right) -> list[int] | None:
     """Perfect matching that maximises the product of its edge weights, as
     mate, where mate[l] is left vertex l's right partner, or None when no
     perfect matching exists.  It runs max_weight_perfect_matching on their
-    logs as integer multiples of 2^-52, taken once per distinct weight, so
-    two products whose rounded logs sum alike can come out in either order.
+    logs as integer multiples of 2^-52, each distinct weight's taken the
+    first time the one mapping pass meets it, so two products whose
+    rounded logs sum alike can come out in either order.
     The optimum check is not run: it would certify the rounded logs, not
     the product.
 
     ids[l] lists l's right neighbours, in 0..num_right-1, and weights[l]
     the positive int weights of those edges, in the same order.
     """
-    logs = {w: round(math.log(w) * 2**52) for w in set().union(*weights)}
-    to_log = logs.__getitem__
+    to_log = _RoundedLogs().__getitem__
     mate, _check = max_weight_perfect_matching(
         ids, [list(map(to_log, ws)) for ws in weights], num_right)
     return mate
@@ -58,10 +69,12 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
     left vertex has no edge.
 
     ids[l] lists l's right neighbours, each once, and weights[l] the int
-    weights of those edges, in the same order.  The seed sets u[l] to l's
-    largest weight and v to 0; then each left vertex, in order, takes its
-    first single neighbour on a tight edge; then each one still single
-    takes a tight path l-r=l2-r2 to a single r2, where there is one.  Each
+    weights of those edges, in the same order; each weights[l] is a list
+    or tuple.  The seed sets u[l] to l's largest weight and v to 0; then
+    each left vertex, in order, takes its first single neighbour on a
+    tight edge, one of weight u[l], in ids order; then each one still
+    single takes a tight path l-r=l2-r2 to a single r2, where there is
+    one, from tight-neighbour lists each built once, on first need.  Each
     left vertex still single then roots one Dijkstra search over the
     reduced costs u + v - w >= 0 to the nearest single right vertex; the
     potentials move by the distances the search settled, which keeps every
@@ -77,20 +90,36 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
     v_of = v.__getitem__
     mate = [-1] * nl  # mate[l]: l's right partner, or -1
     owner = [-1] * nl  # owner[r]: r's left partner, or -1
-    for l in range(nl):
-        # while v is 0 an edge is tight iff its weight is u[l]
-        for r in compress(ids[l], map(u[l].__eq__, weights[l])):
-            if owner[r] == -1:
-                mate[l] = r
-                owner[r] = l
-                break
+    # while v is 0 an edge is tight iff its weight is u[l], so C-level
+    # index scans find l's tight neighbours in ids order
+    for l, (near, ws, top) in enumerate(zip(ids, weights, u)):
+        j = ws.index(top)
+        try:
+            while owner[near[j]] != -1:
+                j = ws.index(top, j + 1)
+        except ValueError:
+            continue  # every tight neighbour is taken
+        mate[l] = near[j]
+        owner[near[j]] = l
+    # tight[l]: l's tight neighbours in ids order, listed on first need
+    tight = [None] * nl
+
+    def tight_of(l):
+        near, ws, top = ids[l], weights[l], u[l]
+        j = -1
+        tl = tight[l] = []
+        for _ in range(ws.count(top)):
+            j = ws.index(top, j + 1)
+            tl.append(near[j])
+        return tl
+
     for l in range(nl):
         if mate[l] != -1:
             continue
         # every tight neighbour of l is matched, or the greedy took it
-        for r in compress(ids[l], map(u[l].__eq__, weights[l])):
+        for r in tight[l] or tight_of(l):
             l2 = owner[r]
-            for r2 in compress(ids[l2], map(u[l2].__eq__, weights[l2])):
+            for r2 in tight[l2] or tight_of(l2):
                 if owner[r2] == -1:
                     mate[l], owner[r], mate[l2], owner[r2] = r, l, r2, l2
                     break

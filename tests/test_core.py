@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nswmatch import core
 from nswmatch.cli import nash_welfare
 from nswmatch.core import (
     Instance,
@@ -200,3 +201,50 @@ def test_positive_product_implies_all_matched():
                 # AM-GM: arithmetic mean dominates the geometric mean
                 mean = sum(utils) / len(utils)
                 assert mean >= nash_welfare(value.product, len(utils)) - 1e-9
+
+
+# --- the product tree and the all-matched utilities ------------------------
+
+# lengths 0..3000, drawn often at the tree's base-case boundary and its doubles
+_LEAF = core._PRODUCT_LEAF
+_LENGTHS = st.one_of(st.integers(0, 3000),
+                     st.sampled_from([0, 1, 2, _LEAF - 1, _LEAF, _LEAF + 1,
+                                      2 * _LEAF, 2 * _LEAF + 1, 4 * _LEAF + 3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LENGTHS, st.integers(0, 2 ** 32), st.sampled_from(["ones", "small", "big", "zeros"]))
+def test_product_tree_equals_math_prod(length, seed, kind):
+    rng = random.Random(seed)
+    top = 10 ** 30 if kind == "big" else 5
+    factors = [1 if kind == "ones" else rng.randint(1, top) for _ in range(length)]
+    if kind == "zeros" and factors:
+        for _ in range(rng.randint(1, 3)):
+            factors[rng.randrange(length)] = 0
+    assert core._product_tree(factors) == math.prod(factors)
+    assert core._product_tree(tuple(factors)) == math.prod(factors)
+
+
+def _utilities_by_loop(inst, mu):
+    """all_utilities as one loop over every worker, matched or not."""
+    firm_sums = [0] * inst.n
+    worker_utils = [0] * inst.m
+    for w, f in enumerate(mu.assignment):
+        if f is not UNMATCHED:
+            worker_utils[w] = inst.worker_vals[w][f]
+            firm_sums[f] += inst.firm_vals[f][w]
+    return worker_utils + firm_sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instances(), st.data())
+def test_all_utilities_equals_the_loop(inst, data):
+    """With or without UNMATCHED entries, and whatever the loads."""
+    firm = st.integers(0, inst.n - 1)
+    if data.draw(st.booleans()):
+        firm = st.one_of(st.none(), firm)
+    assignment = data.draw(st.lists(firm, min_size=inst.m, max_size=inst.m))
+    mu = Matching.of(assignment)
+    utils = all_utilities(inst, mu)
+    assert utils == _utilities_by_loop(inst, mu)
+    assert nash_value(inst, mu).product == math.prod(utils)

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch.core import (
     BudgetExceededError,
@@ -14,6 +17,7 @@ from nswmatch import exact
 from nswmatch.approx import qptas_bucketing
 from nswmatch.cli import run_algo
 from nswmatch.exact import solve_capacity_one, solve_dp, solve_exact_bucketing
+from nswmatch.generators import gen_random
 from nswmatch.oracle import solve_bruteforce
 from conftest import crossing_example, random_instance
 
@@ -110,6 +114,86 @@ def test_capacity_one_near_tie():
     for row in (near, near[::-1]):
         inst = Instance.create((1, 1), [row, [1, 1]], [[1, 1], [1, 1]])
         assert check_optimal(inst, solve_capacity_one).product == 10 ** 18 + 1
+
+
+# values: zero, small and up to 10^30
+_EDGE_VALUES = st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 10 ** 30))
+
+
+@st.composite
+def _capacity_one_rows(draw):
+    """Workers whose rows value no firm, one firm, some or all of them, and
+    firm rows that may be 0 where the worker's value is not."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    positive = st.integers(1, 10 ** 30)
+    worker_vals = []
+    for _w in range(m):
+        kind = draw(st.sampled_from(["none", "one", "some", "all"]))
+        if kind == "none":
+            row = [0] * n
+        elif kind == "one":
+            row = [0] * n
+            row[draw(st.integers(0, n - 1))] = draw(positive)
+        else:
+            values = positive if kind == "all" else _EDGE_VALUES
+            row = draw(st.lists(values, min_size=n, max_size=n))
+        worker_vals.append(row)
+    firm_vals = draw(st.lists(st.lists(_EDGE_VALUES, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    return Instance.create([1] * n, worker_vals, firm_vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_capacity_one_rows())
+def test_positive_products_equal_the_double_loop(inst):
+    ids, weights = exact._positive_products(inst)
+    expected = [[(c, inst.worker_vals[r][c] * inst.firm_vals[c][r]) for c in range(inst.n)
+                 if inst.worker_vals[r][c] * inst.firm_vals[c][r] > 0] for r in range(inst.m)]
+    assert [list(zip(near, ws)) for near, ws in zip(ids, weights)] == expected
+    assert all(len(near) == len(ws) for near, ws in zip(ids, weights))
+
+
+def _degree3_cap2(seed: int, n: int, v_max: int) -> Instance:
+    """m = 2n workers, capacities 2: each firm values a planted pair of
+    workers plus one random worker, and they it, with values 1..v_max."""
+    rng = random.Random(seed)
+    m = 2 * n
+    perm = list(range(m))
+    rng.shuffle(perm)
+    worker_vals = [[0] * n for _ in range(m)]
+    firm_vals = [[0] * m for _ in range(n)]
+    for f in range(n):
+        for w in {perm[2 * f], perm[2 * f + 1], rng.randrange(m)}:
+            worker_vals[w][f] = rng.randint(1, v_max)
+            firm_vals[f][w] = rng.randint(1, v_max)
+    return Instance.create([2] * n, worker_vals, firm_vals)
+
+
+# sha256 of each record's [matching, nash_product] as JSON; values 1..3 and
+# 1..2 tie often, so a changed tie-break in the matcher moves a mate here
+_PINNED = [
+    ("cap1", lambda: gen_random(200, 200, [1] * 200, 3, 1.0, 1).instance,
+     "2ed04c461e5f95a6f425c18a5c053a7f57bae447c8467f7e309d3a15cd1ea5a4"),
+    ("cap1", lambda: gen_random(250, 250, [1] * 250, 10 ** 6, 0.9, 2).instance,
+     "8e0b8c71166697bd965a8e7e3880d95a3a0b96d70894a5f95738b218398d9f7a"),
+    ("deg3cap2", lambda: _degree3_cap2(3, 100, 2),
+     "0356024bde5790ca7dd62e1c0bc25783026a76b009d1cff20aa5a248c345abd2"),
+    ("deg3cap2", lambda: _degree3_cap2(4, 150, 5),
+     "b3d778f9bbf9bee277eba26aa63cfaac2a8b0ab97e8b35d05643c30b2bb9e888"),
+]
+
+
+@pytest.mark.parametrize("algo, build, digest", _PINNED,
+                         ids=["cap1-200-tied", "cap1-250", "deg3cap2-300-tied",
+                              "deg3cap2-450"])
+def test_matcher_records_are_pinned(algo, build, digest):
+    """cap1 and deg3cap2 at 200 to 450 agents return pinned matchings and
+    products, so a speed-up of the edge builder, the log mapping or the
+    matcher's seed that moves a single mate fails here."""
+    record = run_algo(algo, build())
+    assert record["status"] == "ok"
+    got = json.dumps([record["matching"], record["nash_product"]]).encode()
+    assert hashlib.sha256(got).hexdigest() == digest
 
 
 def test_dp_crossing():

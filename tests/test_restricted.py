@@ -720,8 +720,8 @@ _GRAPH_SOLVERS = [("feasible", None), ("singlefirm", None), ("symbin", None),
                   ("dp2", None), ("fptas", "1/2"), ("oracle", None)]
 
 
-@pytest.mark.parametrize("family", ["symbin", "cap1_cycle", "deg3cap2", "singlefirm",
-                                    "general"])
+@pytest.mark.parametrize("family", ["symbin", "cap1_cycle", "cap1_dense", "deg3cap2",
+                                    "singlefirm", "general"])
 def test_solvers_walk_each_row_once(family):
     """The solvers that read the positive-value graph, run in turn on one
     instance, walk each value row at most once in total.  Counts only
@@ -730,6 +730,8 @@ def test_solvers_walk_each_row_once(family):
     inst = {
         "symbin": lambda: random_symmetric_binary(rng, m=6, n=3),
         "cap1_cycle": lambda: capacity_one_cycle(rng, 4, range(1, 6)),
+        # every value positive: a bound that sorts whole rows walks them here
+        "cap1_dense": lambda: random_instance(rng, m=8, n=8, cap_hi=1),
         "deg3cap2": lambda: random_degree3_cap2(rng),
         "singlefirm": lambda: random_single_positive_firm(rng),
         "general": lambda: random_instance(rng, m=6, n=3, density=0.6),
