@@ -2,6 +2,8 @@
 
 - greedy_submodular: pairwise greedy on the log-modified firm valuations;
   the square-root-of-optimum Nash bound is checked empirically by the suite.
+  Each firm keeps its best gain over the unplaced workers, so a step
+  compares one head per open firm instead of every pair.
 - qptas_bucketing: puts each distinct value on the (1+eps) grid that runs
   up to v_max, groups workers by their bucket signature, and runs the
   oracle's search (oracle.solve_bruteforce) with the groups as its twin
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, getitem
 
 from .core import (
     BudgetExceededError,
@@ -32,7 +35,7 @@ from .core import (
     Matching,
     NashValue,
     UNMATCHED,
-    nash_value,
+    _product_tree,
 )
 from .exact import _check_bucket_firms
 from .oracle import solve_bruteforce
@@ -60,6 +63,15 @@ def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
     ratios: adding w to a nonempty bundle at f multiplies the running
     product by v_wf * (sigma_f + v_fw) / sigma_f, and by v_wf * v_fw on an
     empty one; the first strict maximiser in (worker, firm) order wins.
+
+    Each firm with room keeps every worker's gain numerator
+    v_wf * (sigma_f + v_fw), 0 once the worker is placed, and their maximum
+    and its first index, so a step compares one head per open firm.  The
+    firm that takes a worker rebuilds its numerators by C-level maps;
+    every other firm zeroes that worker's entry and rescans only when it
+    held its maximum.  A step costs O(n) Python steps and O(m) C-level
+    ones, where comparing every pair took O(m * n) Python steps; each
+    firm's column of v_wf is listed once, at its first rebuild.
     """
     m, n = inst.m, inst.n
     caps, worker_vals, firm_vals = inst.capacities, inst.worker_vals, inst.firm_vals
@@ -68,38 +80,63 @@ def greedy_submodular(inst: Instance) -> tuple[Matching, NashValue]:
         raise DomainError("greedy_submodular requires strictly positive valuations")
     if sum(caps) < m:
         raise DomainError("total capacity below worker count")
-    loads = [0] * n
+    # nums[f][w]: v_wf * (sums[f] + v_fw) while w is unplaced, 0 once it is
+    # placed, over the denominator sums[f], or 1 while f is empty.  Values
+    # are read by index, and no row is iterated.
+    nums = [[row[f] * fv[w] for w, row in enumerate(worker_vals)]
+            for f, fv in enumerate(firm_vals)]
+    # cols[f][w]: v_wf while w is unplaced, 0 once it is placed, listed for
+    # f's first rebuild
+    cols = [None] * n
+    heads = [*map(max, nums)]
+    firsts = [*map(list.index, nums, heads)]
     sums = [0] * n
+    room = list(caps)
+    open_firms = [f for f in range(n) if caps[f]]
+    # never strand a firm with an empty bundle: once the unplaced workers
+    # are only as many as the empty firms that can take one, steps must
+    # fill one
+    empty = open_firms[:] if m >= n else []
     assignment: list = [UNMATCHED] * m
-    unplaced = set(range(m))
-    while unplaced:
-        # never strand a firm with an empty bundle: once the unplaced
-        # workers are only as many as the empty firms that can take one,
-        # steps must fill one
-        empty = [f for f in range(n) if loads[f] == 0 < caps[f]]
-        must_fill = m >= n and 0 < len(empty) >= len(unplaced)
-        open_firms = empty if must_fill else [f for f in range(n) if loads[f] < caps[f]]
-        best_num, best_den = -1, 1
-        best_pair = None
-        for w in sorted(unplaced):
-            row = worker_vals[w]
-            for f in open_firms:
-                fv = firm_vals[f][w]
-                den = sums[f]
-                if den == 0:
-                    num, den = row[f] * fv, 1
-                else:
-                    num = row[f] * (den + fv)
-                if num * best_den > best_num * den:
-                    best_num, best_den = num, den
-                    best_pair = (w, f)
-        w, f = best_pair
+    for left in range(m, 0, -1):
+        firms = empty if len(empty) >= left else open_firms
+        f = firms[0]
+        num, den, w = heads[f], sums[f] or 1, firsts[f]
+        for g in firms[1:]:
+            g_num, g_den = heads[g], sums[g] or 1
+            lhs, rhs = g_num * den, num * g_den
+            if lhs > rhs or lhs == rhs and firsts[g] < w:
+                f, num, den, w = g, g_num, g_den, firsts[g]
         assignment[w] = f
-        loads[f] += 1
-        sums[f] += inst.firm_vals[f][w]
-        unplaced.discard(w)
-    mu = Matching.of(assignment)
-    return mu, nash_value(inst, mu)
+        s = sums[f]
+        gain = firm_vals[f][w]
+        sums[f] = s + gain
+        if left == 1:
+            break
+        if not s and empty:
+            empty.remove(f)
+        room[f] -= 1
+        if not room[f]:
+            open_firms.remove(f)
+        for g in open_firms:
+            row = nums[g]
+            row[w] = 0
+            if cols[g]:
+                cols[g][w] = 0
+            if firsts[g] == w and g != f:
+                heads[g] = top = max(row)
+                firsts[g] = row.index(top)
+        if room[f]:
+            col = cols[f]
+            if col is None:
+                col = cols[f] = [r[f] if x else 0 for r, x in zip(worker_vals, nums[f])]
+            # v_wf * (s + gain + v_fw) is the old numerator plus v_wf * gain
+            nums[f] = row = [*map(add, nums[f], map(gain.__mul__, col))]
+            heads[f] = top = max(row)
+            firsts[f] = row.index(top)
+    # every worker is placed and sums holds each firm's utility
+    product = _product_tree([*map(getitem, worker_vals, assignment), *sums])
+    return Matching.of(assignment), NashValue(product)
 
 
 def _level(value: int, num: int, den: int, log_ratio: float) -> int:

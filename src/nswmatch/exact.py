@@ -2,7 +2,8 @@
 
 - solve_capacity_one: reduction to a max-product bipartite perfect
   matching of workers and firms, on adjacency lists gathered from each
-  worker's valued firms (Instance.valued_firms).
+  worker's valued firms (Instance.valued_firms); each worker's products
+  reach the matcher as a lazy row of C-level maps, read once.
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer pushes from the positive states of the
   last, by the bundles of the sizes a full partition can pass through, and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional
 
 from .core import (
@@ -73,26 +74,33 @@ def solve_capacity_one(inst: Instance) -> tuple[Matching, NashValue]:
 def _positive_products(inst: Instance) -> tuple[list, list]:
     """Adjacency lists of the workers' side of the capacity-one graph: for
     worker r, the firms c with worker_vals[r][c] * firm_vals[c][r] > 0, and
-    those products in the same order.  One itemgetter gathers the row's
-    values at its valued firms and those firms' rows, and one comprehension
-    reads each gathered row at r: no value row is iterated, and no call is
-    made per edge."""
-    cols = inst.firm_vals
+    those products in the same order, as a lazy map(mul, ...) that the
+    matcher reads once.  Values are read by index at the row's valued
+    firms, so no value row is iterated and no product list is built: a row
+    that values every firm is gathered by one shared itemgetter and reads
+    the firm rows as they are, another row by an itemgetter of its valued
+    firms; the firm side is read at r by one C-level map, and the zero test
+    looks at the firm side only, since the worker side is positive there."""
+    n, cols = inst.n, inst.firm_vals
+    whole = itemgetter(*range(n)) if n > 1 else None
     ids = []
     weights = []
     for r, (row, pos) in enumerate(zip(inst.worker_vals, inst.valued_firms)):
-        if len(pos) > 1:
+        if len(pos) == n > 1:
+            row, firms = whole(row), cols
+        elif len(pos) > 1:
             get = itemgetter(*pos)
-            prods = [a * c[r] for a, c in zip(get(row), get(cols))]
+            row, firms = get(row), get(cols)
         else:  # itemgetter of one index returns the item, not a tuple
-            prods = [row[c] * cols[c][r] for c in pos]
-        if 0 in prods:
+            row, firms = [row[c] for c in pos], [cols[c] for c in pos]
+        col = [*map(itemgetter(r), firms)]
+        if not all(col):
             # the other side values this one 0: no edge
-            ids.append(tuple(compress(pos, prods)))
-            prods = list(filter(None, prods))
+            ids.append(tuple(compress(pos, col)))
+            row, col = compress(row, col), filter(None, col)
         else:
             ids.append(pos)
-        weights.append(prods)
+        weights.append(map(mul, row, col))
     return ids, weights
 
 

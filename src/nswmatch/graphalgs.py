@@ -10,7 +10,12 @@ largest weight, a greedy matching takes tight edges, and one pass of tight
 augmenting paths of three edges extends it, so only the left vertices the
 seed leaves single start a search.  Both seed passes find tight edges by
 C-level list.index scans, and the second lists a vertex's tight neighbours
-at most once.
+at most once.  A search keeps each right vertex's distance less its
+potential, which an edge sets to the same value whichever right vertex it
+reaches, so a settled row is relaxed by one subtraction and one
+comparison per edge at C level; a row that lists every right vertex in
+increasing order is compared with that array directly, and any other row
+through its ids.
 
 A graph is the left side's adjacency lists: ids[l] lists l's right
 neighbours and weights[l] the weights of those edges in the same order, so
@@ -19,7 +24,8 @@ Matching weights arrive as positive integers, and
 max_weight_perfect_matching_general maximises the sum of their logs
 rounded to multiples of 2^-52, so a near-tie between two products can
 still be decided by rounding; it is the one place where logs meet the
-matching reductions.
+matching reductions.  Its weight rows may be lazy iterables, read once
+by the one C-level pass that maps them to logs.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 from math import inf
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import lt, sub
+from operator import add, lt
 
 
 class _RoundedLogs(dict):
@@ -51,7 +57,8 @@ def max_weight_perfect_matching_general(ids, weights, num_right) -> list[int] | 
     the product.
 
     ids[l] lists l's right neighbours, in 0..num_right-1, and weights[l]
-    the positive int weights of those edges, in the same order.
+    the positive int weights of those edges, in the same order, as any
+    iterable; each is read once.
     """
     to_log = _RoundedLogs().__getitem__
     mate, _check = max_weight_perfect_matching(
@@ -68,19 +75,22 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
     perfect matching exists, at once when the sides differ in size or a
     left vertex has no edge.
 
-    ids[l] lists l's right neighbours, each once, and weights[l] the int
-    weights of those edges, in the same order; each weights[l] is a list
-    or tuple.  The seed sets u[l] to l's largest weight and v to 0; then
-    each left vertex, in order, takes its first single neighbour on a
-    tight edge, one of weight u[l], in ids order; then each one still
-    single takes a tight path l-r=l2-r2 to a single r2, where there is
-    one, from tight-neighbour lists each built once, on first need.  Each
-    left vertex still single then roots one Dijkstra search over the
-    reduced costs u + v - w >= 0 to the nearest single right vertex; the
-    potentials move by the distances the search settled, which keeps every
-    reduced cost >= 0 and makes the path tight, and the path is augmented.
-    A search that reaches no single right vertex proves, by Berge's lemma,
-    that no perfect matching exists.
+    ids[l] lists l's right neighbours, each once and in any order, and
+    weights[l] the int weights of those edges, in the same order; each
+    ids[l] and weights[l] is a list or tuple.  The seed sets u[l] to l's
+    largest weight and v to 0; then each left vertex, in order, takes its
+    first single neighbour on a tight edge, one of weight u[l], in ids
+    order; then each one still single takes a tight path l-r=l2-r2 to a
+    single r2, where there is one, from tight-neighbour lists each built
+    once, on first need.  Each left vertex still single then roots one
+    Dijkstra search over the reduced costs u + v - w >= 0 to the nearest
+    single right vertex; the potentials move by the distances the search
+    settled, which keeps every reduced cost >= 0 and makes the path tight,
+    and the path is augmented.  A search holds each right vertex's
+    distance less its potential, and relaxes a row that is
+    range(num_right) in order against that array directly, any other row
+    through its ids.  A search that reaches no single right vertex proves,
+    by Berge's lemma, that no perfect matching exists.
     """
     nl = len(ids)
     if nl != num_right or not all(ids):
@@ -127,25 +137,29 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
                 continue
             break
 
+    every = tuple(range(nl))  # the ids of a dense row, in order
     for root in range(nl):
         if mate[root] != -1:
             continue
-        # dist[r]: least reduced cost of an alternating path root ~> r so
-        # far; pred[r]: the left vertex before r on it
-        dist = [inf] * nl
-        dist_of = dist.__getitem__
+        # gap[r]: dist[r] - v[r], where dist[r] is the least reduced cost of
+        # an alternating path root ~> r so far; v holds during a search, so
+        # an edge (l, r) from l at distance d gives r the gap d + u[l] - w,
+        # whatever r is; pred[r]: the left vertex before r on that path
+        gap = [inf] * nl
+        gap_of = gap.__getitem__
         pred = [root] * nl
-        heap = list(zip(map(u[root].__add__, map(sub, map(v_of, ids[root]), weights[root])),
-                        ids[root]))
-        for d, r in heap:
-            dist[r] = d
+        near = ids[root]
+        gaps = list(map(u[root].__sub__, weights[root]))
+        for r, g in zip(near, gaps):
+            gap[r] = g
+        heap = list(zip(map(add, gaps, map(v_of, near)), near))
         heapify(heap)
         settled = []  # (r, dist[r]) of the matched right vertices settled
         while True:
             if not heap:
                 return None, None
             d, r = heappop(heap)
-            if d > dist[r]:
+            if d - v[r] > gap[r]:
                 continue  # a stale entry
             l = owner[r]
             if l == -1:
@@ -154,10 +168,15 @@ def max_weight_perfect_matching(ids, weights, num_right) -> tuple:
             # the matched edge (l, r) is tight, so l is at distance d too;
             # a single right vertex at distance d ends the search at once
             near = ids[l]
-            d2s = list(map((d + u[l]).__add__, map(sub, map(v_of, near), weights[l])))
-            for r2, d2 in compress(zip(near, d2s), map(lt, d2s, map(dist_of, near))):
-                dist[r2] = d2
+            gaps = list(map((d + u[l]).__sub__, weights[l]))
+            if len(near) == nl and tuple(near) == every:
+                closer = map(lt, gaps, gap)  # a dense row, in order
+            else:
+                closer = map(lt, gaps, map(gap_of, near))
+            for r2, g2 in compress(zip(near, gaps), closer):
+                gap[r2] = g2
                 pred[r2] = l
+                d2 = g2 + v[r2]
                 if d2 == d and owner[r2] == -1:
                     break
                 heappush(heap, (d2, r2))

@@ -1,15 +1,20 @@
+import hashlib
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch.cli import run_algo
 from nswmatch.core import BudgetExceededError, DomainError, Instance, Matching, validate
 from nswmatch.approx import _level, greedy_submodular, parse_eps, qptas_bucketing
+from nswmatch.generators import gen_random
 from nswmatch.oracle import solve_bruteforce
 from conftest import random_instance
+import reference_approx
 from reference_approx import ModifiedValuationView
 import reference_dp
 
@@ -157,6 +162,63 @@ def test_greedy_sqrt_bound():
         opt = solve_bruteforce(inst).value.product
         # welfare >= sqrt(opt welfare) <=> product^2 >= opt product
         assert value.product ** 2 >= opt, (inst, value.product, opt)
+
+
+@st.composite
+def _greedy_instances(draw):
+    """All-positive instances of the shapes greedy's steps branch on: values
+    that tie everywhere ({1}), often (1..2, 1..5) or hardly ever (up to
+    10^18); capacity-0 firms; fewer workers than firms; and must-fill
+    shapes, where the empty firms that can take a worker are as many as
+    the workers left from the first step on ("fill") or only later on
+    ("late")."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["slack", "fewer", "fill", "late"]))
+    if shape == "fewer":
+        m = draw(st.integers(1, max(1, n - 1)))  # m < n once n > 1
+    elif shape == "fill":
+        m = n
+    elif shape == "late":
+        m = draw(st.integers(n + 1, n + 3))
+    else:
+        m = draw(st.integers(1, 10))
+    caps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    if shape == "fill":
+        caps = [max(1, c) for c in caps]
+    short = m - sum(caps)
+    if short > 0:
+        caps[draw(st.integers(0, n - 1))] += short
+    values = draw(st.sampled_from([st.just(1), st.integers(1, 2), st.integers(1, 5),
+                                   st.integers(1, 10 ** 18)]))
+    worker_vals = draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                min_size=m, max_size=m))
+    firm_vals = draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_greedy_instances())
+def test_greedy_equals_the_pair_scan(inst):
+    """greedy keeps one maximum per firm; the pair scan it replaced compares
+    every (worker, firm) pair at every step.  Both break ties by (worker,
+    firm), so they return the same matching and product."""
+    assert greedy_submodular(inst) == reference_approx.greedy_submodular(inst)
+
+
+@pytest.mark.parametrize("m, n, v_max, digest", [
+    (150, 10, 5, "cdc1b366af2f8c6ff7c458761d13ab3985bd2ae167376f6f2b7e76110936b532"),
+    (300, 20, 2, "82f2d2c1bc0faf8231fff2f6424242343952f99d129998fdafcb1aa817f13744"),
+], ids=["150x10", "300x20-tied"])
+def test_greedy_records_are_pinned(m, n, v_max, digest):
+    """greedy at 150 and 300 workers, capacities 15, returns a pinned
+    matching and product: values 1..2 tie at nearly every step, so a
+    tie-break that moves one worker fails here."""
+    inst = gen_random(m, n, [15] * n, v_max, 1.0, 0).instance
+    record = run_algo("greedy", inst)
+    assert record["status"] == "ok"
+    got = json.dumps([record["matching"], record["nash_product"]]).encode()
+    assert hashlib.sha256(got).hexdigest() == digest
 
 
 # --- qptas -----------------------------------------------------------------

@@ -146,11 +146,35 @@ def _capacity_one_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(_capacity_one_rows())
 def test_positive_products_equal_the_double_loop(inst):
+    assert _edge_rows(inst) == _double_loop(inst)
+
+
+def _edge_rows(inst):
+    """_positive_products as (firm, product) lists per worker; its product
+    rows are lazy maps, read here once, and each has as many items as the
+    row's firm ids."""
     ids, weights = exact._positive_products(inst)
-    expected = [[(c, inst.worker_vals[r][c] * inst.firm_vals[c][r]) for c in range(inst.n)
-                 if inst.worker_vals[r][c] * inst.firm_vals[c][r] > 0] for r in range(inst.m)]
-    assert [list(zip(near, ws)) for near, ws in zip(ids, weights)] == expected
+    weights = [list(ws) for ws in weights]
     assert all(len(near) == len(ws) for near, ws in zip(ids, weights))
+    return [list(zip(near, ws)) for near, ws in zip(ids, weights)]
+
+
+def _double_loop(inst):
+    return [[(c, inst.worker_vals[r][c] * inst.firm_vals[c][r]) for c in range(inst.n)
+             if inst.worker_vals[r][c] * inst.firm_vals[c][r] > 0] for r in range(inst.m)]
+
+
+def test_positive_products_rows_by_kind():
+    """Three workers: one valued back by only some of the firms it values,
+    one that values exactly one firm, and one that values none, so cap1,
+    which needs a perfect matching, returns zero."""
+    big = 10 ** 30
+    worker_vals = [[3, big, 2], [0, 7, 0], [0, 0, 0]]
+    firm_vals = [[0, 1, 1], [5, 2, 1], [4, 0, 1]]
+    inst = Instance.create([1, 1, 1], worker_vals, firm_vals)
+    assert _edge_rows(inst) == _double_loop(inst) == [[(1, 5 * big), (2, 8)], [(1, 14)], []]
+    mu, value = solve_capacity_one(inst)
+    assert value.is_zero and validate(inst, mu) is None
 
 
 def _degree3_cap2(seed: int, n: int, v_max: int) -> Instance:
@@ -176,6 +200,10 @@ _PINNED = [
      "2ed04c461e5f95a6f425c18a5c053a7f57bae447c8467f7e309d3a15cd1ea5a4"),
     ("cap1", lambda: gen_random(250, 250, [1] * 250, 10 ** 6, 0.9, 2).instance,
      "8e0b8c71166697bd965a8e7e3880d95a3a0b96d70894a5f95738b218398d9f7a"),
+    # dense, values 1..5: the seed leaves vertices single whose searches
+    # settle 116 vertices, over rows that list every firm in order
+    ("cap1", lambda: gen_random(300, 300, [1] * 300, 5, 1.0, 3).instance,
+     "d2a80b488d67503ed55724fb078cc0fed2ff3149128471ef0e39468750ac8111"),
     ("deg3cap2", lambda: _degree3_cap2(3, 100, 2),
      "0356024bde5790ca7dd62e1c0bc25783026a76b009d1cff20aa5a248c345abd2"),
     ("deg3cap2", lambda: _degree3_cap2(4, 150, 5),
@@ -184,12 +212,12 @@ _PINNED = [
 
 
 @pytest.mark.parametrize("algo, build, digest", _PINNED,
-                         ids=["cap1-200-tied", "cap1-250", "deg3cap2-300-tied",
-                              "deg3cap2-450"])
+                         ids=["cap1-200-tied", "cap1-250", "cap1-300-searched",
+                              "deg3cap2-300-tied", "deg3cap2-450"])
 def test_matcher_records_are_pinned(algo, build, digest):
-    """cap1 and deg3cap2 at 200 to 450 agents return pinned matchings and
-    products, so a speed-up of the edge builder, the log mapping or the
-    matcher's seed that moves a single mate fails here."""
+    """cap1 and deg3cap2 at 200 to 600 agents return pinned matchings and
+    products, so a speed-up of the edge builder, the log mapping, the
+    matcher's seed or its searches that moves a single mate fails here."""
     record = run_algo(algo, build())
     assert record["status"] == "ok"
     got = json.dumps([record["matching"], record["nash_product"]]).encode()

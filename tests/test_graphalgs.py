@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,32 @@ def test_perfect_matching_cardinality():
     # 5, has exactly one perfect matching
     edges = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1)]
     assert matching_on_edges(3, 3, edges) == [0, 1, 2]
+
+
+def test_dense_rows_out_of_order_match_the_sorted_graph():
+    """The search relaxes a row against its arrays directly only when the
+    row lists every right vertex in increasing order; a full-length row in
+    another order must take the indexed path.  On complete graphs with
+    each row listed in its own shuffled order, the matcher gives the
+    optimum weight of the sorted graph and a check that passes."""
+    rng = random.Random(61)
+    # every left vertex weighs right 0 most: the seed matches left 0 only,
+    # and both searches relax left 0's row, listed in reverse below
+    cases = [[[3, 1, 1], [3, 2, 1], [3, 1, 2]]]
+    cases += [[[rng.randint(1, 3) for _ in range(k)] for _ in range(k)]
+              for k in rng.choices(range(2, 8), k=300)]
+    assert max_weight_perfect_matching([(0, 1, 2)] * 3, cases[0], 3)[0] == [0, 1, 2]
+    for w in cases:
+        k = len(w)
+        mate, check = max_weight_perfect_matching([tuple(range(k))] * k, w, k)
+        check()
+        orders = [rng.sample(range(k), k) for _ in range(k)]
+        orders[0] = list(range(k))[::-1]
+        shuffled = [[w[l][r] for r in order] for l, order in enumerate(orders)]
+        got, got_check = max_weight_perfect_matching(orders, shuffled, k)
+        got_check()
+        assert sorted(got) == list(range(k))
+        assert sum(map(getitem, w, got)) == sum(map(getitem, w, mate))
 
 
 # Edge weights for the differential test against networkx, all ints.  The
