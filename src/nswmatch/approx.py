@@ -9,8 +9,8 @@
   oracle's search (oracle.solve_bruteforce) with the groups as its twin
   classes: each guess of how many workers of each group go to each firm
   is realized once, canonically, and scored exactly, under the oracle's
-  DEFAULT_NODE_BUDGET.  It shares exact.DEFAULT_BUCKET_FIRM_BOUND with
-  exact.solve_exact_bucketing, and DEFAULT_LADDER_BUDGET bounds the
+  DEFAULT_NODE_BUDGET.  exact.solve_exact_bucketing shares its firm
+  bound, DEFAULT_BUCKET_FIRM_BOUND, and DEFAULT_LADDER_BUDGET bounds the
   log(v_max) / log(1+eps) levels its exact tests raise 1+eps to.
 
 The paper's set-polynomial FPTAS has no solver here: its product P must
@@ -37,9 +37,9 @@ from .core import (
     UNMATCHED,
     _product_tree,
 )
-from .exact import _check_bucket_firms
 from .oracle import solve_bruteforce
 
+DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_LADDER_BUDGET = 100_000
 
 
@@ -148,6 +148,13 @@ def _level(value: int, num: int, den: int, log_ratio: float) -> int:
     while k > 0 and value * den ** k < num ** k:
         k -= 1
     return k
+
+
+def _check_bucket_firms(inst: Instance) -> None:
+    """DomainError past DEFAULT_BUCKET_FIRM_BOUND firms, the bound that
+    buckets and qptas share."""
+    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
+        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")
 
 
 def qptas_bucketing(inst: Instance, eps) -> tuple[Matching, NashValue]:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import getitem
 from typing import Optional, Sequence
 
 UNMATCHED = None
@@ -155,21 +154,14 @@ class Violation:
 
 def all_utilities(inst: Instance, mu: Matching) -> list[int]:
     """Worker utilities followed by firm utilities."""
-    assignment = mu.assignment
-    firm_vals = inst.firm_vals
+    worker_vals, firm_vals = inst.worker_vals, inst.firm_vals
+    worker_utils = [0] * inst.m
     firm_sums = [0] * inst.n
-    if UNMATCHED in assignment:
-        worker_vals = inst.worker_vals
-        worker_utils = [0] * inst.m
-        for w, f in enumerate(assignment):
-            if f is not UNMATCHED:
-                worker_utils[w] = worker_vals[w][f]
-                firm_sums[f] += firm_vals[f][w]
-        return worker_utils + firm_sums
-    # every worker is matched: each worker's utility is one index into its row
-    for w, f in enumerate(assignment):
-        firm_sums[f] += firm_vals[f][w]
-    return list(map(getitem, inst.worker_vals, assignment)) + firm_sums
+    for w, f in enumerate(mu.assignment):
+        if f is not UNMATCHED:
+            worker_utils[w] = worker_vals[w][f]
+            firm_sums[f] += firm_vals[f][w]
+    return worker_utils + firm_sums
 
 
 def nash_value(inst: Instance, mu: Matching) -> NashValue:

@@ -20,8 +20,8 @@
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   after its domain checks it is oracle.solve_bruteforce, whose twin
   classes search interchangeable workers once, under the oracle's
-  DEFAULT_NODE_BUDGET.  approx.qptas_bucketing shares the firm bound
-  DEFAULT_BUCKET_FIRM_BOUND.
+  DEFAULT_NODE_BUDGET.  It shares the firm bound
+  approx.DEFAULT_BUCKET_FIRM_BOUND with approx.qptas_bucketing.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from itertools import compress
 from operator import itemgetter, mul
 from typing import Optional
 
+from .approx import DEFAULT_BUCKET_FIRM_BOUND, _check_bucket_firms, greedy_submodular
 from .core import (
     BudgetExceededError,
     DomainError,
@@ -46,7 +47,6 @@ from .oracle import solve_bruteforce
 
 DEFAULT_DP_BUDGET = 20
 DEFAULT_CAPACITY_BOUND = 4
-DEFAULT_BUCKET_FIRM_BOUND = 5
 DEFAULT_BUCKET_VALUE_BOUND = 8
 
 
@@ -131,11 +131,7 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
         sub |= (free := t & ~sub) & -free
     subs = [sub]
     # below hi, sub - t is sub + 1 counted on the bits of t; at hi, adding sub's
-    # lowest bit skips submasks that all exceed hi.  With lo <= 1 none needs filling.
-    if lo <= 1:
-        while sub := (sub - t if popcount[sub] < hi else (sub | ~t) + (sub & -sub)) & t:
-            subs.append(sub)
-        return subs
+    # lowest bit skips submasks that all exceed hi
     while sub := (sub - t if popcount[sub] < hi else (sub | ~t) + (sub & -sub)) & t:
         while popcount[sub] < lo:
             sub |= (free := t & ~sub) & -free
@@ -150,8 +146,6 @@ def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> int:
     product of a feasible matching, so at most the optimum, which is all
     solve_dp's bound needs.  stats, when given, gets greedy's product
     ("greedy") and the moves the search applied ("moves")."""
-    # approx imports this module, so greedy is looked up at call time
-    from .approx import greedy_submodular
     try:
         mu, value = greedy_submodular(inst)
     except DomainError:
@@ -277,9 +271,7 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     caps = inst.capacities
     if sum(caps) < m:
         return zero_result(inst)
-    # stats is passed on only when given, so a one-argument function put in
-    # _dp_incumbent's place (the tests' way to set the incumbent) still works
-    incumbent = _dp_incumbent(inst) if stats is None else _dp_incumbent(inst, stats)
+    incumbent = _dp_incumbent(inst, stats)
     if stats is not None:
         stats["incumbent"] = incumbent
         stats["layers"] = []
@@ -372,10 +364,3 @@ def solve_exact_bucketing(inst: Instance) -> tuple[Matching, NashValue]:
                           f"{DEFAULT_BUCKET_VALUE_BOUND}")
     result = solve_bruteforce(inst)
     return result.best, result.value
-
-
-def _check_bucket_firms(inst: Instance) -> None:
-    """DomainError past DEFAULT_BUCKET_FIRM_BOUND firms, the bound that
-    buckets and qptas share."""
-    if inst.n > DEFAULT_BUCKET_FIRM_BOUND:
-        raise DomainError(f"n={inst.n} exceeds firm bound {DEFAULT_BUCKET_FIRM_BOUND}")

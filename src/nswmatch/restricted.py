@@ -191,10 +191,11 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     The surviving-edge graph decomposes into paths and cycles.  Each
     component admits only a handful of candidate matchings: a path with
     equal worker and firm counts has a unique perfect matching; a path with
-    one extra worker needs exactly one doubled firm, guessed among its
-    firms; a cycle has two alternating perfect matchings; components that
-    cannot give every member positive utility force a zero optimum.
-    Candidates are scored exactly and per-component optima multiply.
+    one extra worker needs exactly one doubled firm, chosen by one scan of
+    its firms (_best_doubled_firm); a cycle has two alternating perfect
+    matchings; components that cannot give every member positive utility
+    force a zero optimum.  Candidates are scored exactly and per-component
+    optima multiply.
     """
     error = "an agent has degree above 2"
     # firm rows first: there are only n of them, and on a dense instance
@@ -260,46 +261,76 @@ def _pair_up(seq, m) -> list[tuple[int, int]]:
 
 
 def _component_candidates(order, cycle, m) -> list[list[tuple[int, int]]]:
-    """Candidate assignments for one path/cycle component in walk order,
-    each a list of (worker, firm-vertex) pairs covering every component
-    member that can be covered.  An empty candidate list means no
-    assignment can give every member positive utility, as for an isolated
-    agent or a path with more firms than workers."""
+    """Candidate assignments for a cycle or a path that is not worker-led,
+    in walk order, each a list of (worker, firm-vertex) pairs covering
+    every component member.  An empty candidate list means no assignment
+    can give every member positive utility, as for an isolated firm or a
+    path with more firms than workers."""
     if cycle:  # two alternating perfect matchings
         return [_pair_up(order, m), _pair_up(order[1:] + order[:1], m)]
-    workers = sum(v < m for v in order)
-    firms = len(order) - workers
-    if workers == firms:
-        # unique perfect matching: consecutive disjoint pairs along the path
+    if len(order) % 2 == 0:
+        # as many workers as firms, so a unique perfect matching:
+        # consecutive disjoint pairs along the path
         return [_pair_up(order, m)]
-    if workers == firms + 1:
-        # worker-led path: one firm takes both neighbors, the rest pair up
-        return [[(order[i - 1], order[i]), (order[i + 1], order[i]),
-                 *_pair_up(order[:i - 1], m), *_pair_up(order[i + 2:], m)]
-                for i in range(1, len(order), 2)]
     return []
+
+
+def _best_doubled_firm(inst, order) -> Optional[dict[int, int]]:
+    """The best matching of a worker-led path w_0 f_0 w_1 ... f_{k-1} w_k
+    as {worker: firm}, or None when none has a positive product.
+
+    Firm f_j takes w_j and w_{j+1}; the firms before it take their left
+    worker and those after it their right one, so the product is a prefix
+    of left pairs, the doubled firm and a suffix of right pairs.  The scan
+    keeps the first strict maximiser in firm order: candidate j beats the
+    best b < j when the left pairs of b..j-1 times j's doubled product
+    exceed b's doubled product times the right pairs of b+1..j, both
+    running products, in exact integers.  A pair, or the doubled firm, at a
+    firm short of capacity scores 0, and a zero left pair at i rules out
+    every j > i, a zero right pair every j < i."""
+    m, wv, fv, caps = inst.m, inst.worker_vals, inst.firm_vals, inst.capacities
+    workers, firms = order[::2], [v - m for v in order[1::2]]
+    left, right, both = [], [], []
+    for f, a, b in zip(firms, workers, workers[1:]):
+        va, vb, ua, ub = wv[a][f], wv[b][f], fv[f][a], fv[f][b]
+        left.append(va * ua if caps[f] else 0)
+        right.append(vb * ub if caps[f] else 0)
+        both.append(va * vb * (ua + ub) if caps[f] >= 2 else 0)
+    k = len(firms)
+    lo = max((i for i in range(k) if not right[i]), default=0)
+    hi = next((i for i in range(k) if not left[i]), k - 1)
+    best = None
+    for j in range(lo, hi + 1):
+        if best is not None:
+            ahead *= left[j - 1]
+            behind *= right[j]
+        if both[j] and (best is None or ahead * both[j] > behind * both[best]):
+            best, ahead, behind = j, 1, 1
+    if best is None:
+        return None
+    matching = dict(zip(workers, firms[:best + 1]))
+    matching.update(zip(workers[best + 1:], firms[best:]))
+    return matching
 
 
 def _best_component_matching(inst, order, cycle) -> Optional[dict[int, int]]:
     """The best-scoring candidate as {worker: firm}; None when no candidate
     fits the capacities with a positive product."""
     m = inst.m
+    # a path alternates workers and firms: one that starts and ends at a
+    # worker has one worker more
+    if not cycle and order[0] < m and order[-1] < m:
+        return _best_doubled_firm(inst, order)
     best_prod = 0
     best = None
     for pairs in _component_candidates(order, cycle, m):
-        loads: dict[int, int] = {}
-        for _w, fv in pairs:
-            loads[fv] = loads.get(fv, 0) + 1
-        if any(cnt > inst.capacities[fv - m] for fv, cnt in loads.items()):
+        # each firm of a candidate takes one worker
+        if not all(inst.capacities[fv - m] for _w, fv in pairs):
             continue
         prod = 1
-        firm_sums: dict[int, int] = {}
         for w, fv in pairs:
             f = fv - m
-            prod *= inst.worker_vals[w][f]
-            firm_sums[f] = firm_sums.get(f, 0) + inst.firm_vals[f][w]
-        for s in firm_sums.values():
-            prod *= s
+            prod *= inst.worker_vals[w][f] * inst.firm_vals[f][w]
         if prod > best_prod:
             best_prod = prod
             best = {w: fv - m for w, fv in pairs}

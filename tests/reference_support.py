@@ -34,11 +34,7 @@ from nswmatch.core import (
     zero_result,
 )
 from nswmatch.graphalgs import max_weight_perfect_matching_general
-from nswmatch.restricted import (
-    _best_component_matching,
-    _component_order,
-    _pairs_within,
-)
+from nswmatch.restricted import _component_order, _pair_up, _pairs_within
 
 
 @dataclass(frozen=True)
@@ -309,13 +305,62 @@ def solve_degree_two(inst: Instance) -> tuple[Matching, NashValue]:
     for start in range(m + n):
         if seen[start]:
             continue
-        best = _best_component_matching(inst, *_component_order(adj, seen, start))
+        best = best_component_matching(inst, *_component_order(adj, seen, start))
         if best is None:
             return zero_result(inst)
         for w, f in best.items():
             assignment[w] = f
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
+
+
+def component_candidates(order, cycle, m) -> list[list[tuple[int, int]]]:
+    """Every candidate assignment of one path/cycle component in walk order,
+    each a list of (worker, firm-vertex) pairs covering every component
+    member that can be covered; a worker-led path lists one candidate per
+    firm, that firm taking both its neighbours.  An empty list means no
+    assignment can give every member positive utility."""
+    if cycle:  # two alternating perfect matchings
+        return [_pair_up(order, m), _pair_up(order[1:] + order[:1], m)]
+    workers = sum(v < m for v in order)
+    firms = len(order) - workers
+    if workers == firms:
+        # unique perfect matching: consecutive disjoint pairs along the path
+        return [_pair_up(order, m)]
+    if workers == firms + 1:
+        # worker-led path: one firm takes both neighbors, the rest pair up
+        return [[(order[i - 1], order[i]), (order[i + 1], order[i]),
+                 *_pair_up(order[:i - 1], m), *_pair_up(order[i + 2:], m)]
+                for i in range(1, len(order), 2)]
+    return []
+
+
+def best_component_matching(inst, order, cycle) -> Optional[dict[int, int]]:
+    """The first candidate of largest positive product that fits the
+    capacities, each scored from scratch, as {worker: firm}; None when
+    there is none.  The solver scores a worker-led path's candidates by
+    one scan of running products instead (restricted._best_doubled_firm)."""
+    m = inst.m
+    best_prod = 0
+    best = None
+    for pairs in component_candidates(order, cycle, m):
+        loads: dict[int, int] = {}
+        for _w, fv in pairs:
+            loads[fv] = loads.get(fv, 0) + 1
+        if any(cnt > inst.capacities[fv - m] for fv, cnt in loads.items()):
+            continue
+        prod = 1
+        firm_sums: dict[int, int] = {}
+        for w, fv in pairs:
+            f = fv - m
+            prod *= inst.worker_vals[w][f]
+            firm_sums[f] = firm_sums.get(f, 0) + inst.firm_vals[f][w]
+        for s in firm_sums.values():
+            prod *= s
+        if prod > best_prod:
+            best_prod = prod
+            best = {w: fv - m for w, fv in pairs}
+    return best
 
 
 def peel_shared_pairs(inst: Instance):

@@ -197,7 +197,7 @@ def test_bound_changes_no_record(monkeypatch):
     assert all(exact._dp_incumbent(inst) > 0 for inst in instances)
     bounded = [json.dumps(run_algo("dp", inst)) for inst in instances]
     assert json.loads(bounded[0])["nash_product"] == str(4 ** 3)
-    monkeypatch.setattr(exact, "_dp_incumbent", lambda inst: 0)
+    monkeypatch.setattr(exact, "_dp_incumbent", lambda inst, stats=None: 0)
     for inst, record in zip(instances, bounded):
         assert json.dumps(run_algo("dp", inst)) == record, inst
 

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_support
 import reference_symbin
 from nswmatch import restricted
 from nswmatch.cli import run_algo
@@ -264,6 +266,54 @@ def test_deg2_one_sided_edges_count_toward_degree(at_bound, extra):
     over = run_algo("deg2", from_edges(caps, 3, {**at_bound, **extra}))
     assert over["status"] == "infeasible-domain"
     assert over["error"] == "an agent has degree above 2"
+
+
+# the values of one path: all ones ties every doubled firm, small values tie
+# often, and values past 10^20 need exact products
+_PATH_POOLS = ((1,), (0, 1, 2), (0, 1, 2, 10 ** 20, 10 ** 20 + 1))
+
+
+@st.composite
+def worker_led_paths(draw):
+    """One path w_0 f_0 w_1 ... f_{k-1} w_k over relabelled workers and
+    firms, k = 1..8: each edge valued by at least one side with values from
+    one of _PATH_POOLS, and each firm of capacity 0 to 3."""
+    k = draw(st.integers(1, 8))
+    workers = draw(st.permutations(range(k + 1)))
+    firms = draw(st.permutations(range(k)))
+    value = st.sampled_from(draw(st.sampled_from(_PATH_POOLS)))
+    edges = {(w, f): draw(st.tuples(value, value).filter(any))
+             for i, f in enumerate(firms) for w in workers[i:i + 2]}
+    caps = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    return from_edges(caps, k + 1, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(worker_led_paths())
+def test_deg2_worker_led_paths_match_enumeration(inst):
+    """One scan of running products picks the doubled firm that scoring
+    every firm's candidate from scratch picks: the same matching and
+    product, the first strict maximiser in walk order."""
+    assert solve_degree_two(inst) == reference_support.solve_degree_two(inst)
+
+
+def test_deg2_long_worker_led_path_in_linear_memory():
+    """A 2 000-firm worker-led path of capacity-2 firms.  Listing every
+    firm's candidate, 2 000 pairs each, would hold hundreds of MB; the scan
+    keeps three numbers per firm."""
+    k = 2000
+    edges = {(w, f): (1 + (7 * w + 3 * f) % 5,) * 2 for f in range(k) for w in (f, f + 1)}
+    inst = from_edges([2] * k, k + 1, edges)
+    # the positive-entry lists are the instance's, built before the count
+    inst.valued_firms, inst.valued_workers
+    tracemalloc.start()
+    try:
+        mu, value = solve_degree_two(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert validate(inst, mu) is None and value.product > 0
 
 
 def test_deg2_oracle_agreement():
