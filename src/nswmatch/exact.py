@@ -7,12 +7,15 @@
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer pushes from the positive states of the
   last, by the bundles of the sizes a full partition can pass through, and
-  the firms' supports come from the workers' valued firms.  A branch and
-  bound drops every state whose exact upper bound is strictly below the
-  incumbent: greedy_submodular's matching improved by exact single moves
-  and pairwise swaps.  That is the product of a feasible matching, at most
-  the optimum, so the optimal path, its tie-break and so the matching
-  returned stay those of the full DP.  Two registry entries in
+  the firms' supports come from the workers' valued firms; the last layer
+  scores each live state's one bundle, its complement, directly.  A branch
+  and bound drops every state whose exact upper bound is strictly below
+  the incumbent: greedy_submodular's matching improved by exact single
+  moves and pairwise swaps.  It tests a product bound, then, on the
+  states that one keeps, the tangent (AM-GM) bound at the incumbent's
+  utilities, in integers.  The incumbent is the product of a feasible
+  matching, at most the optimum, so the optimal path, its tie-break and so
+  the matching returned stay those of the full DP.  Two registry entries in
   cli.SOLVERS are solve_dp behind a check: the constant-capacity variant
   dp2 behind DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since
   the exact optimum meets the FPTAS's (1+eps)^(n+1) window for every eps;
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from operator import itemgetter, mul
+from functools import reduce
+from operator import and_, itemgetter, mul
 from typing import Optional
 
 from .approx import DEFAULT_BUCKET_FIRM_BOUND, _check_bucket_firms, greedy_submodular
@@ -139,13 +143,14 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
     return subs
 
 
-def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> int:
-    """A lower bound on the optimum: the product of greedy_submodular's
-    matching improved by _local_search, where greedy's domain holds (every
-    value positive, total capacity at least m); otherwise 0.  It is the
-    product of a feasible matching, so at most the optimum, which is all
-    solve_dp's bound needs.  stats, when given, gets greedy's product
-    ("greedy") and the moves the search applied ("moves")."""
+def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> tuple[int, Optional[Matching]]:
+    """A lower bound on the optimum and the matching that reaches it: the
+    product of greedy_submodular's matching improved by _local_search,
+    where greedy's domain holds (every value positive, total capacity at
+    least m); otherwise (0, None).  It is the product of a feasible
+    matching, so at most the optimum, which is all solve_dp's bounds need.
+    stats, when given, gets greedy's product ("greedy") and the moves the
+    search applied ("moves")."""
     try:
         mu, value = greedy_submodular(inst)
     except DomainError:
@@ -155,7 +160,9 @@ def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> int:
         mu, moves = _local_search(inst, mu)
     if stats is not None:
         stats["greedy"], stats["moves"] = value.product, moves
-    return nash_value(inst, mu).product if moves else value.product
+    if not value.product:
+        return 0, None
+    return (nash_value(inst, mu).product if moves else value.product), mu
 
 
 def _local_search(inst: Instance, mu: Matching) -> tuple[Matching, int]:
@@ -214,23 +221,75 @@ def _subset_products(factors: list[int]) -> list[int]:
     return prods
 
 
-def _completion_bounds(inst: Instance, i: int) -> tuple[int, list, list]:
-    """Tables for an upper bound on every completion by firms i..n-1 of a
-    state t: lows[t & (2^h - 1)] * highs[t >> h], with h the value returned
-    first, is the product over the workers outside t of their largest value
-    for a firm from i on, times, per firm j >= i, the sum of its c_j largest
-    values.  Each table is indexed by the bits of t, so the workers outside
-    t are its complement's."""
-    m, h = inst.m, inst.m // 2
-    best = [max(row[i:]) for row in inst.worker_vals]
-    # a zero never reaches a top-c_j sum, so only the valued workers' values
-    # are read, by index, and no firm row is walked
-    sums = math.prod(sum(sorted(map(inst.firm_vals[j].__getitem__, inst.valued_workers[j]),
-                                reverse=True)[:inst.capacities[j]])
-                     for j in range(i, inst.n))
-    lows = _subset_products(best[:h])[::-1]
-    highs = [p * sums for p in reversed(_subset_products(best[h:m]))]
-    return h, lows, highs
+def _subset_sums(terms: list[int]) -> list[int]:
+    """The sum of terms[j] over the set bits j of x, for every x."""
+    sums = [0]
+    for v in terms:
+        sums += [x + v for x in sums]
+    return sums
+
+
+def _bound_tables(inst: Instance, mu: Matching, incumbent: int, h: int) -> list:
+    """Tables for solve_dp's two upper bounds on every completion by firms
+    i..n-1 of a state t, one tuple per layer i >= 1 (entry 0 is None), built
+    once per solve.  Each table is indexed by lo = t & (2^h - 1) or
+    hi = t >> h and read at the complement's bits, so it covers the
+    workers outside t; p is |t|.
+
+    (lows, highs, ...): the product bound lows[lo] * highs[hi], the
+    product over the outside workers of their largest value for a firm
+    from i on, times, per firm j >= i, the sum of its c_j largest values.
+
+    (..., s_lows, s_highs, y_lows, y_highs, exps, cuts): the tangent
+    (AM-GM) bound at mu's utilities s.  A completion's N' = m - p + n - i
+    utilities u have prod u <= prod s * (sum u/s / N')^N', and sum u/s is
+    the sum over the outside workers w of v_wf/s_w + v_fw/s_f at w's firm
+    f, at most 2^-k times the sum of Y_w = max over f >= i of
+    ceil(2^k v_wf / s_w) + ceil(2^k v_fw / s_f).  s_lows[lo] * s_highs[hi]
+    is the product of s over the outside workers and the firms from i on,
+    y_lows[lo] + y_highs[hi] the sum of Y over the outside workers,
+    exps[p] = N' and cuts[p] = incumbent * (2^k N')^N', so
+
+        T * s_lows[lo] * s_highs[hi] * (y_lows[lo] + y_highs[hi]) ** exps[p] >= cuts[p]
+
+    holds, in integers, for every state of value T = T[i-1, t] whose bound
+    reaches the incumbent.  exps and cuts are None at the sizes no full
+    partition passes through before firm i."""
+    m, n, k = inst.m, inst.n, 32
+    worker_vals, firm_vals, caps = inst.worker_vals, inst.firm_vals, inst.capacities
+    s_w = [row[f] for row, f in zip(worker_vals, mu.assignment)]
+    s_f = [0] * n
+    for w, f in enumerate(mu.assignment):
+        s_f[f] += firm_vals[f][w]
+    s_lows = _subset_products(s_w[:h])[::-1]
+    s_highs = _subset_products(s_w[h:])[::-1]
+    layers = []
+    # per firm from the last down: each worker's largest value and Y_w, the
+    # product of the top-c_j sums and that of s over the firms so far
+    best = [0] * m
+    y = [0] * m
+    tops = firms = 1
+    after = 0
+    for i in range(n - 1, 0, -1):
+        fv, sf = firm_vals[i], s_f[i]
+        best = [max(b, row[i]) for b, row in zip(best, worker_vals)]
+        y = [max(yw, -(-(row[i] << k) // sw) - (-(fv[w] << k) // sf))
+             for w, (yw, row, sw) in enumerate(zip(y, worker_vals, s_w))]
+        # a zero never reaches a top-c_j sum, so only the valued workers'
+        # values are read, by index, and no firm row is walked
+        tops *= sum(sorted(map(fv.__getitem__, inst.valued_workers[i]), reverse=True)[:caps[i]])
+        firms *= sf
+        after += caps[i]
+        exps: list = [None] * (m + 1)
+        cuts: list = [None] * (m + 1)
+        for p in range(max(0, m - after), min(m, sum(caps[:i])) + 1):
+            e = exps[p] = m - p + n - i
+            cuts[p] = incumbent * (e << k) ** e
+        layers.append((_subset_products(best[:h])[::-1],
+                       [x * tops for x in reversed(_subset_products(best[h:]))],
+                       s_lows, [x * firms for x in s_highs],
+                       _subset_sums(y[:h])[::-1], _subset_sums(y[h:])[::-1], exps, cuts))
+    return [None, *reversed(layers)]
 
 
 def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, NashValue]:
@@ -246,24 +305,34 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     |t | S'| between m - (c_{i+1} + ... + c_{n-1}) and c_0 + ... + c_i.
     A candidate replaces T[i, t | S'] when it is larger, or equal with a
     smaller S', so each mask keeps the first maximiser in increasing S'
-    order whichever t reaches it first.
+    order whichever t reaches it first.  The last layer builds no bundle
+    table: each live t has one bundle left, its complement, scored by its
+    sum and product, and the largest candidate, ties to the smaller
+    complement, closes the DP.
 
     Branch and bound (Morin and Marsten 1976): before layer i >= 1, a state
-    is dropped when T[i-1, t], times each outside worker's largest value for
-    a firm from i on, times each such firm's sum of its c_j largest values,
-    is strictly below the incumbent, _dp_incumbent's locally improved
-    greedy product.  That bound is at least the product of any completion
-    of t, and the incumbent is the product of a feasible matching, so at
-    most the optimum; so every dropped candidate is strictly below T[i, S]
-    at each S on an optimal path, and the values and pointers there, and
-    with them the matching returned, are those of the full DP.
+    is dropped when either of two upper bounds on T[i-1, t] times its
+    completions is strictly below the incumbent, _dp_incumbent's locally
+    improved greedy matching.  The product bound multiplies each outside
+    worker's largest value for a firm from i on by each such firm's sum of
+    its c_j largest values.  The tangent bound, tested only on the states
+    the product bound keeps, is AM-GM over the remaining utilities at the
+    incumbent's, with each worker's best weight rounded up (_bound_tables).
+    Both are exact integer tests and at least the product of any
+    completion of t, and the incumbent is the product of a feasible
+    matching, so at most the optimum; so every dropped candidate is
+    strictly below T[i, S] at each S on an optimal path, and the values and
+    pointers there, and with them the matching returned, are those of the
+    full DP.
 
     With total capacity below m no full partition exists, and it returns
     the zero result before building any table or the incumbent.  stats,
     when given, is filled with greedy's product ("greedy"), the local
     search's moves ("moves"), the incumbent and, per layer run, the states
-    pushed ("live"), those the bound dropped ("dropped") and the bundles
-    tried ("transitions"); a capacity-short solve leaves it empty.
+    pushed ("live"), those the bounds dropped ("dropped"), of them those
+    the tangent bound dropped after the product bound kept them
+    ("tangent"), and the bundles tried ("transitions"); a capacity-short
+    solve leaves it empty.
     """
     if inst.m > DEFAULT_DP_BUDGET:
         raise BudgetExceededError(f"m={inst.m} exceeds DP bitmask budget {DEFAULT_DP_BUDGET}")
@@ -271,12 +340,18 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     caps = inst.capacities
     if sum(caps) < m:
         return zero_result(inst)
-    incumbent = _dp_incumbent(inst, stats)
+    incumbent, incumbent_mu = _dp_incumbent(inst, stats)
     if stats is not None:
         stats["incumbent"] = incumbent
         stats["layers"] = []
     full = (1 << m) - 1
     popcount = list(map(int.bit_count, range(full + 1)))
+    # the bounds' tables are indexed by the low h and the high m - h bits
+    h = m // 2
+    mask = (1 << h) - 1
+    if incumbent and n > 1:
+        # the bounds run before firms 1..n-1 only
+        bounds = _bound_tables(inst, incumbent_mu, incumbent, h)
     # support[i]: the workers who value firm i; later[i]: those who value a
     # firm after i
     support = [0] * n
@@ -295,56 +370,84 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     after = sum(caps)
     for i in range(n):
         live = list(compress(range(full + 1), table))
-        dropped = 0
+        reached = len(live)
+        cut = 0
         if incumbent and i:
-            h, lows, highs = _completion_bounds(inst, i)
-            mask = (1 << h) - 1
-            kept = [t for t in live if table[t] * lows[t & mask] * highs[t >> h] >= incumbent]
-            dropped = len(live) - len(kept)
+            lows, highs, s_lows, s_highs, y_lows, y_highs, exps, cuts = bounds[i]
+            live = [t for t in live if table[t] * lows[t & mask] * highs[t >> h] >= incumbent]
+            kept = [t for t in live
+                    if table[t] * s_lows[t & mask] * s_highs[t >> h]
+                    * (y_lows[t & mask] + y_highs[t >> h]) ** exps[popcount[t]]
+                    >= cuts[popcount[t]]]
+            cut = len(live) - len(kept)
             live = kept
         if not live:
             # a positive optimum's path would be live here, as its states'
             # bounds are at least the optimum, so the optimum is zero
             return zero_result(inst)
         after -= caps[i]
-        cap, sup, fixed = caps[i], support[i], full ^ later[i]
-        values = _bundle_tables(inst, i, full, sup, popcount)
-        new = [0] * (full + 1)
-        ptr = [0] * (full + 1)
+        cap, sup = caps[i], support[i]
         transitions = 0
-        for t in live:
-            # the workers of t's complement that only firm i can still take
-            forced = fixed & ~t
-            if forced & ~sup:
-                continue
-            extra = popcount[forced]
-            subs = _sized_submasks((sup & ~t) ^ forced, max(1, m - after - popcount[t]) - extra,
-                                   cap - extra, popcount)
-            if forced:
-                subs = [forced | x for x in subs]
-            transitions += len(subs)
-            base = table[t]
-            for sub in subs:
-                c = values[sub] * base
-                s = t | sub
-                if c > new[s] or c == new[s] and sub < ptr[s]:
-                    new[s] = c
-                    ptr[s] = sub
+        if i == n - 1:
+            # the last firm takes each live state's complement whole: score
+            # that one bundle by its sum and product, ties to the smaller
+            fv, column = inst.firm_vals[i], [row[i] for row in inst.worker_vals]
+            best = last = 0
+            for t in live:
+                sub = full ^ t
+                if not sub or sub & ~sup or popcount[sub] > cap:
+                    continue
+                transitions += 1
+                total, prod, x = 0, table[t], sub
+                while x:
+                    w = (x & -x).bit_length() - 1
+                    total += fv[w]
+                    prod *= column[w]
+                    x &= x - 1
+                c = total * prod
+                if c > best or c == best and sub < last:
+                    best, last = c, sub
+        else:
+            fixed = full ^ later[i]
+            # no bundle holds a worker that every live state holds
+            values = _bundle_tables(inst, i, full, sup & ~reduce(and_, live), popcount)
+            new = [0] * (full + 1)
+            ptr = [0] * (full + 1)
+            for t in live:
+                # the workers of t's complement that only firm i can still take
+                forced = fixed & ~t
+                if forced & ~sup:
+                    continue
+                extra = popcount[forced]
+                subs = _sized_submasks((sup & ~t) ^ forced,
+                                       max(1, m - after - popcount[t]) - extra,
+                                       cap - extra, popcount)
+                if forced:
+                    subs = [forced | x for x in subs]
+                transitions += len(subs)
+                base = table[t]
+                for sub in subs:
+                    c = values[sub] * base
+                    s = t | sub
+                    if c > new[s] or c == new[s] and sub < ptr[s]:
+                        new[s] = c
+                        ptr[s] = sub
+            table = new
+            back.append(ptr)
         if stats is not None:
-            stats["layers"].append({"live": len(live), "dropped": dropped,
-                                    "transitions": transitions})
-        table = new
-        back.append(ptr)
-    if table[full] == 0:
+            stats["layers"].append({"live": len(live), "dropped": reached - len(live),
+                                    "tangent": cut, "transitions": transitions})
+    if best == 0:
         return zero_result(inst)
     assignment: list = [UNMATCHED] * m
-    s = full
+    s, sub = full, last
     for i in range(n - 1, -1, -1):
-        sub = back[i][s]
         for w in range(m):
             if sub >> w & 1:
                 assignment[w] = i
         s ^= sub
+        if i:
+            sub = back[i - 1][s]
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
 

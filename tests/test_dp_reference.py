@@ -6,10 +6,12 @@ the incumbent, so they must agree with the reference exactly: the same
 assignment (the same tie-break) and product, not just the same optimum.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nswmatch import exact, generators
 from nswmatch.approx import greedy_submodular
@@ -18,7 +20,7 @@ from nswmatch.core import (BudgetExceededError, Instance, Matching, UNMATCHED, n
                            validate, zero_fallback)
 from nswmatch.exact import _sized_submasks, solve_dp
 from nswmatch.oracle import solve_bruteforce
-from reference_dp import naive_dp
+from reference_dp import bundle_values, naive_dp
 
 BIG = 2 ** 53
 
@@ -194,19 +196,20 @@ def test_bound_changes_no_record(monkeypatch):
     incumbent; the drop must stay strictly below it."""
     ones = Instance.create([4, 4, 4], [[1] * 3] * 12, [[1] * 12] * 3)
     instances = [ones] + [_dense(*shape, seed=k) for k, shape in enumerate(BOUND_SHAPES)]
-    assert all(exact._dp_incumbent(inst) > 0 for inst in instances)
+    assert all(exact._dp_incumbent(inst)[0] > 0 for inst in instances)
     bounded = [json.dumps(run_algo("dp", inst)) for inst in instances]
     assert json.loads(bounded[0])["nash_product"] == str(4 ** 3)
-    monkeypatch.setattr(exact, "_dp_incumbent", lambda inst, stats=None: 0)
+    monkeypatch.setattr(exact, "_dp_incumbent", lambda inst, stats=None: (0, None))
     for inst, record in zip(instances, bounded):
         assert json.dumps(run_algo("dp", inst)) == record, inst
 
 
 def test_dp_stats_count_the_work():
     """stats holds greedy's product, the local search's moves, the
-    incumbent and, per layer, the states pushed, dropped and the bundles
-    tried; the counts are the same on every run, and on dense m = 13 the
-    bound drops states."""
+    incumbent and, per layer, the states pushed, dropped (of them, those
+    the tangent bound dropped after the product bound kept them) and the
+    bundles tried; the counts are the same on every run, and on dense
+    m = 13 both bounds drop states."""
     inst = _dense(13, 3, 0, 5, seed=7)
     first, second = {}, {}
     mu, value = solve_dp(inst, first)
@@ -216,14 +219,104 @@ def test_dp_stats_count_the_work():
     assert (first["moves"] > 0) == (first["incumbent"] > first["greedy"])
     layers = first["layers"]
     assert len(layers) == 3
-    assert layers[0] == {"live": 1, "dropped": 0, "transitions": layers[0]["transitions"]}
-    assert sum(layer["dropped"] for layer in layers) > 0
+    assert layers[0] == {"live": 1, "dropped": 0, "tangent": 0,
+                         "transitions": layers[0]["transitions"]}
+    assert all(layer["dropped"] >= layer["tangent"] for layer in layers)
+    assert sum(layer["tangent"] for layer in layers) > 0
+    assert sum(layer["dropped"] - layer["tangent"] for layer in layers) > 0
     # the last firm takes every worker left: one bundle per live state
     assert layers[-1]["transitions"] == layers[-1]["live"]
     # short capacity returns before the DP, and leaves stats empty
     short = {}
     solve_dp(generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance, short)
     assert short == {}
+
+
+def test_dense_m18_is_pruned_to_the_pinned_record():
+    """Dense m = 18, n = 3, c = 7, values 1..5, seed 0, where the product
+    bound alone left dp 14 944 457 bundles to try: with the tangent bound
+    it tries fewer than 200 000 and returns the pinned matching and
+    product."""
+    inst = generators.gen_random(18, 3, [7] * 3, 5, 1.0, 0).instance
+    stats = {}
+    solve_dp(inst, stats)
+    assert sum(layer["transitions"] for layer in stats["layers"]) < 200_000
+    record = run_algo("dp", inst)
+    got = json.dumps([record["matching"], record["nash_product"]]).encode()
+    assert hashlib.sha256(got).hexdigest() == (
+        "8aa413af808e90a10e653b069419ea13c3d097312e0ab2cbf634f024276db61b")
+
+
+# (lo, hi) value pools of the bounds' validity test: all ones, where every
+# completion lies on the tangent, values with many ties, near-ties a float
+# could not tell apart, and values past any float's precision
+BOUND_POOLS = [(1, 1), (1, 2), (1, 5), (10 ** 18, 10 ** 18 + 3), (1, 10 ** 30)]
+
+
+@st.composite
+def _bound_instances(draw):
+    """Every value positive, so the incumbent is positive; m <= 9, n <= 4
+    and total capacity m (tight) or up to 3 more (slack)."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n, 9))
+    caps = [1] * n
+    for _ in range(m - n + draw(st.sampled_from([0, 0, 1, 3]))):
+        caps[draw(st.integers(0, n - 1))] += 1
+    lo, hi = draw(st.sampled_from(BOUND_POOLS))
+    values = st.integers(lo, hi)
+    return Instance.create(caps, draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                                min_size=m, max_size=m)),
+                           draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                         min_size=n, max_size=n)))
+
+
+def _best_by_firms(inst: Instance, firms, start: list[int]) -> list[int]:
+    """From start[x], the best product of x's workers over no firm yet, the
+    best product of x's workers over firms, in order, each taking a bundle
+    of 1..c_f workers it and every member value, for every mask x."""
+    table = start
+    for f in firms:
+        values = bundle_values(inst, f)
+        new = [0] * len(table)
+        for x in range(len(table)):
+            sub = x
+            while sub:
+                if sub.bit_count() <= inst.capacities[f]:
+                    new[x] = max(new[x], values[sub] * table[x ^ sub])
+                sub = (sub - 1) & x
+        table = new
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_instances())
+def test_bounds_hold_at_every_reachable_state(inst):
+    """Before each layer i >= 1, at every state t the full DP reaches and
+    that some completion by firms i.. extends, both bounds of
+    _bound_tables are at least T[i-1, t] times the best such completion,
+    found by brute force; and the tables are defined at t's size."""
+    m, n, full = inst.m, inst.n, (1 << inst.m) - 1
+    incumbent, mu = exact._dp_incumbent(inst)
+    assert incumbent > 0
+    bounds = exact._bound_tables(inst, mu, incumbent, m // 2)
+    mask = (1 << (m // 2)) - 1
+    for i in range(1, n):
+        # T[i-1, t] over firms 0..i-1, and each best completion by firms i..
+        # of the workers r outside t, from the empty mask's empty product
+        empty = [1] + [0] * full
+        before = _best_by_firms(inst, range(i), empty)
+        completion = _best_by_firms(inst, range(i, n), empty)
+        lows, highs, s_lows, s_highs, y_lows, y_highs, exps, cuts = bounds[i]
+        for t in range(full + 1):
+            value = before[t] * completion[full ^ t]
+            if not value:
+                continue
+            lo, hi, p = t & mask, t >> (m // 2), t.bit_count()
+            assert before[t] * lows[lo] * highs[hi] >= value, (i, t)
+            tangent = (before[t] * s_lows[lo] * s_highs[hi]
+                       * (y_lows[lo] + y_highs[hi]) ** exps[p])
+            # the bound is incumbent * tangent / cuts[p]
+            assert incumbent * tangent >= value * cuts[p], (i, t)
 
 
 # (lo, hi) value pools of the incumbent tests: small values with many ties,
@@ -253,7 +346,7 @@ def test_incumbent_is_a_scored_matching(pool):
         start, greedy = greedy_submodular(inst)
         mu, moves = exact._local_search(inst, start)
         assert validate(inst, mu) is None and UNMATCHED not in mu.assignment, inst
-        incumbent = exact._dp_incumbent(inst)
+        incumbent = exact._dp_incumbent(inst)[0]
         assert nash_value(inst, mu).product == incumbent
         assert (moves == 0) == (mu == start)
         assert 0 < greedy.product <= incumbent <= solve_bruteforce(inst).value.product
