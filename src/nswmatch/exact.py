@@ -7,19 +7,23 @@
 - solve_dp: subset dynamic programming over worker bitmasks, with exact
   big-integer products.  Each layer pushes from the positive states of the
   last, by the bundles of the sizes a full partition can pass through, and
-  the firms' supports come from the workers' valued firms; the last layer
-  scores each live state's one bundle, its complement, directly.  A branch
-  and bound drops every state whose exact upper bound is strictly below
-  the incumbent: greedy_submodular's matching improved by exact single
-  moves and pairwise swaps.  It tests a product bound, then, on the
-  states that one keeps, the tangent (AM-GM) bound at the incumbent's
-  utilities, in integers.  The incumbent is the product of a feasible
-  matching, at most the optimum, so the optimal path, its tie-break and so
-  the matching returned stay those of the full DP.  Two registry entries in
-  cli.SOLVERS are solve_dp behind a check: the constant-capacity variant
-  dp2 behind DEFAULT_CAPACITY_BOUND, and fptas behind its eps alone, since
-  the exact optimum meets the FPTAS's (1+eps)^(n+1) window for every eps;
-  both run under DEFAULT_DP_BUDGET.
+  the firms' supports come from the workers' valued firms.  A bundle is
+  scored from its firm's sums and products over the low and the high half
+  of the workers (Horowitz and Sahni 1974), so no table over all bundles
+  is built; the last layer scores each live state's one bundle, its
+  complement, directly.  A branch and bound drops every state whose exact
+  upper bound is strictly below the incumbent: greedy_submodular's
+  matching improved by exact single moves and pairwise swaps.  It tests a
+  product bound, then, on the states that one keeps, the tangent (AM-GM)
+  bound at the incumbent's utilities, in integers; firm 0's bundles, the
+  states of the next layer, are bounded as they are scored.  The incumbent
+  is the product of a feasible matching, at most the optimum, so the
+  optimal path, its tie-break and so the matching returned stay those of
+  the full DP.  Two registry entries in cli.SOLVERS are solve_dp behind a
+  check: the constant-capacity variant dp2 behind DEFAULT_CAPACITY_BOUND,
+  and fptas behind its eps alone, since the exact optimum meets the
+  FPTAS's (1+eps)^(n+1) window for every eps; both run under
+  DEFAULT_DP_BUDGET.
 - solve_exact_bucketing: constant-firms / few-distinct-values regime;
   after its domain checks it is oracle.solve_bruteforce, whose twin
   classes search interchangeable workers once, under the oracle's
@@ -31,8 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from functools import reduce
-from operator import and_, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Optional
 
 from .approx import DEFAULT_BUCKET_FIRM_BOUND, _check_bucket_firms, greedy_submodular
@@ -108,23 +111,6 @@ def _positive_products(inst: Instance) -> tuple[list, list]:
     return ids, weights
 
 
-def _bundle_tables(inst: Instance, f: int, full: int, support: int, popcount) -> list[int]:
-    """W_f(S) for every bitmask S of 1..c_f bits inside support, the workers
-    who value f, via low-bit recurrences in increasing order; every other
-    S is left at 0."""
-    fv, column = inst.firm_vals[f], [row[f] for row in inst.worker_vals]
-    sums = [0] * (full + 1)
-    prods = [1] * (full + 1)
-    values = [0] * (full + 1)
-    for s in _sized_submasks(support, 1, inst.capacities[f], popcount):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        sums[s] = sums[rest] + fv[low]
-        prods[s] = prods[rest] * column[low]
-        values[s] = sums[s] * prods[s]
-    return values
-
-
 def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
     """Submasks of t with lo..hi bits, in increasing order."""
     if hi < lo or hi < 0 or lo > popcount[t]:
@@ -141,6 +127,19 @@ def _sized_submasks(t: int, lo: int, hi: int, popcount) -> list[int]:
             sub |= (free := t & ~sub) & -free
         subs.append(sub)
     return subs
+
+
+def _bundles(t: int, sup: int, fixed: int, least: int, cap: int, popcount) -> list[int]:
+    """The bundles that extend state t, in increasing order: the submasks
+    of sup outside t that hold every worker of fixed outside t, of 1..cap
+    workers and at least least - |t|; none when sup misses such a worker."""
+    forced = fixed & ~t
+    if forced & ~sup:
+        return []
+    extra = popcount[forced]
+    subs = _sized_submasks((sup & ~t) ^ forced, max(1, least - popcount[t]) - extra,
+                           cap - extra, popcount)
+    return [forced | x for x in subs] if forced else subs
 
 
 def _dp_incumbent(inst: Instance, stats: Optional[dict] = None) -> tuple[int, Optional[Matching]]:
@@ -229,6 +228,17 @@ def _subset_sums(terms: list[int]) -> list[int]:
     return sums
 
 
+def _half_tables(inst: Instance, f: int, h: int) -> tuple[list, list, list, list]:
+    """Firm f's bundle values by halves: the sums of f's values for the
+    workers of x over the low h workers and over the others, and the
+    products of those workers' values for f likewise, for every x.  A
+    bundle S scores W_f(S) = (sums_lo[lo] + sums_hi[hi]) * prods_lo[lo] *
+    prods_hi[hi] at lo = S & (2^h - 1) and hi = S >> h."""
+    fv, column = inst.firm_vals[f], [row[f] for row in inst.worker_vals]
+    return (_subset_sums(fv[:h]), _subset_sums(fv[h:]),
+            _subset_products(column[:h]), _subset_products(column[h:]))
+
+
 def _bound_tables(inst: Instance, mu: Matching, incumbent: int, h: int) -> list:
     """Tables for solve_dp's two upper bounds on every completion by firms
     i..n-1 of a state t, one tuple per layer i >= 1 (entry 0 is None), built
@@ -305,12 +315,18 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     |t | S'| between m - (c_{i+1} + ... + c_{n-1}) and c_0 + ... + c_i.
     A candidate replaces T[i, t | S'] when it is larger, or equal with a
     smaller S', so each mask keeps the first maximiser in increasing S'
-    order whichever t reaches it first.  The last layer builds no bundle
-    table: each live t has one bundle left, its complement, scored by its
-    sum and product, and the largest candidate, ties to the smaller
-    complement, closes the DP.
+    order whichever t reaches it first.  A bundle S' of firm i < n - 1
+    scores (sums_lo[lo] + sums_hi[hi]) * prods_lo[lo] * prods_hi[hi] at
+    lo = S' & (2^h - 1) and hi = S' >> h, from _half_tables' 2^h + 2^(m-h)
+    entries (the split of Horowitz and Sahni 1974).  Layer 0 starts from
+    the empty mask alone, so each of its bundles is a state of layer 1
+    reached once: it is bounded as it is scored, the survivors are layer
+    1's live states, and it keeps no pointer, as each state is its own.
+    The last layer takes each live t's one bundle left, its complement,
+    scored by its sum and product, and the largest candidate, ties to the
+    smaller complement, closes the DP.
 
-    Branch and bound (Morin and Marsten 1976): before layer i >= 1, a state
+    Branch and bound (Morin and Marsten 1976): at layer i >= 1, a state
     is dropped when either of two upper bounds on T[i-1, t] times its
     completions is strictly below the incumbent, _dp_incumbent's locally
     improved greedy matching.  The product bound multiplies each outside
@@ -346,7 +362,8 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
         stats["layers"] = []
     full = (1 << m) - 1
     popcount = list(map(int.bit_count, range(full + 1)))
-    # the bounds' tables are indexed by the low h and the high m - h bits
+    # the half tables and the bounds' tables are indexed by the low h and
+    # the high m - h bits
     h = m // 2
     mask = (1 << h) - 1
     if incumbent and n > 1:
@@ -362,29 +379,33 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
     for i in range(n - 2, -1, -1):
         later[i] = later[i + 1] | support[i + 1]
 
-    # before firm 0 the one state is the empty mask, worth the empty product
-    table = [0] * (full + 1)
-    table[0] = 1
-    back: list[list[int]] = []
+    # before firm 0 the one state is the empty mask, worth the empty product;
+    # layer 0 makes and bounds layer 1's states, so only the layers from 2
+    # on gather and bound theirs here
+    live, table, reached, cut = [0], {0: 1}, 1, 0
+    # back[i]: layer i's pointers for 0 < i < n - 1; layer 0 keeps none
+    back: list[list[int]] = [[]]
     # after: the capacity of the firms after i
     after = sum(caps)
     for i in range(n):
-        live = list(compress(range(full + 1), table))
-        reached = len(live)
-        cut = 0
-        if incumbent and i:
-            lows, highs, s_lows, s_highs, y_lows, y_highs, exps, cuts = bounds[i]
-            live = [t for t in live if table[t] * lows[t & mask] * highs[t >> h] >= incumbent]
-            kept = [t for t in live
-                    if table[t] * s_lows[t & mask] * s_highs[t >> h]
-                    * (y_lows[t & mask] + y_highs[t >> h]) ** exps[popcount[t]]
-                    >= cuts[popcount[t]]]
-            cut = len(live) - len(kept)
-            live = kept
+        if i > 1:
+            live = list(compress(range(full + 1), table))
+            reached = len(live)
+            cut = 0
+            if incumbent:
+                lows, highs, s_lows, s_highs, y_lows, y_highs, exps, cuts = bounds[i]
+                live = [t for t in live if table[t] * lows[t & mask] * highs[t >> h] >= incumbent]
+                kept = [t for t in live
+                        if table[t] * s_lows[t & mask] * s_highs[t >> h]
+                        * (y_lows[t & mask] + y_highs[t >> h]) ** exps[popcount[t]]
+                        >= cuts[popcount[t]]]
+                cut = len(live) - len(kept)
+                live = kept
         if not live:
             # a positive optimum's path would be live here, as its states'
             # bounds are at least the optimum, so the optimum is zero
             return zero_result(inst)
+        counts = {"live": len(live), "dropped": reached - len(live), "tangent": cut}
         after -= caps[i]
         cap, sup = caps[i], support[i]
         transitions = 0
@@ -408,35 +429,53 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
                 if c > best or c == best and sub < last:
                     best, last = c, sub
         else:
-            fixed = full ^ later[i]
-            # no bundle holds a worker that every live state holds
-            values = _bundle_tables(inst, i, full, sup & ~reduce(and_, live), popcount)
-            new = [0] * (full + 1)
-            ptr = [0] * (full + 1)
-            for t in live:
-                # the workers of t's complement that only firm i can still take
-                forced = fixed & ~t
-                if forced & ~sup:
-                    continue
-                extra = popcount[forced]
-                subs = _sized_submasks((sup & ~t) ^ forced,
-                                       max(1, m - after - popcount[t]) - extra,
-                                       cap - extra, popcount)
-                if forced:
-                    subs = [forced | x for x in subs]
-                transitions += len(subs)
-                base = table[t]
-                for sub in subs:
-                    c = values[sub] * base
-                    s = t | sub
-                    if c > new[s] or c == new[s] and sub < ptr[s]:
-                        new[s] = c
-                        ptr[s] = sub
-            table = new
-            back.append(ptr)
+            least, fixed = m - after, full ^ later[i]
+            sums_lo, sums_hi, prods_lo, prods_hi = _half_tables(inst, i, h)
+            if i == 0:
+                # firm 0's bundles are layer 1's states, each reached once
+                # from the empty mask: bound each as it is scored, and keep
+                # no pointer, as each is its own
+                subs = _bundles(0, sup, fixed, least, cap, popcount)
+                transitions = len(subs)
+                live, table = [], {}
+                reached = cut = 0
+                if incumbent:
+                    lows, highs, s_lows, s_highs, y_lows, y_highs, exps, cuts = bounds[1]
+                for s in subs:
+                    lo, hi = s & mask, s >> h
+                    c = (sums_lo[lo] + sums_hi[hi]) * prods_lo[lo] * prods_hi[hi]
+                    if not c:
+                        continue
+                    reached += 1
+                    if incumbent:
+                        if c * lows[lo] * highs[hi] < incumbent:
+                            continue
+                        p = popcount[s]
+                        if (c * s_lows[lo] * s_highs[hi] * (y_lows[lo] + y_highs[hi]) ** exps[p]
+                                < cuts[p]):
+                            cut += 1
+                            continue
+                    live.append(s)
+                    table[s] = c
+            else:
+                new = [0] * (full + 1)
+                ptr = [0] * (full + 1)
+                for t in live:
+                    subs = _bundles(t, sup, fixed, least, cap, popcount)
+                    transitions += len(subs)
+                    base = table[t]
+                    for sub in subs:
+                        lo, hi = sub & mask, sub >> h
+                        c = (sums_lo[lo] + sums_hi[hi]) * prods_lo[lo] * prods_hi[hi] * base
+                        s = t | sub
+                        if c > new[s] or c == new[s] and sub < ptr[s]:
+                            new[s] = c
+                            ptr[s] = sub
+                table = new
+                back.append(ptr)
+        counts["transitions"] = transitions
         if stats is not None:
-            stats["layers"].append({"live": len(live), "dropped": reached - len(live),
-                                    "tangent": cut, "transitions": transitions})
+            stats["layers"].append(counts)
     if best == 0:
         return zero_result(inst)
     assignment: list = [UNMATCHED] * m
@@ -446,8 +485,8 @@ def solve_dp(inst: Instance, stats: Optional[dict] = None) -> tuple[Matching, Na
             if sub >> w & 1:
                 assignment[w] = i
         s ^= sub
-        if i:
-            sub = back[i - 1][s]
+        # firm 0's bundle is layer 1's state itself
+        sub = back[i - 1][s] if i > 1 else s
     mu = Matching.of(assignment)
     return mu, nash_value(inst, mu)
 

@@ -9,9 +9,11 @@ assignment (the same tie-break) and product, not just the same optimum.
 import hashlib
 import json
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nswmatch import exact, generators
 from nswmatch.approx import greedy_submodular
@@ -138,11 +140,11 @@ def test_short_capacity_at_m16_returns_zero():
 
 def test_short_capacity_builds_no_tables(monkeypatch):
     """Total capacity below m: dp, dp2 and fptas return the zero fallback
-    without building a bundle table, after their budget checks."""
+    without building a firm's half tables, after their budget checks."""
     def no_tables(*args):
-        raise AssertionError("bundle table built for a capacity-short instance")
+        raise AssertionError("half tables built for a capacity-short instance")
 
-    monkeypatch.setattr(exact, "_bundle_tables", no_tables)
+    monkeypatch.setattr(exact, "_half_tables", no_tables)
     short16 = generators.gen_random(16, 5, [3] * 5, 5, 1.0, 7).instance
     short18 = generators.gen_random(18, 5, [3] * 5, 5, 1.0, 7).instance
     for inst in (short16, short18):
@@ -241,10 +243,90 @@ def test_dense_m18_is_pruned_to_the_pinned_record():
     stats = {}
     solve_dp(inst, stats)
     assert sum(layer["transitions"] for layer in stats["layers"]) < 200_000
+    # layer 0 bounds its bundles as it scores them, and counts what a
+    # separate bounding pass would: every bundle scores, one survives both
+    assert stats["layers"] == [_layer(1, 0, 0, 62016), _layer(1, 62015, 6777, 2508),
+                               _layer(1, 2507, 6, 1)]
+    _assert_pinned_record(inst, "8aa413af808e90a10e653b069419ea13c3d097312e0ab2cbf634f024276db61b")
+
+
+def test_dense_m20_is_pruned_to_the_pinned_record():
+    """Dense m = 20, n = 3, c = 8, seed 0, at the dp budget: layer 0 tries
+    all 262 599 bundles of 4..8 workers and keeps one; the matching and
+    product are pinned."""
+    inst = generators.gen_random(20, 3, [8] * 3, 5, 1.0, 0).instance
+    stats = {}
+    solve_dp(inst, stats)
+    assert stats["layers"] == [_layer(1, 0, 0, 262599), _layer(1, 262598, 6604, 6006),
+                               _layer(1, 6005, 12, 1)]
+    _assert_pinned_record(inst, "3f750ec9987f97f674250dd5f52789416d340e6164420f0c08886fb832f262e5")
+
+
+def _layer(live: int, dropped: int, tangent: int, transitions: int) -> dict:
+    return {"live": live, "dropped": dropped, "tangent": tangent, "transitions": transitions}
+
+
+def _assert_pinned_record(inst: Instance, digest: str) -> None:
     record = run_algo("dp", inst)
     got = json.dumps([record["matching"], record["nash_product"]]).encode()
-    assert hashlib.sha256(got).hexdigest() == (
-        "8aa413af808e90a10e653b069419ea13c3d097312e0ab2cbf634f024276db61b")
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+@st.composite
+def _score_instances(draw):
+    """m <= 9 (odd m splits unevenly; m = 1 leaves the low half empty), n <=
+    3, values from 0 up to 1, 5, 10^18 or 10^30, and sometimes one firm
+    that values none of its workers."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 3))
+    values = st.integers(0, draw(st.sampled_from([1, 5, 10 ** 18, 10 ** 30])))
+    caps = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    worker_vals = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=m, max_size=m))
+    firm_vals = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n))
+    unvalued = draw(st.sampled_from([None, *range(n)]))
+    if unvalued is not None:
+        firm_vals[unvalued] = [0] * m
+    return Instance.create(caps, worker_vals, firm_vals)
+
+
+@settings(max_examples=200, deadline=None)
+@example(Instance.create([1], [[10 ** 30]], [[10 ** 30]]))
+@example(Instance.create([2, 3], [[10 ** 30, 1]] * 5, [[0] * 5, [10 ** 30 - 1] * 5]))
+@given(_score_instances())
+def test_half_tables_score_every_bundle(inst):
+    """Every bundle of 1..c_f workers inside firm f's support scores
+    bundle_values(inst, f)[S] from the half tables.  A firm that values
+    none of its workers scores 0 on every bundle, and no state holding one
+    of its bundles is ever live: no layer after it runs.  Layer 0's
+    bundles are layer 1's states, and layer 1 counts as pushed or dropped
+    exactly those that score."""
+    m, n, full, h = inst.m, inst.n, (1 << inst.m) - 1, inst.m // 2
+    support = [sum(1 << w for w in range(m) if inst.worker_vals[w][f]) for f in range(n)]
+    for f in range(n):
+        sums_lo, sums_hi, prods_lo, prods_hi = exact._half_tables(inst, f, h)
+        values = bundle_values(inst, f)
+        for s in range(1, full + 1):
+            if s & support[f] == s and s.bit_count() <= inst.capacities[f]:
+                lo, hi = s & ((1 << h) - 1), s >> h
+                assert (sums_lo[lo] + sums_hi[hi]) * prods_lo[lo] * prods_hi[hi] == values[s], (f, s)
+    stats = {}
+    _, value = solve_dp(inst, stats)
+    unvalued = [f for f in range(n) if not any(inst.firm_vals[f])]
+    if unvalued:
+        assert value.product == 0
+        assert len(stats.get("layers", [])) <= unvalued[0] + 1
+    if len(stats.get("layers", [])) > 1:
+        # firm 0's bundles: inside its support, holding every worker no later
+        # firm values, of as many workers as the later capacities leave
+        later = reduce(or_, support[1:], 0)
+        least = max(1, m - sum(inst.capacities[1:]))
+        bundles = [s for s in range(1, full + 1)
+                   if s & support[0] == s and s | later == full
+                   and least <= s.bit_count() <= inst.capacities[0]]
+        values = bundle_values(inst, 0)
+        layer0, layer1 = stats["layers"][:2]
+        assert layer0["transitions"] == len(bundles)
+        assert layer1["live"] + layer1["dropped"] == sum(values[s] > 0 for s in bundles)
 
 
 # (lo, hi) value pools of the bounds' validity test: all ones, where every
